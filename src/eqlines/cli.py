@@ -101,7 +101,6 @@ class RunConfig:
     cache_dir: str = ""
     force: bool = False
     fmt: str = "text"
-    threads: int = 1
 
     def validate(self):
         if self.d < 1:
@@ -115,8 +114,6 @@ class RunConfig:
             raise ConfigError("tolerances must be positive")
         if self.pair_budget < 1:
             raise ConfigError("pair budget must be positive")
-        if self.threads < 1:
-            raise ConfigError("thread count must be positive")
         return self
 
 
@@ -542,9 +539,6 @@ def _build_parser():
         p.add_argument("--out", default="", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="console summary style")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; execution is "
-                            "sequential for determinism")
         p.add_argument("--force", action="store_true",
                        help="ignore upstream hash mismatches")
         p.add_argument("--precision", type=int, default=256,
@@ -623,7 +617,6 @@ def config_from_args(argv):
         command=args.command,
         out=args.out,
         fmt=args.fmt,
-        threads=args.threads,
         force=args.force,
         precision=args.precision,
     )

@@ -43,12 +43,14 @@ __all__ = [
     "upoly_deriv",
     "upoly_gcd",
     "upoly_monic",
+    "upoly_squarefree",
     "upoly_eval",
 ]
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, as coefficient lists (low degree first)
+# univariate polynomials over Q or Q(zeta_n), as coefficient lists (low
+# degree first); coefficients are Fraction or CycloNum
 # ---------------------------------------------------------------------------
 
 def upoly_trim(cs):
@@ -89,17 +91,16 @@ def upoly_mul(a, b):
 
 
 def upoly_divmod(a, b):
-    """Quotient and remainder of a by b over Q. b must be nonzero."""
+    """Quotient and remainder of a by b. b must be nonzero."""
     b = upoly_trim(b)
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
-    a = [Fraction(c) for c in a]
     a = upoly_trim(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
+    inv = Fraction(1) / b[-1]
+    q = [0 * inv] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         k = len(a) - len(b)
-        c = a[-1] / lead
+        c = a[-1] * inv
         q[k] = c
         for i, cb in enumerate(b):
             a[k + i] -= c * cb
@@ -115,18 +116,52 @@ def upoly_monic(a):
     a = upoly_trim(a)
     if not a:
         return a
-    lead = a[-1]
-    return [c / lead for c in a]
+    inv = Fraction(1) / a[-1]
+    return [c * inv for c in a]
 
 
 def upoly_gcd(a, b):
-    """Monic gcd over Q by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm."""
     a = upoly_trim(a)
     b = upoly_trim(b)
     while b:
         _, r = upoly_divmod(a, b)
         a, b = b, r
     return upoly_monic(a)
+
+
+def _upoly_exquo(a, b):
+    q, r = upoly_divmod(a, b)
+    if r:
+        raise ArithmeticError("non-exact division in square-free decomposition")
+    return q
+
+
+def upoly_squarefree(f):
+    """Yun decomposition of a nonzero coefficient list.
+
+    Returns (factor, multiplicity) pairs with each factor monic,
+    square-free and of positive degree, the factors pairwise coprime,
+    so that f = lc * prod factor^multiplicity. Constants give [].
+    """
+    f = upoly_trim(f)
+    if len(f) <= 1:
+        return []
+    f = upoly_monic(f)
+    df = upoly_deriv(f)
+    g = upoly_gcd(f, df)
+    w = _upoly_exquo(f, g)
+    z = upoly_sub(_upoly_exquo(df, g), upoly_deriv(w))
+    out = []
+    i = 1
+    while len(w) > 1:
+        gi = upoly_gcd(w, z)
+        if len(gi) > 1:
+            out.append((gi, i))
+        w = _upoly_exquo(w, gi)
+        z = upoly_sub(_upoly_exquo(z, gi), upoly_deriv(w))
+        i += 1
+    return out
 
 
 def upoly_eval(a, x):

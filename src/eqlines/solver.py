@@ -7,8 +7,11 @@ degree nonzero univariate is solved, and every root spawns a branch.
 Branches that fail the remaining specialized equations are pruned, and
 every surviving point must reproduce the original system to the
 residual tolerance, so the numeric filtering can only lose solutions,
-never invent them. Root finding is simultaneous iteration on all roots
-(mpmath's polyroots) with automatic precision retries.
+never invent them. Basis elements in a single variable are replaced by
+their exact square-free parts first, so root finding, simultaneous
+iteration on all roots (mpmath's polyroots), never meets an exact
+repeated root; a repeated root that only appears after numeric
+specialization makes it fail with a SolverError.
 
 Classification tags solutions: coordinate-wise real points, sign pairs
 v/-v with a canonical representative, Weyl-Heisenberg orbits up to a
@@ -23,9 +26,15 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import CycloNum, cyclo_embed, rational_embed
+from .exact import (
+    CycloNum,
+    cyclo_embed,
+    rational_embed,
+    upoly_mul,
+    upoly_squarefree,
+)
 from .groebner import is_zero_dimensional, quotient_dimension, reduce_basis
-from .polyring import Poly, divide
+from .polyring import Poly
 from .sicgen import apply_weyl, fiducial_from_coords
 
 __all__ = [
@@ -200,72 +209,28 @@ def _roots_numeric(coeffs, precision):
     deg = len(coeffs) - 1
     if deg < 1:
         return []
-    last_exc = None
-    for attempt in range(6):
-        try:
-            with mpmath.workprec(precision + 32 * (attempt + 1)):
-                roots = mpmath.polyroots(
-                    coeffs,
-                    maxsteps=100 + precision // 2 + 200 * attempt,
-                    extraprec=precision // 2 + 64 * attempt,
-                )
-            break
-        except mpmath.libmp.libhyper.NoConvergence as exc:
-            last_exc = exc
-    else:
-        raise SolverError(f"root finding did not converge: {last_exc}")
+    try:
+        with mpmath.workprec(precision + 32):
+            roots = mpmath.polyroots(
+                coeffs, maxsteps=100 + precision // 2, extraprec=precision // 2
+            )
+    except mpmath.libmp.libhyper.NoConvergence as exc:
+        raise SolverError(
+            f"root finding did not converge on a degree {deg} polynomial "
+            f"at {precision} bits"
+        ) from exc
     with mpmath.workprec(precision):
         roots = [mpmath.mpc(r) for r in roots]
         roots.sort(key=lambda z: (z.real, z.imag))
         return roots
 
 
-def _univ_derivative(f):
-    ring = f.ring
-    terms = []
+def _univ_coeffs(f, i):
+    """Little-endian exact coefficients of f, a polynomial in x_i alone."""
+    cs = [f.ring.field.zero()] * (f.total_degree() + 1)
     for m, c in f.terms:
-        if m[0]:
-            terms.append(((m[0] - 1,), c * ring.field.coerce(m[0])))
-    return Poly(ring, terms)
-
-
-def _univ_gcd(a, b):
-    while not b.is_zero():
-        _, r = divide(a, [b], "lex")
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * (a.ring.field.coerce(1) / a.leading_coeff("lex"))
-
-
-def _squarefree_factors(f):
-    """Yun decomposition: pairwise coprime squarefree (factor, mult) pairs."""
-    fp = _univ_derivative(f)
-    a = _univ_gcd(f, fp)
-    if a.total_degree() == 0:
-        return [(f, 1)]
-    b = divide(f, [a], "lex")[0][0]
-    c = divide(fp, [a], "lex")[0][0]
-    out = []
-    mult = 1
-    while b.total_degree() > 0:
-        d = c - _univ_derivative(b)
-        g = _univ_gcd(b, d)
-        if g.total_degree() > 0:
-            out.append((g, mult))
-        b = divide(b, [g], "lex")[0][0]
-        c = divide(d, [g], "lex")[0][0]
-        mult += 1
-    return out
-
-
-def _coeff_list(f, precision):
-    deg = f.total_degree()
-    with mpmath.workprec(precision + 32):
-        coeffs = [mpmath.mpc(0)] * (deg + 1)
-        for m, c in f.terms:
-            coeffs[deg - m[0]] = embed_coeff(c, precision + 32)
-    return coeffs
+        cs[m[i]] = c
+    return cs
 
 
 def univariate_roots(f, precision=256):
@@ -278,16 +243,33 @@ def univariate_roots(f, precision=256):
         raise ValueError("univariate_roots needs a one-variable polynomial")
     if f.is_zero():
         raise ValueError("zero polynomial")
-    deg = f.total_degree()
-    if deg < 1:
-        return []
     roots = []
-    for g, mult in _squarefree_factors(f):
-        for r in _roots_numeric(_coeff_list(g, precision), precision):
+    for g, mult in upoly_squarefree(_univ_coeffs(f, 0)):
+        with mpmath.workprec(precision + 32):
+            coeffs = [embed_coeff(c, precision + 32) for c in reversed(g)]
+        for r in _roots_numeric(coeffs, precision):
             roots.extend([r] * mult)
     with mpmath.workprec(precision):
         roots.sort(key=lambda z: (z.real, z.imag))
     return roots
+
+
+def _squarefree_part(p):
+    """p itself, or, when p lies in one variable and has a repeated
+    factor, the product of its square-free factors."""
+    sup = p.support()
+    if len(sup) != 1:
+        return p
+    (i,) = sup
+    factors = upoly_squarefree(_univ_coeffs(p, i))
+    if all(mult == 1 for _, mult in factors):
+        return p
+    part = [p.ring.field.one()]
+    for g, _ in factors:
+        part = upoly_mul(part, g)
+    zero = (0,) * p.ring.arity
+    return Poly(p.ring, [(zero[:i] + (k,) + zero[i + 1:], c)
+                         for k, c in enumerate(part)])
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +299,13 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     cap = max_points if max_points is not None else max(10 * qdim, 16)
     arity = gb.ring.arity
 
+    # an element in one variable has the same zeros as its square-free
+    # part, which gives polyroots simple roots only
     by_level = [[] for _ in range(arity)]
     for p in gb.basis:
         sup = p.support()
         if sup:
-            by_level[min(sup)].append(p)
+            by_level[min(sup)].append(_squarefree_part(p))
 
     work = precision + 48
     with mpmath.workprec(work):

@@ -6,11 +6,11 @@ families, and algebraic-unit certification of overlap minimal
 polynomials (monic integer and reciprocal, or x +- 1).
 
 Real side: exact symbolic analysis of the Gram matrix I + alpha*S of a
-sign pattern S. The determinant is computed fraction-free over Q[alpha]
-so root multiplicities come from exact gcd computations, not numerics;
-numerics enter only when locating the real roots of each squarefree
-factor. Spectral reconstruction then rebuilds explicit unit vectors
-from a numeric Gram matrix and confirms the round trip.
+sign pattern S. The determinant comes from the characteristic polynomial
+of S, so root multiplicities come from exact gcd computations, not
+numerics; numerics enter only when locating the real roots of each
+squarefree factor. Spectral reconstruction then rebuilds explicit unit
+vectors from a numeric Gram matrix and confirms the round trip.
 """
 
 from __future__ import annotations
@@ -22,16 +22,7 @@ import math
 import mpmath
 import numpy as np
 
-from .exact import (
-    QQ,
-    upoly_deriv,
-    upoly_divmod,
-    upoly_gcd,
-    upoly_monic,
-    upoly_mul,
-    upoly_sub,
-    upoly_trim,
-)
+from .exact import QQ, upoly_squarefree, upoly_sub, upoly_trim
 from .polyring import Poly, Ring
 from .sicgen import apply_weyl
 from .solver import _roots_numeric
@@ -45,7 +36,6 @@ __all__ = [
     "verify_equiangular_complex",
     "reciprocity_check",
     "unit_certify",
-    "squarefree_decomposition",
     "gram_analysis",
     "spectral_reconstruct",
     "verify_equiangular_real",
@@ -242,73 +232,50 @@ def unit_certify(f):
 # real side
 # ---------------------------------------------------------------------------
 
-def squarefree_decomposition(f):
-    """Yun decomposition of a little-endian Fraction coefficient list.
-
-    Returns a list of (factor, multiplicity) with each factor monic
-    squarefree, so that f = lc * prod factor^multiplicity.
-    """
-    f = upoly_trim(list(f))
-    if len(f) <= 1:
-        return []
-    f = upoly_monic(f)
-    df = upoly_deriv(f)
-    g = upoly_gcd(f, df)
-    w, r = upoly_divmod(f, g)
-    assert not r
-    y, r = upoly_divmod(df, g)
-    assert not r
-    z = upoly_sub(y, upoly_deriv(w))
-    out = []
-    i = 1
-    while len(w) > 1:
-        gi = upoly_gcd(w, z)
-        if len(gi) > 1:
-            out.append((gi, i))
-        w, r = upoly_divmod(w, gi)
-        assert not r
-        y, r = upoly_divmod(z, gi)
-        assert not r
-        z = upoly_sub(y, upoly_deriv(w))
-        i += 1
-    return out
-
-
-def _bareiss_det(matrix):
-    """Exact determinant of a square matrix of Fraction coefficient
-    lists, by fraction-free elimination over Q[alpha]."""
-    m = [[upoly_trim(list(e)) for e in row] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = [Fraction(1)]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return [Fraction(0)]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = upoly_sub(
-                    upoly_mul(m[i][j], m[k][k]),
-                    upoly_mul(m[i][k], m[k][j]),
-                )
-                q, r = upoly_divmod(num, prev)
-                assert not r
-                m[i][j] = q
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return [sign * c for c in det] if sign < 0 else det
+def _charpoly(matrix):
+    """Little-endian coefficients of det(x*I - M) for a square rational
+    matrix M, by reduction to Hessenberg form over Q (Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 2.2.9)."""
+    h = [[Fraction(x) for x in row] for row in matrix]
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        t = h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] / t
+            if not u:
+                continue
+            # similarity transform: row_i -= u*row_m, then col_m += u*col_i
+            hi, hm = h[i], h[m]
+            for j in range(n):
+                hi[j] -= u * hm[j]
+            for row in h:
+                row[m] += u * row[i]
+    # p[k] is the characteristic polynomial of the leading k x k block
+    p = [[Fraction(1)]]
+    for m in range(n):
+        nxt = upoly_sub([Fraction(0)] + p[m], [h[m][m] * c for c in p[m]])
+        t = Fraction(1)
+        for i in range(1, m + 1):
+            t *= h[m - i + 1][m - i]
+            coef = t * h[m - i][m]
+            if coef:
+                nxt = upoly_sub(nxt, [coef * c for c in p[m - i]])
+        p.append(nxt)
+    return p[n]
 
 
 def gram_analysis(spec, d, precision=128, tol=1e-10):
     """Symbolic rank analysis of G(alpha) = I + alpha*signs.
 
-    det_poly is exact over Q[alpha]. A root alpha is admissible when it
+    det_poly is exact over Q[alpha], read off the characteristic
+    polynomial of the sign matrix. A root alpha is admissible when it
     is real with 0 < alpha < 1 and its multiplicity is at least N - d,
     the rank deficiency forced by embedding N lines in R^d. For each
     admissible root, odd_integer_flags holds whether 1/alpha is an odd
@@ -317,14 +284,9 @@ def gram_analysis(spec, d, precision=128, tol=1e-10):
     if spec.N <= d:
         raise VerificationError("need more lines than dimensions")
     n = spec.N
-    matrix = [
-        [
-            [Fraction(1)] if i == j else [Fraction(0), Fraction(spec.signs[i][j])]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = _bareiss_det(matrix)
+    # with chi_S = sum c_j x^j: det(I + alpha*S) = sum (-1)^k c_(n-k) alpha^k
+    chi = _charpoly(spec.signs)
+    det = upoly_trim([-chi[n - k] if k % 2 else chi[n - k] for k in range(n + 1)])
     ring = Ring(("alpha",), QQ)
     det_poly = Poly.from_dict(ring, {(k,): c for k, c in enumerate(det)})
 
@@ -334,7 +296,7 @@ def gram_analysis(spec, d, precision=128, tol=1e-10):
     flags = []
     with mpmath.workprec(precision):
         eps = mpmath.mpf(10) ** (-_dps(precision) // 2)
-        for factor, mult in squarefree_decomposition(det):
+        for factor, mult in upoly_squarefree(det):
             if mult < need:
                 continue
             coeffs = [

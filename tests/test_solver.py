@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from eqlines.exact import QQ
+from eqlines.exact import QQ, CycloField, cyclo_root_of_unity
 from eqlines.groebner import GroebnerBasis, buchberger
 from eqlines.polyring import Poly, Ring
 from eqlines.solver import (
@@ -15,6 +15,7 @@ from eqlines.solver import (
     NotZeroDimensionalError,
     SolutionPoint,
     SolutionSet,
+    SolverError,
     Tolerances,
     classify,
     match_zauner,
@@ -66,6 +67,19 @@ def test_univariate_roots_multiplicity():
             assert abs(r - 1) < mpmath.mpf(1e-10)
 
 
+def test_univariate_roots_cyclotomic_multiplicity():
+    # (t - i)^2 (t + 1) over Q(zeta_4)
+    ring = Ring(("t",), CycloField(4))
+    t = Poly.variable(ring, 0)
+    i = Poly.constant(ring, cyclo_root_of_unity(4, 1))
+    roots = univariate_roots((t - i) ** 2 * (t + 1), 160)
+    assert len(roots) == 3
+    with mpmath.workprec(160):
+        eps = mpmath.mpf(2) ** -120
+        assert abs(roots[0] + 1) < eps
+        assert all(abs(r - mpmath.mpc(0, 1)) < eps for r in roots[1:])
+
+
 def test_univariate_roots_ordering_deterministic():
     t = _t()
     f = t ** 5 - t ** 3 + 2 * t - 1
@@ -111,6 +125,37 @@ def test_residuals_against_original_system():
     assert len(sols.points) == 4
     for p in sols.points:
         assert p.residual <= mpmath.mpf(1e-10)
+
+
+def _solve_points(gens):
+    gb = buchberger(gens, "lex")
+    sols = solve_triangular(gb, gens, precision=128)
+    return [tuple(complex(c) for c in p.coords) for p in sols.points]
+
+
+def test_non_radical_univariate_basis():
+    x, y = _xy()
+    pts = _solve_points([(x - 1) ** 3, (y + 1) ** 2])
+    assert len(pts) == 1
+    assert max(abs(a - b) for a, b in zip(pts[0], (1, -1))) < 1e-30
+
+
+def test_non_radical_duplicates_not_adjacent():
+    # the lex basis holds (x - 2)^2; each copy of x = 2 pairs with both
+    # y = -sqrt(2) and y = sqrt(2)
+    x, y = _xy()
+    pts = _solve_points([(x - y ** 2) ** 2, y ** 2 - 2])
+    assert len(pts) == 2
+    assert {round(p[1].real, 12) for p in pts} == {
+        round(-2 ** 0.5, 12), round(2 ** 0.5, 12)}
+    assert all(abs(p[0] - 2) < 1e-30 for p in pts)
+
+
+def test_repeated_root_after_specialization_fails_fast():
+    # (x - 1)^3 appears only once y = 1 is substituted
+    x, y = _xy()
+    with pytest.raises(SolverError, match="degree 3"):
+        _solve_points([(x - y) ** 3, (y - 1) ** 2])
 
 
 def test_not_zero_dimensional():

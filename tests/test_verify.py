@@ -1,5 +1,6 @@
 """Verification layer: overlaps, unit certification, Gram analysis."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlines.exact import QQ, cyclotomic_poly, upoly_eval, upoly_mul
+from eqlines.exact import (
+    QQ,
+    cyclotomic_poly,
+    upoly_eval,
+    upoly_mul,
+    upoly_squarefree,
+)
 from eqlines.polyring import Poly, Ring
 from eqlines.solver import zauner_vectors
 from eqlines.verify import (
@@ -24,7 +31,6 @@ from eqlines.verify import (
     seidel_hexagon,
     seidel_icosahedron,
     spectral_reconstruct,
-    squarefree_decomposition,
     unit_certify,
     verify_equiangular_complex,
     verify_equiangular_real,
@@ -171,7 +177,7 @@ def test_unit_certify_rejections():
 def test_squarefree_known():
     # (x-1)^2 (x+2)
     f = upoly_mul(upoly_mul([-1, 1], [-1, 1]), [2, 1])
-    out = squarefree_decomposition([Fraction(c) for c in f])
+    out = upoly_squarefree([Fraction(c) for c in f])
     assert out == [
         ([Fraction(2), Fraction(1)], 1),
         ([Fraction(-1), Fraction(1)], 2),
@@ -188,7 +194,7 @@ def test_squarefree_reconstructs(tail, power):
     f = [Fraction(1)]
     for _ in range(power):
         f = upoly_mul(f, base)
-    out = squarefree_decomposition(f)
+    out = upoly_squarefree(f)
     rebuilt = [Fraction(1)]
     for factor, mult in out:
         for _ in range(mult):
@@ -277,6 +283,43 @@ def test_gram_det_at_zero_is_one(bits):
 def test_det_poly_render():
     out = gram_analysis(seidel_hexagon(), 2)
     assert str(out["det_poly"]) == "-(2)*alpha^3 - (3)*alpha^2 + 1"
+
+
+def _frac_det(m):
+    """Determinant of a rational matrix by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            u = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= u * m[k][j]
+    return det
+
+
+def test_gram_triangular_graph_t8():
+    # 28 lines in R^7: pairs of points of K8, sign +1 when two pairs share
+    # a point; the Gram matrix I + S/3 has rank 7
+    pairs = list(itertools.combinations(range(8), 2))
+    signs = [[0 if p == q else (1 if set(p) & set(q) else -1)
+              for q in pairs] for p in pairs]
+    out = gram_analysis(SeidelSpec(signs), 7, precision=128)
+    assert out["multiplicities"] == [21]
+    with mpmath.workprec(128):
+        assert abs(out["admissible_alphas"][0] - mpmath.mpf(1) / 3) < 1e-30
+    assert out["odd_integer_flags"] == [True]
+    for a in (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11)):
+        gram = [[1 if i == j else a * s for j, s in enumerate(row)]
+                for i, row in enumerate(signs)]
+        assert out["det_poly"].eval_exact((a,)) == _frac_det(gram)
 
 
 # -- spectral reconstruction -------------------------------------------------
