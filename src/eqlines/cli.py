@@ -47,6 +47,7 @@ from .solver import (
     SolutionSet,
     SolverError,
     Tolerances,
+    _dps,
     _is_real_point,
     classify,
     match_zauner,
@@ -491,7 +492,7 @@ def cmd_gram(cfg):
     else:
         raise ConfigError("gram needs --preset or --in")
     res = gram_analysis(spec, cfg.d, precision=cfg.precision, tol=cfg.tol)
-    dps = int(cfg.precision * 0.30103) + 6
+    dps = _dps(cfg.precision)
     spectral = []
     for a in res["admissible_alphas"]:
         g = np.eye(spec.N) + float(a) * np.array(spec.signs, dtype=float)

@@ -7,7 +7,8 @@ lcm is smallest under the active order, Buchberger's first criterion
 discards pairs with coprime leading terms, and the chain criterion
 discards pairs whose lcm is covered by another basis element. Every
 choice is made in a fixed sorted order, so a run is reproducible
-bit for bit.
+bit for bit. ``is_groebner`` applies the same criteria: it reduces
+only the S-pairs that this pair update keeps for the given basis.
 
 New basis elements are appended monic and fully reduced against the
 current basis. ``reduce_basis`` turns any basis into the unique reduced
@@ -80,50 +81,51 @@ class PairBudgetExceeded(RuntimeError):
 def _gm_update(f, G, B, ih, order):
     """Gebauer-Moeller pair set update after appending f[ih].
 
-    G is the sorted list of alive indices, B the pending pair set.
-    Candidate pairs are walked in ascending index order so the retained
-    set does not depend on hash ordering.
+    G is the ascending list of alive indices, all below ih, and B the
+    pending pair set. Candidate pairs are walked in ascending index
+    order so the retained set does not depend on hash ordering.
     """
     lm = lambda i: f[i].leading_monomial(order)
     mh = lm(ih)
-
-    C = sorted(G)
-    D = []
-    while C:
-        ig = C.pop(0)
-        lcm_hg = mono_lcm(mh, lm(ig))
+    lcms = [mono_lcm(mh, lm(ig)) for ig in G]
+    D = []  # (ig, lcm of the pair, leading terms coprime)
+    for k, ig in enumerate(G):
+        lcm_hg = lcms[k]
         coprime = mono_mul(mh, lm(ig)) == lcm_hg
-
-        def covered(ip):
-            return mono_divides(mono_lcm(mh, lm(ip)), lcm_hg)
-
-        if coprime or (
-            not any(covered(ip) for ip in C)
-            and not any(covered(pr[1]) for pr in D)
+        if coprime or not (
+            any(mono_divides(l, lcm_hg) for l in lcms[k + 1:])
+            or any(mono_divides(l, lcm_hg) for _, l, _ in D)
         ):
-            D.append((ih, ig))
+            D.append((ig, lcm_hg, coprime))
+
+    def keep(i, j):
+        lcm_ij = mono_lcm(lm(i), lm(j))
+        return (
+            not mono_divides(mh, lcm_ij)
+            or mono_lcm(lm(i), mh) == lcm_ij
+            or mono_lcm(mh, lm(j)) == lcm_ij
+        )
+
+    B_new = {pr for pr in B if keep(*pr)}
     # first criterion: coprime leading terms never produce new information
-    E = [
-        pr
-        for pr in D
-        if mono_mul(mh, lm(pr[1])) != mono_lcm(mh, lm(pr[1]))
+    B_new.update((ih, ig) for ig, _, coprime in D if not coprime)
+    return [ig for ig in G if not mono_divides(mh, lm(ig))] + [ih], B_new
+
+
+def _gm_pairs(f, order):
+    """Alive indices and pending pairs after feeding f through _gm_update."""
+    G, B = [], set()
+    for ih in range(len(f)):
+        G, B = _gm_update(f, G, B, ih, order)
+    return G, B
+
+
+def _reducers(f, G, order):
+    """The alive elements by ascending leading monomial."""
+    key = monomial_key(order)
+    return [
+        f[g] for g in sorted(G, key=lambda i: (key(f[i].leading_monomial(order)), i))
     ]
-
-    B_new = set()
-    for ig1, ig2 in sorted(B):
-        lcm12 = mono_lcm(lm(ig1), lm(ig2))
-        if (
-            not mono_divides(mh, lcm12)
-            or mono_lcm(lm(ig1), mh) == lcm12
-            or mono_lcm(mh, lm(ig2)) == lcm12
-        ):
-            B_new.add((ig1, ig2))
-    B_new.update(E)
-
-    G_new = [ig for ig in G if not mono_divides(mh, lm(ig))]
-    G_new.append(ih)
-    G_new.sort()
-    return G_new, B_new
 
 
 def _interreduce(polys, order):
@@ -168,17 +170,7 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
     if not f:
         raise ValueError("generators reduce to nothing")
 
-    G = []
-    B = set()
-    for ih in range(len(f)):
-        G, B = _gm_update(f, G, B, ih, order)
-
-    def reducers():
-        return [
-            f[g]
-            for g in sorted(G, key=lambda i: (key(f[i].leading_monomial(order)), i))
-        ]
-
+    G, B = _gm_pairs(f, order)
     pair_count = 0
     while B:
         pair = min(
@@ -203,7 +195,7 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
         s = s_polynomial(f[pair[0]], f[pair[1]], order)
         if s.is_zero():
             continue
-        r = reduce_poly(s, reducers(), order)
+        r = reduce_poly(s, _reducers(f, G, order), order)
         if r.is_zero():
             continue
         ih = len(f)
@@ -333,16 +325,22 @@ def quotient_dimension(gb):
 
 
 def is_groebner(gb):
-    """S-pair fixpoint check: every S-polynomial reduces to zero."""
-    basis = list(gb.basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j], gb.order)
-            if s.is_zero():
-                continue
-            if not reduce_poly(s, basis, gb.order).is_zero():
-                return False
-    return True
+    """True iff gb.basis is a Groebner basis for gb.order.
+
+    The basis goes through the pair update that buchberger uses, and
+    the S-polynomial of every pair kept is reduced modulo the elements
+    kept. If all of them reduce to zero, Buchberger with the same
+    criteria would stop here, so the kept elements, and with them the
+    whole basis, form a Groebner basis (Gebauer, Moeller 1988).
+    """
+    order = gb.order
+    f = list(gb.basis)
+    G, B = _gm_pairs(f, order)
+    reducers = _reducers(f, G, order)
+    return all(
+        reduce_poly(s_polynomial(f[i], f[j], order), reducers, order).is_zero()
+        for i, j in sorted(B)
+    )
 
 
 def reduces_to_zero(f, gb):

@@ -355,8 +355,11 @@ class Poly:
 
     def _eval_rational(self, point):
         # rational points keep monomial values in Q, so each term costs
-        # one scalar multiply instead of a full field multiplication
+        # scalar multiplies instead of a full field multiplication; over
+        # Q(zeta_n) they sum into one list of power basis coefficients
         powers = [{0: Fraction(1)} for _ in point]
+        field = self.ring.field
+        acc = list(field.zero().coeffs) if isinstance(field, CycloField) else None
         total = None
         for m, c in self.terms:
             mono = Fraction(1)
@@ -366,13 +369,17 @@ class Poly:
                     if e not in tab:
                         tab[e] = Fraction(point[i]) ** e
                     mono *= tab[e]
-            if isinstance(c, CycloNum):
-                val = CycloNum._raw(c.n, tuple(mono * q for q in c.coeffs))
+            if acc is not None:
+                for k, q in enumerate(c.coeffs):
+                    if q:
+                        acc[k] += mono * q
             else:
                 val = c * mono
-            total = val if total is None else total + val
+                total = val if total is None else total + val
+        if acc is not None:
+            return CycloNum(field.n, acc)
         if total is None:
-            return self.ring.field.zero()
+            return field.zero()
         return total
 
     # -- comparisons and hashing ----------------------------------------------

@@ -22,10 +22,10 @@ import math
 import mpmath
 import numpy as np
 
-from .exact import QQ, upoly_squarefree, upoly_sub, upoly_trim
+from .exact import QQ, upoly_squarefree, upoly_trim
 from .polyring import Poly, Ring
 from .sicgen import apply_weyl
-from .solver import _roots_numeric
+from .solver import _dps, _roots_numeric
 
 __all__ = [
     "OverlapReport",
@@ -52,10 +52,6 @@ class VerificationError(ValueError):
 
 class SpectralError(VerificationError):
     pass
-
-
-def _dps(prec):
-    return int(prec * 0.30103) + 6
 
 
 @dataclass
@@ -232,43 +228,27 @@ def unit_certify(f):
 # real side
 # ---------------------------------------------------------------------------
 
-def _charpoly(matrix):
-    """Little-endian coefficients of det(x*I - M) for a square rational
-    matrix M, by reduction to Hessenberg form over Q (Cohen, A Course in
-    Computational Algebraic Number Theory, Algorithm 2.2.9)."""
-    h = [[Fraction(x) for x in row] for row in matrix]
-    n = len(h)
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-        t = h[m][m - 1]
-        for i in range(m + 1, n):
-            u = h[i][m - 1] / t
-            if not u:
-                continue
-            # similarity transform: row_i -= u*row_m, then col_m += u*col_i
-            hi, hm = h[i], h[m]
-            for j in range(n):
-                hi[j] -= u * hm[j]
-            for row in h:
-                row[m] += u * row[i]
-    # p[k] is the characteristic polynomial of the leading k x k block
-    p = [[Fraction(1)]]
-    for m in range(n):
-        nxt = upoly_sub([Fraction(0)] + p[m], [h[m][m] * c for c in p[m]])
-        t = Fraction(1)
-        for i in range(1, m + 1):
-            t *= h[m - i + 1][m - i]
-            coef = t * h[m - i][m]
-            if coef:
-                nxt = upoly_sub(nxt, [coef * c for c in p[m - i]])
-        p.append(nxt)
-    return p[n]
+def _charpoly(a):
+    """Little-endian coefficients of det(x*I - A) for a square matrix A,
+    by Berkowitz's division-free algorithm (S. J. Berkowitz, On computing
+    the determinant in small parallel time using a small number of
+    processors, Inf. Process. Lett. 18, 1984). Integer entries stay
+    integers throughout."""
+    p = [1]  # big-endian characteristic polynomial of the leading block M
+    for r in range(len(a)):
+        # extend the r x r block M by the column S above a_rr and the row R
+        # left of it
+        R, v = a[r][:r], [a[i][r] for i in range(r)]
+        col = [1, -a[r][r]]
+        for _ in range(r):  # v runs through S, M S, M^2 S, ...
+            col.append(-sum(x * y for x, y in zip(R, v)))
+            v = [sum(x * y for x, y in zip(a[i][:r], v)) for i in range(r)]
+        # multiply by the lower triangular Toeplitz matrix with first column col
+        p = [
+            sum(col[i - j] * p[j] for j in range(min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return [Fraction(c) for c in reversed(p)]
 
 
 def gram_analysis(spec, d, precision=128, tol=1e-10):

@@ -9,6 +9,7 @@ randomized-but-seeded variants.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from eqlines.groebner import (
     reduce_basis,
     reduces_to_zero,
 )
-from eqlines.polyring import Poly, Ring
+from eqlines.polyring import Poly, Ring, reduce_poly, s_polynomial
+from eqlines.sicgen import gen_wh_system
 
 R1 = Ring(("x",), QQ)
 R2 = Ring(("x", "y"), QQ)
@@ -99,6 +101,46 @@ def test_corpus_fixpoint_and_membership(idx):
     assert is_groebner(gb)
     for g in gens:
         assert reduces_to_zero(g, gb)
+
+
+def _all_pairs_is_groebner(gb):
+    """Reference check: every S-polynomial reduces to zero."""
+    basis = list(gb.basis)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            s = s_polynomial(basis[i], basis[j], gb.order)
+            if s.is_zero():
+                continue
+            if not reduce_poly(s, basis, gb.order).is_zero():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_is_groebner_matches_all_pairs(order):
+    """The pruned check agrees with the all-pairs reference on bases,
+    on generator sets and on bases with an element dropped or added."""
+    verdicts = []
+    for idx, gens in enumerate(CORPUS):
+        gb = buchberger(gens, order)
+        inputs = {
+            "basis": gb.basis,
+            "monic generators": tuple(g.monic(order) for g in gens),
+            "basis minus first": gb.basis[1:],
+            "basis plus generators": gb.basis + tuple(gens),
+        }
+        for name, basis in inputs.items():
+            probe = replace(gb, basis=basis)
+            verdict = is_groebner(probe)
+            assert verdict == _all_pairs_is_groebner(probe), (idx, name)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_wh3_grevlex_basis_certified():
+    gb = buchberger(gen_wh_system(3).equations, "grevlex")
+    assert (len(gb), gb.pair_count) == (58, 191)
+    assert is_groebner(gb)
 
 
 @pytest.mark.parametrize("idx", range(len(CORPUS)))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -316,10 +317,19 @@ def test_gram_triangular_graph_t8():
     with mpmath.workprec(128):
         assert abs(out["admissible_alphas"][0] - mpmath.mpf(1) / 3) < 1e-30
     assert out["odd_integer_flags"] == [True]
-    for a in (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11)):
-        gram = [[1 if i == j else a * s for j, s in enumerate(row)]
-                for i, row in enumerate(signs)]
-        assert out["det_poly"].eval_exact((a,)) == _frac_det(gram)
+    # a seeded uniform N = 22 pattern: no admissible angle, and a
+    # characteristic polynomial whose coefficients grow large
+    rng = random.Random(22)
+    uniform = [[0] * 22 for _ in range(22)]
+    for i, j in itertools.combinations(range(22), 2):
+        uniform[i][j] = uniform[j][i] = rng.choice((-1, 1))
+    out_uniform = gram_analysis(SeidelSpec(uniform), 7, precision=128)
+    assert out_uniform["admissible_alphas"] == []
+    for pattern, res in ((signs, out), (uniform, out_uniform)):
+        for a in (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11)):
+            gram = [[1 if i == j else a * s for j, s in enumerate(row)]
+                    for i, row in enumerate(pattern)]
+            assert res["det_poly"].eval_exact((a,)) == _frac_det(gram)
 
 
 # -- spectral reconstruction -------------------------------------------------
