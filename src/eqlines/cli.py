@@ -7,8 +7,9 @@ Each file embeds the sha256 of its upstream input; downstream commands
 refuse a mismatched chain unless --force is given. Timing is printed
 to the console only, never written into files.
 
-Exit codes: 0 success, 2 validation or configuration failure, 3 pair
-budget exhaustion, 4 verification failure.
+Exit codes: 0 success, 2 validation or configuration failure (a
+malformed input file included), 3 pair budget exhaustion, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from . import groebner as gb_mod
 from .groebner import (
+    DEFAULT_PAIR_BUDGET,
     GroebnerBasis,
     PairBudgetExceeded,
     buchberger,
@@ -64,7 +64,7 @@ from .verify import (
     verify_fiducial,
 )
 
-__all__ = ["RunConfig", "ConfigError", "main"]
+__all__ = ["ConfigError", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,44 +78,20 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    kind: str = "wh"
-    d: int = 2
-    n: int = 0
-    alpha: str = ""
-    order: str = "lex"
-    precision: int = 256
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    pair_budget: int = 10**7
-    max_points: int = 0
-    tol: float = 1e-10
-    index: int = -1
-    preset: str = ""
-    zauner_k: int = 0
-    phase_fix: bool = True
-    inp: str = ""
-    system: str = ""
-    vector: str = ""
-    out: str = ""
-    cache_dir: str = ""
-    force: bool = False
-    fmt: str = "text"
+def _check_args(args):
+    """Reject out-of-range numeric options of the parsed command line.
 
-    def validate(self):
-        if self.d < 1:
-            raise ConfigError("d must be at least 1")
-        if self.precision < 53:
-            raise ConfigError("precision must be at least 53 bits")
-        t = self.tolerances
-        if min(t.residual, t.cluster, t.realness, t.match) <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.pair_budget < 1:
-            raise ConfigError("pair budget must be positive")
-        return self
+    Only the options of the chosen subcommand are present in ``args``;
+    a check whose option is absent is skipped."""
+    opts = vars(args)
+    if opts.get("d", 1) < 1:
+        raise ConfigError("d must be at least 1")
+    if opts["precision"] < 53:
+        raise ConfigError("precision must be at least 53 bits")
+    if any(v <= 0 for k, v in opts.items() if k.startswith("tol")):
+        raise ConfigError("tolerances must be positive")
+    if opts.get("pair_budget", 1) < 1:
+        raise ConfigError("pair budget must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +102,33 @@ def canonical_bytes(obj):
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def write_canonical(path, obj):
-    data = canonical_bytes(obj)
+def write_bytes(path, data):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
 
 
-def read_json(path):
+def write_canonical(path, obj):
+    write_bytes(path, canonical_bytes(obj))
+
+
+def read_json(path, parse=None):
+    """Return the JSON document in ``path`` and the sha256 of its bytes.
+
+    With ``parse``, the document is ``parse(obj)``. A file that does not
+    decode, or that the parser cannot read (a missing key, a value of
+    the wrong type or shape), raises ConfigError naming the file; a
+    ConfigError from the parser itself passes through unchanged.
+    """
     data = Path(path).read_bytes()
-    return json.loads(data.decode()), hashlib.sha256(data).hexdigest()
+    try:
+        doc = json.loads(data.decode())
+        if parse is not None:
+            doc = parse(doc)
+    except ConfigError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{path} is not a valid input file") from exc
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def _check_chain(expected, actual, what, force):
@@ -150,8 +143,8 @@ def _check_chain(expected, actual, what, force):
         )
 
 
-def _summary(cfg, fields):
-    if cfg.fmt == "json":
+def _summary(args, fields):
+    if args.fmt == "json":
         print(json.dumps(dict(fields), sort_keys=True))
     else:
         print(" ".join(f"{k}={v}" for k, v in fields))
@@ -167,28 +160,27 @@ def _parse_alpha(text):
     return Fraction(text)
 
 
-def cmd_gen(cfg):
-    if cfg.kind == "wh":
-        system = gen_wh_system(cfg.d, phase_fix=cfg.phase_fix)
-    elif cfg.kind == "complex-full":
-        system = gen_complex_full(cfg.d)
-    elif cfg.kind == "real":
-        if cfg.n < 2:
+def cmd_gen(args):
+    if args.kind == "wh":
+        system = gen_wh_system(args.d, phase_fix=args.phase_fix)
+    elif args.kind == "complex-full":
+        system = gen_complex_full(args.d)
+    elif args.kind == "real":
+        if args.n < 2:
             raise ConfigError("real systems need --n of at least 2")
         signs = None
-        if cfg.preset:
-            signs = _seidel_preset(cfg.preset).signs
-        elif cfg.inp:
-            obj, _ = read_json(cfg.inp)
-            signs = SeidelSpec.from_json(obj).signs
+        if args.preset:
+            signs = _seidel_preset(args.preset).signs
+        elif args.inp:
+            signs = read_json(args.inp, SeidelSpec.from_json)[0].signs
         system = gen_real_system(
-            cfg.d, cfg.n, alpha=_parse_alpha(cfg.alpha), signs=signs
+            args.d, args.n, alpha=_parse_alpha(args.alpha), signs=signs
         )
     else:
-        raise ConfigError(f"unknown kind {cfg.kind!r}")
-    out = cfg.out or f"{cfg.kind.replace('-', '_')}_d{cfg.d}.json"
+        raise ConfigError(f"unknown kind {args.kind!r}")
+    out = args.out or f"{args.kind.replace('-', '_')}_d{args.d}.json"
     write_canonical(out, system.to_json())
-    _summary(cfg, [
+    _summary(args, [
         ("kind", system.kind),
         ("d", system.d),
         ("equations", len(system.equations)),
@@ -198,8 +190,8 @@ def cmd_gen(cfg):
     return EXIT_OK
 
 
-def _cache_path(cfg, key):
-    cache_dir = cfg.cache_dir or os.environ.get(CACHE_ENV, "")
+def _cache_path(args, key):
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV, "")
     if not cache_dir:
         return None
     return Path(cache_dir) / f"{key}.json"
@@ -223,6 +215,10 @@ def basis_to_json(gb, input_hash):
 
 
 def basis_from_json(obj):
+    if obj.get("format") == "basis_partial":
+        raise ConfigError(
+            "basis file records a pair-budget failure; nothing to solve"
+        )
     if obj.get("format") != "basis":
         raise ConfigError("input is not a basis file")
     ring = Ring(tuple(obj["vars"]), field_from_json(obj["field"]))
@@ -238,106 +234,98 @@ def basis_from_json(obj):
     )
 
 
-def cmd_groebner(cfg):
-    obj, input_hash = read_json(cfg.inp)
-    system = PolySystem.from_json(obj)
+def cmd_groebner(args):
+    system, input_hash = read_json(args.inp, PolySystem.from_json)
     key = hashlib.sha256(
-        f"{input_hash}:{cfg.order}:{cfg.pair_budget}".encode()
+        f"{input_hash}:{args.order}:{args.pair_budget}".encode()
     ).hexdigest()
-    out = cfg.out or f"basis_{system.kind}_d{system.d}.json"
-    cached = _cache_path(cfg, key)
-    t0 = time.monotonic()
-    if cached is not None and cached.exists():
+    out = args.out or f"basis_{system.kind}_d{system.d}.json"
+    cached = _cache_path(args, key)
+    hit = cached is not None and cached.exists()
+    if hit:
         data = cached.read_bytes()
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_bytes(data)
         doc = json.loads(data.decode())
-        _summary(cfg, [
-            ("cache", "hit"),
-            ("basis_size", len(doc["basis"])),
-            ("pair_count", doc["pair_count"]),
-            ("zero_dimensional", doc["zero_dimensional"]),
-            ("quotient_dimension", doc["quotient_dimension"]),
-            ("out", out),
-        ])
-        return EXIT_OK
-    try:
-        if cfg.order == "grevlex_then_lex":
-            gb = grevlex_then_lex(
-                list(system.equations), pair_budget=cfg.pair_budget
+    else:
+        t0 = time.monotonic()
+        try:
+            if args.order == "grevlex_then_lex":
+                gb = grevlex_then_lex(
+                    list(system.equations), pair_budget=args.pair_budget
+                )
+            elif args.order == "lex":
+                gb = buchberger(
+                    list(system.equations), "lex", pair_budget=args.pair_budget
+                )
+            else:
+                raise ConfigError(f"unknown order {args.order!r}")
+        except PairBudgetExceeded as exc:
+            write_canonical(out, {
+                "format": "basis_partial",
+                "input_hash": input_hash,
+                "order": args.order,
+                "pair_budget": args.pair_budget,
+                "pairs_processed": exc.pairs_processed,
+                "partial_size": len(exc.partial),
+            })
+            elapsed = time.monotonic() - t0
+            print(
+                f"pair budget {args.pair_budget} exhausted after "
+                f"{exc.pairs_processed} pairs ({elapsed:.1f}s); "
+                f"partial basis of {len(exc.partial)} elements not usable "
+                f"downstream; report written to {out}",
+                file=sys.stderr,
             )
-        elif cfg.order == "lex":
-            gb = buchberger(
-                list(system.equations), "lex", pair_budget=cfg.pair_budget
-            )
-        else:
-            raise ConfigError(f"unknown order {cfg.order!r}")
-    except PairBudgetExceeded as exc:
-        doc = {
-            "format": "basis_partial",
-            "input_hash": input_hash,
-            "order": cfg.order,
-            "pair_budget": cfg.pair_budget,
-            "pairs_processed": exc.pairs_processed,
-            "partial_size": len(exc.partial),
-        }
-        write_canonical(out, doc)
+            return EXIT_BUDGET
         elapsed = time.monotonic() - t0
-        print(
-            f"pair budget {cfg.pair_budget} exhausted after "
-            f"{exc.pairs_processed} pairs ({elapsed:.1f}s); "
-            f"partial basis of {len(exc.partial)} elements not usable "
-            f"downstream; report written to {out}",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-    elapsed = time.monotonic() - t0
-    doc = basis_to_json(gb, input_hash)
-    data = canonical_bytes(doc)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_bytes(data)
-    if cached is not None:
-        cached.parent.mkdir(parents=True, exist_ok=True)
-        cached.write_bytes(data)
-    _summary(cfg, [
-        ("basis_size", len(gb.basis)),
-        ("pair_count", gb.pair_count),
+        doc = basis_to_json(gb, input_hash)
+        data = canonical_bytes(doc)
+        if cached is not None:
+            write_bytes(cached, data)
+    write_bytes(out, data)
+    fields = [
+        ("basis_size", len(doc["basis"])),
+        ("pair_count", doc["pair_count"]),
         ("zero_dimensional", doc["zero_dimensional"]),
         ("quotient_dimension", doc["quotient_dimension"]),
-        ("elapsed", f"{elapsed:.2f}s"),
-        ("out", out),
-    ])
+    ]
+    if hit:
+        fields.insert(0, ("cache", "hit"))
+    else:
+        fields.append(("elapsed", f"{elapsed:.2f}s"))
+    fields.append(("out", out))
+    _summary(args, fields)
     return EXIT_OK
 
 
-def cmd_solve(cfg):
-    basis_obj, basis_hash = read_json(cfg.inp)
-    if basis_obj.get("format") == "basis_partial":
-        raise ConfigError(
-            "basis file records a pair-budget failure; nothing to solve"
-        )
-    gb = basis_from_json(basis_obj)
-    sys_obj, system_hash = read_json(cfg.system)
-    system = PolySystem.from_json(sys_obj)
+def cmd_solve(args):
+    (basis_obj, gb), basis_hash = read_json(
+        args.inp, lambda o: (o, basis_from_json(o))
+    )
+    system, system_hash = read_json(args.system, PolySystem.from_json)
     _check_chain(
         basis_obj.get("input_hash"), system_hash,
-        "system file", cfg.force,
+        "system file", args.force,
     )
-    tol = cfg.tolerances
+    tol = Tolerances(
+        residual=args.tol_residual,
+        cluster=args.tol_cluster,
+        realness=args.tol_realness,
+        match=args.tol_match,
+    )
     t0 = time.monotonic()
     sols = solve_triangular(
         gb,
         list(system.equations),
-        precision=cfg.precision,
+        precision=args.precision,
         tol=tol,
-        max_points=cfg.max_points or None,
+        max_points=args.max_points or None,
     )
     if system.kind == "wh_fiducial":
         classify(sols, system.d)
         if system.d == 4:
             match_zauner(sols)
     else:
-        with mpmath.workprec(cfg.precision):
+        with mpmath.workprec(args.precision):
             for p in sols.points:
                 p.tags["real"] = _is_real_point(p.coords, tol.realness)
     elapsed = time.monotonic() - t0
@@ -346,24 +334,25 @@ def cmd_solve(cfg):
     doc["system_hash"] = system_hash
     doc["d"] = system.d
     doc["kind"] = system.kind
-    out = cfg.out or f"solutions_{system.kind}_d{system.d}.json"
+    out = args.out or f"solutions_{system.kind}_d{system.d}.json"
     write_canonical(out, doc)
     counts = sols.counts()
     fields = [(k, v) for k, v in counts.items() if v is not None]
     fields.append(("elapsed", f"{elapsed:.2f}s"))
     fields.append(("out", out))
-    _summary(cfg, fields)
+    _summary(args, fields)
     return EXIT_OK
 
 
-def cmd_verify(cfg):
-    sol_obj, sol_hash = read_json(cfg.inp)
-    sols = SolutionSet.from_json(sol_obj)
-    if cfg.system:
-        _, system_hash = read_json(cfg.system)
+def cmd_verify(args):
+    (sol_obj, sols), sol_hash = read_json(
+        args.inp, lambda o: (o, SolutionSet.from_json(o))
+    )
+    if args.system:
+        _, system_hash = read_json(args.system)
         _check_chain(
             sol_obj.get("system_hash"), system_hash,
-            "system file", cfg.force,
+            "system file", args.force,
         )
     d = sol_obj.get("d")
     if d is None:
@@ -371,7 +360,7 @@ def cmd_verify(cfg):
     per_point = []
     worst = mpmath.mpf(0)
     all_ok = True
-    with mpmath.workprec(cfg.precision):
+    with mpmath.workprec(args.precision):
         for i, p in enumerate(sols.points):
             if not p.tags.get("real"):
                 per_point.append(
@@ -383,7 +372,7 @@ def cmd_verify(cfg):
                 mpmath.mpc(p.coords[k].real, p.coords[d + k].real)
                 for k in range(d)
             ]
-            res = verify_fiducial(v, tol=cfg.tol, precision=cfg.precision)
+            res = verify_fiducial(v, tol=args.tol, precision=args.precision)
             worst = max(worst, res["max_dev"])
             all_ok = all_ok and res["ok"]
             per_point.append(
@@ -398,16 +387,16 @@ def cmd_verify(cfg):
     doc = {
         "format": "verify_report",
         "input_hash": sol_hash,
-        "tolerance": repr(cfg.tol),
+        "tolerance": repr(args.tol),
         "n_points": len(sols.points),
         "n_checked": n_checked,
         "all_ok": all_ok,
         "worst_max_dev": mpmath.nstr(worst, 8),
         "per_point": per_point,
     }
-    out = cfg.out or "verify_report.json"
+    out = args.out or "verify_report.json"
     write_canonical(out, doc)
-    _summary(cfg, [
+    _summary(args, [
         ("checked", n_checked),
         ("ok", all_ok),
         ("worst_max_dev", mpmath.nstr(worst, 8)),
@@ -416,38 +405,40 @@ def cmd_verify(cfg):
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
-def _load_vector(cfg):
-    if cfg.zauner_k:
-        if cfg.zauner_k not in (1, 3, 5, 7):
+def _load_vector(args):
+    if args.zauner_k:
+        if args.zauner_k not in (1, 3, 5, 7):
             raise ConfigError("--zauner takes 1, 3, 5 or 7")
-        vecs = dict(zip((1, 3, 5, 7), zauner_vectors(cfg.precision)))
-        return vecs[cfg.zauner_k], {"zauner_k": cfg.zauner_k}, None
-    if cfg.vector:
-        obj, h = read_json(cfg.vector)
-        with mpmath.workprec(cfg.precision):
-            v = [mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)) for re, im in obj]
-        return v, {"vector_file": os.path.basename(cfg.vector)}, None
-    if cfg.inp:
-        sol_obj, sol_hash = read_json(cfg.inp)
-        sols = SolutionSet.from_json(sol_obj)
+        vecs = dict(zip((1, 3, 5, 7), zauner_vectors(args.precision)))
+        return vecs[args.zauner_k], {"zauner_k": args.zauner_k}, None
+    if args.vector:
+        with mpmath.workprec(args.precision):
+            v, _ = read_json(args.vector, lambda o: [
+                mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)) for re, im in o
+            ])
+        return v, {"vector_file": os.path.basename(args.vector)}, None
+    if args.inp:
+        (sol_obj, sols), sol_hash = read_json(
+            args.inp, lambda o: (o, SolutionSet.from_json(o))
+        )
         d = sol_obj.get("d")
         if d is None:
             raise ConfigError("solutions file does not record the dimension")
-        if not 0 <= cfg.index < len(sols.points):
+        if not 0 <= args.index < len(sols.points):
             raise ConfigError("--index out of range")
-        p = sols.points[cfg.index]
-        with mpmath.workprec(cfg.precision):
+        p = sols.points[args.index]
+        with mpmath.workprec(args.precision):
             v = [
                 mpmath.mpc(p.coords[k].real, p.coords[d + k].real)
                 for k in range(d)
             ]
-        return v, {"index": cfg.index}, sol_hash
+        return v, {"index": args.index}, sol_hash
     raise ConfigError("overlaps needs --in with --index, --vector or --zauner")
 
 
-def cmd_overlaps(cfg):
-    v, source, upstream = _load_vector(cfg)
-    res = verify_fiducial(v, tol=cfg.tol, precision=cfg.precision)
+def cmd_overlaps(args):
+    v, source, upstream = _load_vector(args)
+    res = verify_fiducial(v, tol=args.tol, precision=args.precision)
     doc = {
         "format": "overlap_report",
         "source": source,
@@ -457,13 +448,13 @@ def cmd_overlaps(cfg):
     }
     if upstream:
         doc["input_hash"] = upstream
-    out = cfg.out or "overlap_report.json"
+    out = args.out or "overlap_report.json"
     write_canonical(out, doc)
     worst_mod = max(
         (e["modulus_error"] for e in res["report"].entries.values()),
         default=mpmath.mpf(0),
     )
-    _summary(cfg, [
+    _summary(args, [
         ("ok", res["ok"]),
         ("max_dev", mpmath.nstr(res["max_dev"], 8)),
         ("worst_modulus_error", mpmath.nstr(worst_mod, 8)),
@@ -481,23 +472,22 @@ def _seidel_preset(name):
     return presets[name]()
 
 
-def cmd_gram(cfg):
-    if cfg.preset:
-        spec = _seidel_preset(cfg.preset)
-        source = {"preset": cfg.preset}
-    elif cfg.inp:
-        obj, h = read_json(cfg.inp)
-        spec = SeidelSpec.from_json(obj)
+def cmd_gram(args):
+    if args.preset:
+        spec = _seidel_preset(args.preset)
+        source = {"preset": args.preset}
+    elif args.inp:
+        spec, h = read_json(args.inp, SeidelSpec.from_json)
         source = {"input_hash": h}
     else:
         raise ConfigError("gram needs --preset or --in")
-    res = gram_analysis(spec, cfg.d, precision=cfg.precision, tol=cfg.tol)
-    dps = _dps(cfg.precision)
+    res = gram_analysis(spec, args.d, precision=args.precision, tol=args.tol)
+    dps = _dps(args.precision)
     spectral = []
     for a in res["admissible_alphas"]:
         g = np.eye(spec.N) + float(a) * np.array(spec.signs, dtype=float)
         try:
-            sr = spectral_reconstruct(g, cfg.d, tol=max(cfg.tol, 1e-9))
+            sr = spectral_reconstruct(g, args.d, tol=max(args.tol, 1e-9))
             spectral.append({"ok": True, "recon_error": repr(sr["recon_error"])})
         except VerificationError as exc:
             spectral.append({"ok": False, "error": str(exc)})
@@ -505,7 +495,7 @@ def cmd_gram(cfg):
         "format": "gram_report",
         "source": source,
         "N": spec.N,
-        "d": cfg.d,
+        "d": args.d,
         "signs": [list(r) for r in spec.signs],
         "det_poly": str(res["det_poly"]),
         "det_poly_terms": res["det_poly"].terms_to_json(),
@@ -514,11 +504,11 @@ def cmd_gram(cfg):
         "odd_integer_flags": res["odd_integer_flags"],
         "spectral": spectral,
     }
-    out = cfg.out or "gram_report.json"
+    out = args.out or "gram_report.json"
     write_canonical(out, doc)
-    _summary(cfg, [
+    _summary(args, [
         ("N", spec.N),
-        ("d", cfg.d),
+        ("d", args.d),
         ("admissible", ",".join(mpmath.nstr(a, 8) for a in res["admissible_alphas"]) or "-"),
         ("out", out),
     ])
@@ -557,7 +547,7 @@ def _build_parser():
                    help="sign preset for the real kind")
     p.add_argument("--in", dest="inp", default="",
                    help="sign matrix JSON for the real kind")
-    p.add_argument("--no-phase-fix", action="store_true",
+    p.add_argument("--no-phase-fix", dest="phase_fix", action="store_false",
                    help="omit the linear phase-fixing equation (wh kind)")
     common(p)
 
@@ -565,7 +555,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--order", choices=("lex", "grevlex_then_lex"),
                    default="lex")
-    p.add_argument("--pair-budget", type=int, default=10**7)
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--cache-dir", default="",
                    help=f"cache directory (or set {CACHE_ENV})")
     common(p)
@@ -574,10 +564,10 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True, help="basis file")
     p.add_argument("--system", required=True,
                    help="originating system file for residual checks")
-    p.add_argument("--tol-residual", type=float, default=1e-10)
-    p.add_argument("--tol-cluster", type=float, default=1e-25)
-    p.add_argument("--tol-realness", type=float, default=1e-20)
-    p.add_argument("--tol-match", type=float, default=1e-10)
+    p.add_argument("--tol-residual", type=float, default=Tolerances.residual)
+    p.add_argument("--tol-cluster", type=float, default=Tolerances.cluster)
+    p.add_argument("--tol-realness", type=float, default=Tolerances.realness)
+    p.add_argument("--tol-match", type=float, default=Tolerances.match)
     p.add_argument("--max-points", type=int, default=0,
                    help="branch cap; 0 means ten times the quotient dimension")
     common(p)
@@ -612,48 +602,6 @@ def _build_parser():
     return ap
 
 
-def config_from_args(argv):
-    args = _build_parser().parse_args(argv)
-    kw = dict(
-        command=args.command,
-        out=args.out,
-        fmt=args.fmt,
-        force=args.force,
-        precision=args.precision,
-    )
-    if args.command == "gen":
-        kw.update(
-            kind=args.kind, d=args.d, n=args.n, alpha=args.alpha,
-            preset=args.preset, inp=args.inp,
-            phase_fix=not args.no_phase_fix,
-        )
-    elif args.command == "groebner":
-        kw.update(
-            inp=args.inp, order=args.order, pair_budget=args.pair_budget,
-            cache_dir=args.cache_dir,
-        )
-    elif args.command == "solve":
-        kw.update(
-            inp=args.inp, system=args.system, max_points=args.max_points,
-            tolerances=Tolerances(
-                residual=args.tol_residual,
-                cluster=args.tol_cluster,
-                realness=args.tol_realness,
-                match=args.tol_match,
-            ),
-        )
-    elif args.command == "verify":
-        kw.update(inp=args.inp, system=args.system, tol=args.tol)
-    elif args.command == "overlaps":
-        kw.update(
-            inp=args.inp, index=args.index, vector=args.vector,
-            zauner_k=args.zauner_k, tol=args.tol,
-        )
-    elif args.command == "gram":
-        kw.update(preset=args.preset, inp=args.inp, d=args.d, tol=args.tol)
-    return RunConfig(**kw).validate()
-
-
 _DISPATCH = {
     "gen": cmd_gen,
     "groebner": cmd_groebner,
@@ -665,21 +613,20 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        cfg = config_from_args(argv)
-        return _DISPATCH[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        _check_args(args)
+        return _DISPATCH[args.command](args)
     except PairBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ConfigError, VerificationError, SolverError, ValueError) as exc:
-        tb = exc.__traceback__
-        ctx = ""
-        while tb is not None:
-            ctx = f" [{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}]"
-            tb = tb.tb_next
-        print(f"error: {exc}{ctx}", file=sys.stderr)
+        causes = []
+        cause = exc.__cause__
+        while cause is not None:
+            causes.append(f"; caused by {type(cause).__name__}: {cause}")
+            cause = cause.__cause__
+        print(f"error: {exc}{''.join(causes)}", file=sys.stderr)
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)

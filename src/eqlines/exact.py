@@ -21,10 +21,7 @@ from math import lcm
 
 import mpmath
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "CycloNum",
     "QQ",
     "CycloField",
@@ -36,7 +33,6 @@ __all__ = [
     "cyclo_embed",
     "rational_embed",
     "upoly_trim",
-    "upoly_add",
     "upoly_sub",
     "upoly_mul",
     "upoly_divmod",
@@ -59,15 +55,6 @@ def upoly_trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def upoly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return upoly_trim(out)
 
 
 def upoly_sub(a, b):
@@ -121,12 +108,15 @@ def upoly_monic(a):
 
 
 def upoly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm.
+
+    Each remainder is made monic, which curbs the growth of the Fraction
+    coefficients along the remainder sequence over Q."""
     a = upoly_trim(a)
     b = upoly_trim(b)
     while b:
         _, r = upoly_divmod(a, b)
-        a, b = b, r
+        a, b = b, upoly_monic(r)
     return upoly_monic(a)
 
 
@@ -515,10 +505,6 @@ def cyclo_embed(x, precision=53):
 # canonical text form
 # ---------------------------------------------------------------------------
 
-def _rat_body(q):
-    return str(q)
-
-
 def cyclo_to_str(x):
     """Render like ``(1/2)*z^2 - 1 @ n=12``; parsed back by cyclo_from_str."""
     parts = []
@@ -529,10 +515,10 @@ def cyclo_to_str(x):
         neg = c < 0
         mag = -c if neg else c
         if k == 0:
-            body = _rat_body(mag)
+            body = str(mag)
         else:
             zpow = "z" if k == 1 else f"z^{k}"
-            body = zpow if mag == 1 else f"({_rat_body(mag)})*{zpow}"
+            body = zpow if mag == 1 else f"({mag})*{zpow}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

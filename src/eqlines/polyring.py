@@ -226,9 +226,6 @@ class Poly:
     def leading_coeff(self, order="lex"):
         return self.leading_term(order)[1]
 
-    def multideg(self, order="lex"):
-        return self.leading_monomial(order)
-
     def monic(self, order="lex"):
         if not self.terms:
             return self

@@ -25,7 +25,7 @@ import numpy as np
 from .exact import QQ, upoly_squarefree, upoly_trim
 from .polyring import Poly, Ring
 from .sicgen import apply_weyl
-from .solver import _dps, _roots_numeric
+from .solver import _dps, _roots_numeric, _univ_coeffs
 
 __all__ = [
     "OverlapReport",
@@ -189,11 +189,7 @@ def _univariate_coeffs(f):
         raise VerificationError("univariate polynomial required")
     if f.is_zero():
         raise VerificationError("zero polynomial")
-    deg = f.total_degree()
-    cs = [Fraction(0)] * (deg + 1)
-    for m, c in f.terms:
-        cs[m[0]] = Fraction(c)
-    return cs
+    return _univ_coeffs(f, 0)
 
 
 def reciprocity_check(f):

@@ -1,5 +1,7 @@
 """Command line driver: exit codes, hash chaining, determinism."""
 
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -30,6 +32,22 @@ def _basis_d2(tmp_path, sys_path, name="basis.json", order="lex"):
     return out
 
 
+@pytest.fixture(scope="module")
+def d2_files(tmp_path_factory):
+    """A WH d=2 system and its lex basis, shared by read-only tests."""
+    base = tmp_path_factory.mktemp("d2")
+    sp = _gen_d2(base)
+    return sp, _basis_d2(base, sp)
+
+
+def _t8_signs():
+    # 28 lines in R^7: pairs of points of K8, sign +1 when two pairs share
+    # a point
+    pairs = list(itertools.combinations(range(8), 2))
+    return [[0 if p == q else (1 if set(p) & set(q) else -1)
+             for q in pairs] for p in pairs]
+
+
 def test_gen_wh_d2_shape(tmp_path):
     doc = _read(_gen_d2(tmp_path))
     assert doc["format"] == "polysystem"
@@ -37,6 +55,16 @@ def test_gen_wh_d2_shape(tmp_path):
     assert doc["d"] == 2
     assert len(doc["vars"]) == 4
     assert doc["metadata"]["rhs"]["phase"] == "0"
+
+
+def test_gen_no_phase_fix(tmp_path):
+    out = tmp_path / "sys.json"
+    assert main(["gen", "--kind", "wh", "--d", "2", "--no-phase-fix",
+                 "--out", str(out)]) == 0
+    doc = _read(out)
+    assert "phase" not in doc["labels"]
+    assert "phase" not in doc["metadata"]["rhs"]
+    assert len(doc["equations"]) == 4
 
 
 def test_gen_complex_full_shape(tmp_path):
@@ -104,14 +132,18 @@ def test_groebner_budget_exhaustion(tmp_path):
     assert doc["partial_size"] >= 1
 
 
-def test_solve_rejects_partial(tmp_path):
+def test_solve_rejects_partial(tmp_path, capsys):
     sp = _gen_d2(tmp_path)
     out = tmp_path / "partial.json"
     main(["groebner", "--in", str(sp), "--pair-budget", "2",
           "--out", str(out)])
+    capsys.readouterr()
     rc = main(["solve", "--in", str(out), "--system", str(sp),
                "--out", str(tmp_path / "sols.json")])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: basis file records a pair-budget failure; nothing to solve\n"
+    )
 
 
 def test_full_d2_pipeline(tmp_path, capsys):
@@ -140,6 +172,27 @@ def test_full_d2_pipeline(tmp_path, capsys):
     assert vdoc["n_checked"] == 16
 
 
+def test_solve_max_points_cap(d2_files, tmp_path):
+    sp, bp = d2_files
+    rc = main(["solve", "--in", str(bp), "--system", str(sp),
+               "--max-points", "1", "--out", str(tmp_path / "sols.json")])
+    assert rc == 2
+
+
+def test_solve_realness_tolerance_json_summary(d2_files, tmp_path, capsys):
+    # at the default realness tolerance 16 of the 32 points are real
+    # (test_full_d2_pipeline); a tolerance of 1 accepts all of them
+    sp, bp = d2_files
+    capsys.readouterr()
+    rc = main(["solve", "--in", str(bp), "--system", str(sp),
+               "--tol-realness", "1", "--format", "json",
+               "--out", str(tmp_path / "sols.json")])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["total"] == 32
+    assert summary["real"] == 32
+
+
 def test_chain_mismatch_rejected(tmp_path):
     sp1 = _gen_d2(tmp_path, "sys1.json")
     bp = _basis_d2(tmp_path, sp1)
@@ -161,36 +214,79 @@ def test_chain_mismatch_forced_still_validates_arity(tmp_path):
     assert rc == 2
 
 
+def _pinned_runs(base):
+    """(output file, argv) for each CLI command whose output is pinned."""
+    def f(name):
+        return str(base / name)
+    return [
+        ("sys.json", ["gen", "--kind", "wh", "--d", "2"]),
+        ("sys3.json", ["gen", "--kind", "wh", "--d", "3", "--no-phase-fix"]),
+        ("real.json", ["gen", "--kind", "real", "--d", "2", "--n", "3",
+                       "--alpha", "1/2", "--preset", "hexagon"]),
+        ("full.json", ["gen", "--kind", "complex-full", "--d", "2"]),
+        ("basis.json", ["groebner", "--in", f("sys.json"), "--order", "lex"]),
+        ("basis_gl.json", ["groebner", "--in", f("sys.json"),
+                           "--order", "grevlex_then_lex"]),
+        ("sols.json", ["solve", "--in", f("basis.json"),
+                       "--system", f("sys.json"), "--precision", "512"]),
+        ("verify.json", ["verify", "--in", f("sols.json")]),
+        ("ov_z3.json", ["overlaps", "--zauner", "3"]),
+        ("ov_in.json", ["overlaps", "--in", f("sols.json"), "--index", "3"]),
+        ("gram_hex.json", ["gram", "--preset", "hexagon", "--d", "2"]),
+        ("gram_ico.json", ["gram", "--preset", "icosahedron", "--d", "3"]),
+        ("gram_t8.json", ["gram", "--in", f("t8.json"), "--d", "7"]),
+    ]
+
+
+# sha256 of each pinned output file. Numeric files depend on mpmath's
+# rounding; these digests were taken with mpmath 1.3.0 on its pure-Python
+# backend.
+PINNED_SHA256 = {
+    "sys.json": "93975085e23402f2986a5aedc463dfd7eb1b2023930c7c792600000d155ddf30",
+    "sys3.json": "84da0579d3064698816434456d65958b5c0d436b7c415a1e43be9c78bf69515b",
+    "real.json": "69532ed7c0ae09edbdd06b5bb6d53ac95a8ea1977fe3745fa18f71f36c03a987",
+    "full.json": "4424b3ad45e6eb271ef7dc8c97e90d5d6f127e774f53f2f996e38d22d4351589",
+    "basis.json": "3e933cd2c8f133f89231080ce145a0235ac229ffbf9b6e96c5b65505618727c8",
+    "basis_gl.json": "3e933cd2c8f133f89231080ce145a0235ac229ffbf9b6e96c5b65505618727c8",
+    "sols.json": "660fd3cc40aced0c08b6cf377cf14ecec3069008759696fee811488d92ab2b42",
+    "verify.json": "d5291c63e9e87427f10a70989bc055a1e23716a08298605021fbad8972f59536",
+    "ov_z3.json": "821206e380faa249daef2c06b8c0d22aa3accbdec7f2bd9f641cdf9fd39f7a94",
+    "ov_in.json": "dd2717e624ddeba330124cfe8f7bc54e3995e81beed722f2bb0ec295aefa43dd",
+    "gram_hex.json": "9522105c3737489125e4a20bc5d1f47fb2ce73bea043a84b09439ab21f740002",
+    "gram_ico.json": "a614aa22e9b17d2f4c4c7934dec61bc99e79b8e07b5e1857494344b663f0c598",
+    "gram_t8.json": "97402b2f1aaa86638854a79c1d9f63795bd8327975f2b2bdd762ddd522fd9f23",
+}
+
+
 def test_determinism_byte_identical(tmp_path):
     files = {}
     for run in ("a", "b"):
         base = tmp_path / run
         base.mkdir()
-        sp = base / "sys.json"
-        bp = base / "basis.json"
-        sols = base / "sols.json"
-        rep = base / "verify.json"
-        assert main(["gen", "--kind", "wh", "--d", "2", "--out", str(sp)]) == 0
-        assert main(["groebner", "--in", str(sp), "--out", str(bp)]) == 0
-        assert main(["solve", "--in", str(bp), "--system", str(sp),
-                     "--out", str(sols)]) == 0
-        assert main(["verify", "--in", str(sols), "--out", str(rep)]) == 0
-        files[run] = tuple(
-            p.read_bytes() for p in (sp, bp, sols, rep)
-        )
+        (base / "t8.json").write_text(json.dumps({"signs": _t8_signs()}))
+        for name, argv in _pinned_runs(base):
+            assert main(argv + ["--out", str(base / name)]) == 0, argv
+        files[run] = {name: (base / name).read_bytes()
+                      for name in PINNED_SHA256}
     assert files["a"] == files["b"]
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in files["a"].items()}
+    assert digests == PINNED_SHA256
 
 
-def test_groebner_cache_hit(tmp_path, monkeypatch):
+def test_groebner_cache_hit(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("EQLINES_CACHE_DIR", str(cache))
     sp = _gen_d2(tmp_path)
     b1 = tmp_path / "b1.json"
     b2 = tmp_path / "b2.json"
+    capsys.readouterr()
     assert main(["groebner", "--in", str(sp), "--out", str(b1)]) == 0
+    assert "cache=hit" not in capsys.readouterr().out
     assert list(cache.iterdir())
     assert main(["groebner", "--in", str(sp), "--out", str(b2)]) == 0
+    assert capsys.readouterr().out.startswith("cache=hit basis_size=4 ")
     assert b1.read_bytes() == b2.read_bytes()
 
 
@@ -274,7 +370,67 @@ def test_precision_floor(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gram", "--preset", "hexagon", "--d", "0"], "d must be at least 1"),
+    (["overlaps", "--zauner", "1", "--precision", "52"],
+     "precision must be at least 53 bits"),
+    (["verify", "--in", "SOLS", "--tol", "0"], "tolerances must be positive"),
+    (["overlaps", "--zauner", "1", "--tol", "-1"],
+     "tolerances must be positive"),
+    (["solve", "--in", "BASIS", "--system", "SYS", "--tol-cluster", "0"],
+     "tolerances must be positive"),
+    (["groebner", "--in", "SYS", "--pair-budget", "0"],
+     "pair budget must be positive"),
+])
+def test_out_of_range_option(argv, message, d2_files, tmp_path, capsys):
+    paths = {"SYS": str(d2_files[0]), "BASIS": str(d2_files[1]),
+             "SOLS": str(tmp_path / "absent.json")}
+    argv = [paths.get(a, a) for a in argv]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_input_file(tmp_path):
     rc = main(["groebner", "--in", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "b.json")])
     assert rc == 2
+
+
+_NOT_A_SYSTEM = '{"format": "polysystem"}'
+_NOT_SIGNS = '{"rows": [[0, 1], [1, 0]]}'
+
+
+@pytest.mark.parametrize("argv, content, cause", [
+    (["groebner", "--in", "BAD"], _NOT_A_SYSTEM, "KeyError: 'vars'"),
+    (["groebner", "--in", "BAD"], "[1, 2]", "AttributeError: "),
+    (["groebner", "--in", "BAD"], "{nope", "JSONDecodeError: "),
+    (["solve", "--in", "BASIS", "--system", "BAD"], _NOT_A_SYSTEM,
+     "KeyError: 'vars'"),
+    (["solve", "--in", "BAD", "--system", "SYS"], '{"format": "basis"}',
+     "KeyError: 'vars'"),
+    (["verify", "--in", "BAD"], '{"format": "solutions"}',
+     "KeyError: 'precision'"),
+    (["overlaps", "--in", "BAD", "--index", "0"],
+     '{"format": "solutions", "precision": 256}', "KeyError: 'points'"),
+    (["overlaps", "--vector", "BAD"], "[1, 0]", "TypeError: "),
+    (["gram", "--in", "BAD", "--d", "2"], _NOT_SIGNS, "KeyError: 'signs'"),
+    (["gen", "--kind", "real", "--d", "2", "--n", "3", "--in", "BAD"],
+     _NOT_SIGNS, "KeyError: 'signs'"),
+], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
+        "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
+        "gen-real"])
+def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
+                              capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    paths = {"BAD": str(bad), "SYS": str(d2_files[0]),
+             "BASIS": str(d2_files[1])}
+    argv = [paths.get(a, a) for a in argv]
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad} is not a valid input file; "
+                          f"caused by {cause}")
+    assert "Traceback" not in err
