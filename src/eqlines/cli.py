@@ -34,6 +34,7 @@ from .groebner import (
     grevlex_then_lex,
     is_zero_dimensional,
     quotient_dimension,
+    reduces_to_zero,
 )
 from .polyring import Poly, Ring
 from .exact import field_from_json
@@ -55,6 +56,7 @@ from .solver import (
     zauner_vectors,
 )
 from .verify import (
+    DEFAULT_TOL,
     SeidelSpec,
     VerificationError,
     gram_analysis,
@@ -220,7 +222,7 @@ def basis_from_json(obj):
             "basis file records a pair-budget failure; nothing to solve"
         )
     if obj.get("format") != "basis":
-        raise ConfigError("input is not a basis file")
+        raise ValueError("not a basis file")
     ring = Ring(tuple(obj["vars"]), field_from_json(obj["field"]))
     basis = tuple(
         Poly.terms_from_json(t, ring) for t in obj["basis"]
@@ -234,6 +236,15 @@ def basis_from_json(obj):
     )
 
 
+def _cached_basis(obj, system):
+    """The basis in a cache file, if every equation of ``system`` reduces
+    to zero modulo it (a basis over another ring raises ValueError)."""
+    gb = basis_from_json(obj)
+    if not all(reduces_to_zero(f, gb) for f in system.equations):
+        raise ValueError("cached basis does not reduce the system to zero")
+    return gb
+
+
 def cmd_groebner(args):
     system, input_hash = read_json(args.inp, PolySystem.from_json)
     key = hashlib.sha256(
@@ -243,8 +254,7 @@ def cmd_groebner(args):
     cached = _cache_path(args, key)
     hit = cached is not None and cached.exists()
     if hit:
-        data = cached.read_bytes()
-        doc = json.loads(data.decode())
+        gb, _ = read_json(cached, lambda o: _cached_basis(o, system))
     else:
         t0 = time.monotonic()
         try:
@@ -277,10 +287,10 @@ def cmd_groebner(args):
             )
             return EXIT_BUDGET
         elapsed = time.monotonic() - t0
-        doc = basis_to_json(gb, input_hash)
-        data = canonical_bytes(doc)
-        if cached is not None:
-            write_bytes(cached, data)
+    doc = basis_to_json(gb, input_hash)
+    data = canonical_bytes(doc)
+    if cached is not None and not hit:
+        write_bytes(cached, data)
     write_bytes(out, data)
     fields = [
         ("basis_size", len(doc["basis"])),
@@ -344,19 +354,32 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
+def _read_solutions(path):
+    """The solutions file at ``path`` as (document, SolutionSet), with
+    the sha256 of its bytes; the file must record the dimension d."""
     (sol_obj, sols), sol_hash = read_json(
-        args.inp, lambda o: (o, SolutionSet.from_json(o))
+        path, lambda o: (o, SolutionSet.from_json(o))
     )
+    if sol_obj.get("d") is None:
+        raise ConfigError("solutions file does not record the dimension")
+    return (sol_obj, sols), sol_hash
+
+
+def _fiducial(p, d):
+    """The vector in C^d of a WH fiducial point, whose coordinates are the
+    d real parts followed by the d imaginary parts."""
+    return [mpmath.mpc(p.coords[k].real, p.coords[d + k].real)
+            for k in range(d)]
+
+
+def cmd_verify(args):
+    (sol_obj, sols), sol_hash = _read_solutions(args.inp)
     if args.system:
         _, system_hash = read_json(args.system)
         _check_chain(
             sol_obj.get("system_hash"), system_hash,
             "system file", args.force,
         )
-    d = sol_obj.get("d")
-    if d is None:
-        raise ConfigError("solutions file does not record the dimension")
     per_point = []
     worst = mpmath.mpf(0)
     all_ok = True
@@ -368,11 +391,8 @@ def cmd_verify(args):
                      "max_dev": None}
                 )
                 continue
-            v = [
-                mpmath.mpc(p.coords[k].real, p.coords[d + k].real)
-                for k in range(d)
-            ]
-            res = verify_fiducial(v, tol=args.tol, precision=args.precision)
+            res = verify_fiducial(_fiducial(p, sol_obj["d"]), tol=args.tol,
+                                  precision=args.precision)
             worst = max(worst, res["max_dev"])
             all_ok = all_ok and res["ok"]
             per_point.append(
@@ -418,20 +438,11 @@ def _load_vector(args):
             ])
         return v, {"vector_file": os.path.basename(args.vector)}, None
     if args.inp:
-        (sol_obj, sols), sol_hash = read_json(
-            args.inp, lambda o: (o, SolutionSet.from_json(o))
-        )
-        d = sol_obj.get("d")
-        if d is None:
-            raise ConfigError("solutions file does not record the dimension")
+        (sol_obj, sols), sol_hash = _read_solutions(args.inp)
         if not 0 <= args.index < len(sols.points):
             raise ConfigError("--index out of range")
-        p = sols.points[args.index]
         with mpmath.workprec(args.precision):
-            v = [
-                mpmath.mpc(p.coords[k].real, p.coords[d + k].real)
-                for k in range(d)
-            ]
+            v = _fiducial(sols.points[args.index], sol_obj["d"])
         return v, {"index": args.index}, sol_hash
     raise ConfigError("overlaps needs --in with --index, --vector or --zauner")
 
@@ -576,7 +587,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True, help="solutions file")
     p.add_argument("--system", default="",
                    help="system file to revalidate the chain")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common(p)
 
     p = sub.add_parser("overlaps", help="normalized overlap report")
@@ -587,7 +598,7 @@ def _build_parser():
                    help="JSON file with [[re, im], ...] coordinates")
     p.add_argument("--zauner", dest="zauner_k", type=int, default=0,
                    help="use the closed-form d=4 fiducial k in {1,3,5,7}")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common(p)
 
     p = sub.add_parser("gram", help="symbolic Gram analysis of a sign pattern")
@@ -596,7 +607,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", default="",
                    help="JSON file with a signs matrix")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common(p)
 
     return ap

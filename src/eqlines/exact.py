@@ -260,8 +260,7 @@ class _CycloContext:
         out = [Fraction(0)] * self.phi
         for e, c in enumerate(cs):
             if c:
-                row = self.rows[e % self.n] if e >= len(self.rows) else self.rows[e]
-                for i, r in enumerate(row):
+                for i, r in enumerate(self.rows[e % self.n]):
                     if r:
                         out[i] += c * r
         return tuple(out)
@@ -330,15 +329,11 @@ class CycloNum:
 
     def conjugate(self):
         """Complex conjugation, z -> z^(n-1)."""
-        ctx = _CycloContext(self.n)
-        out = [Fraction(0)] * ctx.phi
+        n = self.n
+        long = [0] * n
         for k, c in enumerate(self.coeffs):
-            if c:
-                row = ctx.rows[(self.n - k) % self.n]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CycloNum(self.n, out)
+            long[(n - k) % n] = c
+        return CycloNum._raw(n, long)
 
     def is_real(self):
         return self == self.conjugate()

@@ -7,11 +7,11 @@ term tuples are equal. Supported term orders are "lex" and "grevlex";
 both refine total degree comparisons the usual way, with variable 0
 largest.
 
-The division algorithm follows the standard multivariate recipe: at
-each step the current leading term is reduced against the first
-divisor (in list order) whose leading term divides it, otherwise it
-moves to the remainder. No remainder term is divisible by any divisor
-leading term.
+Remainders come from ``reduce_poly``, the one multivariate division
+loop: at each step the current leading term is reduced against the
+first divisor (in list order) whose leading term divides it, otherwise
+it moves to the remainder. No remainder term is divisible by any
+divisor leading term.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "mono_degree",
     "Ring",
     "Poly",
-    "divide",
     "reduce_poly",
     "s_polynomial",
 ]
@@ -78,6 +77,12 @@ def monomial_key(order):
     if order == "grevlex":
         return _grevlex_key
     raise ValueError(f"unknown order {order!r}")
+
+
+def _canonical_terms(acc):
+    """The nonzero terms of a monomial -> coefficient dict, strictly
+    decreasing in lex order: the term tuple of a Poly."""
+    return tuple((m, acc[m]) for m in sorted(acc, reverse=True) if acc[m])
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +141,8 @@ class Poly:
                 if len(mono) != ring.arity or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent vector {mono}")
                 c = ring.field.coerce(coeff)
-                if mono in acc:
-                    acc[mono] = acc[mono] + c
-                else:
-                    acc[mono] = c
-            cleaned = tuple(
-                (m, acc[m]) for m in sorted(acc, reverse=True) if acc[m]
-            )
-            object.__setattr__(self, "terms", cleaned)
+                acc[mono] = acc[mono] + c if mono in acc else c
+            object.__setattr__(self, "terms", _canonical_terms(acc))
         object.__setattr__(self, "_lt_cache", {})
 
     def __setattr__(self, name, value):
@@ -251,19 +250,8 @@ class Poly:
         self._check_ring(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            if m in acc:
-                s = acc[m] + c
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-            else:
-                acc[m] = c
-        return Poly(
-            self.ring,
-            tuple((m, acc[m]) for m in sorted(acc, reverse=True)),
-            _canonical=True,
-        )
+            acc[m] = acc[m] + c if m in acc else c
+        return Poly(self.ring, _canonical_terms(acc), _canonical=True)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -296,15 +284,8 @@ class Poly:
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
-                if m in acc:
-                    acc[m] = acc[m] + c1 * c2
-                else:
-                    acc[m] = c1 * c2
-        return Poly(
-            self.ring,
-            tuple((m, acc[m]) for m in sorted(acc, reverse=True) if acc[m]),
-            _canonical=True,
-        )
+                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+        return Poly(self.ring, _canonical_terms(acc), _canonical=True)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -438,10 +419,7 @@ class Poly:
         return {
             "vars": list(self.ring.vars),
             "field": self.ring.field.to_json(),
-            "terms": [
-                {"c": self.ring.field.render(c), "e": list(m)}
-                for m, c in self.terms
-            ],
+            "terms": self.terms_to_json(),
         }
 
     def terms_to_json(self):
@@ -455,10 +433,7 @@ class Poly:
     def from_json(cls, obj, ring=None):
         if ring is None:
             ring = Ring(tuple(obj["vars"]), field_from_json(obj["field"]))
-        terms = [
-            (tuple(t["e"]), ring.field.parse(t["c"])) for t in obj["terms"]
-        ]
-        return cls(ring, terms)
+        return cls.terms_from_json(obj["terms"], ring)
 
     @classmethod
     def terms_from_json(cls, term_list, ring):
@@ -483,69 +458,12 @@ def _downcast(c):
 # division and S-polynomials
 # ---------------------------------------------------------------------------
 
-def divide(f, divisors, order="lex"):
-    """Multivariate division with quotients.
-
-    Returns (quotients, remainder) with
-    f = sum(q_i * divisors_i) + remainder and no remainder term
-    divisible by any divisor leading monomial.
-    """
-    divisors = list(divisors)
-    if not divisors:
-        raise ValueError("need at least one divisor")
-    for g in divisors:
-        if g.is_zero():
-            raise ZeroDivisionError("zero divisor in division algorithm")
-        if g.ring != f.ring:
-            raise ValueError("ring mismatch in division")
-    key = monomial_key(order)
-    heads = [(g.leading_monomial(order), g.leading_coeff(order)) for g in divisors]
-    quots = [dict() for _ in divisors]
-    rem = {}
-    p = dict(f.terms)
-    while p:
-        lm = max(p, key=key)
-        lc = p.pop(lm)
-        for i, (gm, gc) in enumerate(heads):
-            if mono_divides(gm, lm):
-                qm = mono_div(lm, gm)
-                qc = lc / gc
-                q = quots[i]
-                q[qm] = q.get(qm, f.ring.field.zero()) + qc
-                for m, c in divisors[i].terms:
-                    if m == gm:
-                        continue
-                    mm = mono_mul(qm, m)
-                    s = p.get(mm)
-                    if s is None:
-                        s = -qc * c
-                    else:
-                        s = s - qc * c
-                    if s:
-                        p[mm] = s
-                    elif mm in p:
-                        del p[mm]
-                break
-        else:
-            rem[lm] = lc
-    ring = f.ring
-    qpolys = [
-        Poly(
-            ring,
-            tuple((m, q[m]) for m in sorted(q, reverse=True) if q[m]),
-            _canonical=True,
-        )
-        for q in quots
-    ]
-    rpoly = Poly(
-        ring, tuple((m, rem[m]) for m in sorted(rem, reverse=True)), _canonical=True
-    )
-    return qpolys, rpoly
-
-
 def reduce_poly(f, divisors, order="lex"):
-    """Remainder of f on division by divisors; no quotient bookkeeping."""
+    """Remainder of f on division by the nonzero divisors, by the rule in
+    the module docstring."""
     divisors = [g for g in divisors if not g.is_zero()]
+    if any(g.ring != f.ring for g in divisors):
+        raise ValueError("ring mismatch in division")
     if not divisors:
         return f
     key = monomial_key(order)
@@ -575,9 +493,7 @@ def reduce_poly(f, divisors, order="lex"):
                 break
         else:
             rem[lm] = lc
-    return Poly(
-        f.ring, tuple((m, rem[m]) for m in sorted(rem, reverse=True)), _canonical=True
-    )
+    return Poly(f.ring, _canonical_terms(rem), _canonical=True)
 
 
 def s_polynomial(p, q, order="lex"):

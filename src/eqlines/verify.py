@@ -24,7 +24,7 @@ import numpy as np
 
 from .exact import QQ, upoly_squarefree, upoly_trim
 from .polyring import Poly, Ring
-from .sicgen import apply_weyl
+from .sicgen import _validate_signs, apply_weyl
 from .solver import _dps, _roots_numeric, _univ_coeffs
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
     "hexagon_lines",
     "icosahedron_lines",
 ]
+
+# default tolerance of the numeric fiducial, Gram and equiangularity checks
+DEFAULT_TOL = 1e-10
 
 
 class VerificationError(ValueError):
@@ -93,20 +96,11 @@ class SeidelSpec:
 
     def __init__(self, signs):
         rows = tuple(tuple(int(x) for x in row) for row in signs)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise VerificationError("sign matrix must be square")
-            if row[i] != 0:
-                raise VerificationError("sign matrix diagonal must be zero")
-            for j, x in enumerate(row):
-                if i != j and x not in (-1, 1):
-                    raise VerificationError(
-                        "off-diagonal signs must be +1 or -1"
-                    )
-                if rows[j][i] != x:
-                    raise VerificationError("sign matrix must be symmetric")
-        object.__setattr__(self, "N", n)
+        try:
+            _validate_signs(rows, len(rows))
+        except ValueError as exc:
+            raise VerificationError(str(exc)) from None
+        object.__setattr__(self, "N", len(rows))
         object.__setattr__(self, "signs", rows)
 
     def to_json(self):
@@ -125,7 +119,7 @@ def _as_mpc_vector(v):
     return [mpmath.mpc(x) for x in v]
 
 
-def verify_fiducial(v, tol=1e-10, precision=128):
+def verify_fiducial(v, tol=DEFAULT_TOL, precision=128):
     """Check the constant-angle condition on the orbit of v.
 
     Normalizes v, forms every v_ab for (a,b) != (0,0), and tests
@@ -161,7 +155,7 @@ def verify_fiducial(v, tol=1e-10, precision=128):
         return {"ok": max_dev <= tol, "max_dev": max_dev, "report": report}
 
 
-def verify_equiangular_complex(vectors, tol=1e-10, precision=128):
+def verify_equiangular_complex(vectors, tol=DEFAULT_TOL, precision=128):
     """Pairwise angle check on a family of d^2 unit vectors in C^d."""
     if not vectors:
         raise VerificationError("empty family")
@@ -247,7 +241,7 @@ def _charpoly(a):
     return [Fraction(c) for c in reversed(p)]
 
 
-def gram_analysis(spec, d, precision=128, tol=1e-10):
+def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
     """Symbolic rank analysis of G(alpha) = I + alpha*signs.
 
     det_poly is exact over Q[alpha], read off the characteristic
@@ -304,7 +298,7 @@ def gram_analysis(spec, d, precision=128, tol=1e-10):
     }
 
 
-def spectral_reconstruct(gram, d, tol=1e-10):
+def spectral_reconstruct(gram, d, tol=DEFAULT_TOL):
     """Rebuild N unit vectors in R^d from an N x N Gram matrix.
 
     Eigendecomposes, keeps the top d eigenpairs, and returns the
@@ -336,7 +330,7 @@ def spectral_reconstruct(gram, d, tol=1e-10):
             "recon_error": recon_error}
 
 
-def verify_equiangular_real(vectors, tol=1e-10):
+def verify_equiangular_real(vectors, tol=DEFAULT_TOL):
     """Unit-norm and constant-|inner product| check on real vectors.
 
     The common angle is estimated as the median off-diagonal magnitude,

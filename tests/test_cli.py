@@ -290,6 +290,36 @@ def test_groebner_cache_hit(tmp_path, monkeypatch, capsys):
     assert b1.read_bytes() == b2.read_bytes()
 
 
+@pytest.mark.parametrize("damage", ["empty-object", "truncated",
+                                    "empty-basis"])
+def test_groebner_cache_hit_rejects_bad_file(damage, tmp_path, monkeypatch,
+                                             capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("EQLINES_CACHE_DIR", str(cache))
+    sp = _gen_d2(tmp_path)
+    out = tmp_path / "b.json"
+    assert main(["groebner", "--in", str(sp), "--out", str(out)]) == 0
+    (cached,) = cache.iterdir()
+    text = cached.read_text()
+    if damage == "empty-object":
+        cached.write_text("{}")
+    elif damage == "truncated":
+        cached.write_text(text[: len(text) // 2])
+    else:
+        doc = json.loads(text)
+        doc["basis"] = []
+        doc["pair_count"] = 5
+        cached.write_text(json.dumps(doc))
+    out.unlink()
+    capsys.readouterr()
+    assert main(["groebner", "--in", str(sp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cached} is not a valid input file")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_exit_code_on_failure(tmp_path):
     sp = _gen_d2(tmp_path)
     bp = _basis_d2(tmp_path, sp)
