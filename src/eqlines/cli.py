@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -88,7 +89,7 @@ def _check_args(args):
     opts = vars(args)
     if opts.get("d", 1) < 1:
         raise ConfigError("d must be at least 1")
-    if opts["precision"] < 53:
+    if opts.get("precision", 53) < 53:
         raise ConfigError("precision must be at least 53 bits")
     if any(v <= 0 for k, v in opts.items() if k.startswith("tol")):
         raise ConfigError("tolerances must be positive")
@@ -118,8 +119,9 @@ def read_json(path, parse=None):
 
     With ``parse``, the document is ``parse(obj)``. A file that does not
     decode, or that the parser cannot read (a missing key, a value of
-    the wrong type or shape), raises ConfigError naming the file; a
-    ConfigError from the parser itself passes through unchanged.
+    the wrong type or shape, a zero denominator), raises ConfigError
+    naming the file; a ConfigError from the parser itself passes through
+    unchanged.
     """
     data = Path(path).read_bytes()
     try:
@@ -128,7 +130,8 @@ def read_json(path, parse=None):
             doc = parse(doc)
     except ConfigError:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, ArithmeticError,
+            AttributeError) as exc:
         raise ConfigError(f"{path} is not a valid input file") from exc
     return doc, hashlib.sha256(data).hexdigest()
 
@@ -159,7 +162,10 @@ def _summary(args, fields):
 def _parse_alpha(text):
     if not text:
         return None
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"--alpha {text!r} is not a rational number") from exc
 
 
 def cmd_gen(args):
@@ -357,12 +363,14 @@ def cmd_solve(args):
 def _read_solutions(path):
     """The solutions file at ``path`` as (document, SolutionSet), with
     the sha256 of its bytes; the file must record the dimension d."""
-    (sol_obj, sols), sol_hash = read_json(
-        path, lambda o: (o, SolutionSet.from_json(o))
-    )
-    if sol_obj.get("d") is None:
-        raise ConfigError("solutions file does not record the dimension")
-    return (sol_obj, sols), sol_hash
+    def parse(obj):
+        sols = SolutionSet.from_json(obj)
+        if obj.get("d") is None:
+            raise ConfigError("solutions file does not record the dimension")
+        operator.index(obj["d"])
+        return obj, sols
+
+    return read_json(path, parse)
 
 
 def _fiducial(p, d):
@@ -537,14 +545,16 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, force=False, precision=False):
         p.add_argument("--out", default="", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="console summary style")
-        p.add_argument("--force", action="store_true",
-                       help="ignore upstream hash mismatches")
-        p.add_argument("--precision", type=int, default=256,
-                       help="working precision in bits")
+        if force:
+            p.add_argument("--force", action="store_true",
+                           help="ignore upstream hash mismatches")
+        if precision:
+            p.add_argument("--precision", type=int, default=256,
+                           help="working precision in bits")
 
     p = sub.add_parser("gen", help="generate a polynomial system")
     p.add_argument("--kind", choices=("complex-full", "wh", "real"),
@@ -581,14 +591,14 @@ def _build_parser():
     p.add_argument("--tol-match", type=float, default=Tolerances.match)
     p.add_argument("--max-points", type=int, default=0,
                    help="branch cap; 0 means ten times the quotient dimension")
-    common(p)
+    common(p, force=True, precision=True)
 
     p = sub.add_parser("verify", help="verify solutions as fiducials")
     p.add_argument("--in", dest="inp", required=True, help="solutions file")
     p.add_argument("--system", default="",
                    help="system file to revalidate the chain")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common(p)
+    common(p, force=True, precision=True)
 
     p = sub.add_parser("overlaps", help="normalized overlap report")
     p.add_argument("--in", dest="inp", default="", help="solutions file")
@@ -599,7 +609,7 @@ def _build_parser():
     p.add_argument("--zauner", dest="zauner_k", type=int, default=0,
                    help="use the closed-form d=4 fiducial k in {1,3,5,7}")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common(p)
+    common(p, precision=True)
 
     p = sub.add_parser("gram", help="symbolic Gram analysis of a sign pattern")
     p.add_argument("--preset", default="",
@@ -608,7 +618,7 @@ def _build_parser():
                    help="JSON file with a signs matrix")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common(p)
+    common(p, precision=True)
 
     return ap
 
@@ -631,7 +641,8 @@ def main(argv=None):
     except PairBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, VerificationError, SolverError, ValueError) as exc:
+    except (ConfigError, VerificationError, SolverError, ValueError,
+            ArithmeticError) as exc:
         causes = []
         cause = exc.__cause__
         while cause is not None:

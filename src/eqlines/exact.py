@@ -7,17 +7,13 @@ polynomial, so two elements are equal iff their coefficient vectors are
 identical. All arithmetic is exact; the only approximate operation is
 :func:`cyclo_embed`, which maps into mpmath complex numbers at a caller
 chosen binary precision.
-
-Exact values of cos(2*pi*k/d) and sin(2*pi*k/d) live in Q(zeta_n) with
-n = lcm(4, d); the factor 4 makes sure the imaginary unit is available
-so that sin can be written as (z^e - z^-e) * (-i) / 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+import operator
 
 import mpmath
 
@@ -29,7 +25,6 @@ __all__ = [
     "euler_phi",
     "cyclotomic_poly",
     "cyclo_root_of_unity",
-    "cyclo_cos_sin",
     "cyclo_embed",
     "rational_embed",
     "upoly_trim",
@@ -466,21 +461,6 @@ def cyclo_root_of_unity(n, k):
     return CycloNum(n, row)
 
 
-def cyclo_cos_sin(d, b, j):
-    """Exact cos(2*pi*b*j/d) and sin(2*pi*b*j/d) in Q(zeta_lcm(4,d))."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    n = lcm(4, d)
-    e = (n // d) * ((b * j) % d)
-    z = cyclo_root_of_unity(n, e)
-    zbar = cyclo_root_of_unity(n, -e)
-    imag = cyclo_root_of_unity(n, n // 4)
-    half = Fraction(1, 2)
-    cos = (z + zbar) * half
-    sin = (z - zbar) * (-imag) * half
-    return cos, sin
-
-
 def cyclo_embed(x, precision=53):
     """Numeric value of a CycloNum as an mpmath mpc.
 
@@ -658,5 +638,5 @@ def field_from_json(tag):
     if tag == "Q":
         return QQ
     if isinstance(tag, dict) and set(tag) == {"cyclotomic"}:
-        return CycloField(int(tag["cyclotomic"]))
+        return CycloField(operator.index(tag["cyclotomic"]))
     raise ValueError(f"unknown field tag {tag!r}")

@@ -17,6 +17,7 @@ divisor leading term.
 from __future__ import annotations
 
 from fractions import Fraction
+import operator
 
 from .exact import CycloNum, QQ, CycloField, field_from_json
 
@@ -137,7 +138,7 @@ class Poly:
         else:
             acc = {}
             for mono, coeff in terms:
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(map(operator.index, mono))
                 if len(mono) != ring.arity or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent vector {mono}")
                 c = ring.field.coerce(coeff)

@@ -11,20 +11,22 @@ wh_fiducial
     A single fiducial vector v = (x_0 + i*x_d, ..., x_(d-1) + i*x_(2d-1))
     whose Weyl-Heisenberg orbit is required to be equiangular. The
     displacement V^a U^b acts by (V^a U^b v)_k = w^(b(a+k)) v_(a+k mod d)
-    with w = exp(2*pi*i/d). Writing the squared overlap of v with
-    V^a U^b v as an exact polynomial gives
+    with w = exp(2*pi*i/d). The overlap of v with V^a U^b v, its
+    conjugate and its squared modulus are
 
-        p_ab = CC_ab^2 + DD_ab^2,
-        CC_ab = sum_j (cos(2 pi b j / d) C_j - sin(2 pi b j / d) D_j),
-        DD_ab = sum_j (sin(2 pi b j / d) C_j + cos(2 pi b j / d) D_j),
-        C_j = A_j A_(j-a) + B_j B_(j-a),
-        D_j = A_(j-a) B_j - A_j B_(j-a),    indices mod d.
+        o_ab       = <V^a U^b v, v> = sum_k w^(b(a+k)) v_(a+k) conj(v_k),
+        conj(o_ab) = sum_k w^(-b(a+k)) conj(v_(a+k)) v_k,
+        p_ab       = o_ab * conj(o_ab),
+
+    with conj(v_k) = x_k - i*x_(d+k) and indices mod d. Both i and w are
+    powers of zeta_lcm(4,d), so each p_ab is an exact polynomial in the
+    real variables x_0, ..., x_(2d-1).
 
     Equations: p_00 = 1, p_ab = 1/(d+1) otherwise. Coefficients live in
     Q(zeta_lcm(4,d)) and are moved down to Q when they are all rational.
     Coinciding equations are merged and the classes recorded. The phase
-    fix appends the polynomial B_0 (the variable x_d), pinning the
-    global phase so the first coordinate of v is real.
+    fix appends the polynomial x_d (the imaginary part of v_0), pinning
+    the global phase so the first coordinate of v is real.
 
 real_lines
     N unit vectors in R^d with |<u_j, u_l>| = alpha: equations
@@ -39,10 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+import operator
 
 import mpmath
 
-from .exact import QQ, CycloField, cyclo_cos_sin
+from .exact import QQ, CycloField, cyclo_root_of_unity
 from .polyring import Poly, Ring
 
 __all__ = [
@@ -119,8 +122,8 @@ class PolySystem:
         }
         return cls(
             kind=obj["kind"],
-            d=obj["d"],
-            n_lines=obj["n_lines"],
+            d=operator.index(obj["d"]),
+            n_lines=operator.index(obj["n_lines"]),
             ring=ring,
             equations=eqs,
             labels=tuple(obj["labels"]),
@@ -191,21 +194,21 @@ def gen_wh_system(d, phase_fix=True):
     n = lcm(4, d)
     cyclo = CycloField(n)
     ring = Ring(tuple(f"x{i}" for i in range(2 * d)), cyclo)
-    A = [Poly.variable(ring, j) for j in range(d)]
-    B = [Poly.variable(ring, d + j) for j in range(d)]
+    x = [Poly.variable(ring, j) for j in range(2 * d)]
+    i = cyclo_root_of_unity(n, n // 4)
+    w = [cyclo_root_of_unity(n, (n // d) * e) for e in range(d)]
+    v = [x[k] + x[d + k] * i for k in range(d)]
+    vbar = [x[k] - x[d + k] * i for k in range(d)]
 
     p = {}
     for a in range(d):
-        C = [A[j] * A[j - a] + B[j] * B[j - a] for j in range(d)]
-        D = [A[j - a] * B[j] - A[j] * B[j - a] for j in range(d)]
         for b in range(d):
-            CC = Poly.zero(ring)
-            DD = Poly.zero(ring)
-            for j in range(d):
-                cos, sin = cyclo_cos_sin(d, b, j)
-                CC = CC + cos * C[j] - sin * D[j]
-                DD = DD + sin * C[j] + cos * D[j]
-            p[(a, b)] = CC * CC + DD * DD
+            o = obar = Poly.zero(ring)
+            for k in range(d):
+                j = (a + k) % d
+                o = o + v[j] * vbar[k] * w[b * j % d]
+                obar = obar + vbar[j] * v[k] * w[-b * j % d]
+            p[(a, b)] = o * obar
 
     if all(
         coeff.is_rational() for q in p.values() for _, coeff in q.terms

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+import operator
 
 import mpmath
 
@@ -159,7 +160,7 @@ class SolutionSet:
     def from_json(cls, obj):
         if obj.get("format") != "solutions":
             raise ValueError("not a solutions file")
-        precision = int(obj["precision"])
+        precision = operator.index(obj["precision"])
         with mpmath.workprec(precision):
             points = []
             for p in obj["points"]:

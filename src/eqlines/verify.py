@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -95,7 +96,7 @@ class SeidelSpec:
     signs: tuple
 
     def __init__(self, signs):
-        rows = tuple(tuple(int(x) for x in row) for row in signs)
+        rows = tuple(tuple(map(operator.index, row)) for row in signs)
         try:
             _validate_signs(rows, len(rows))
         except ValueError as exc:

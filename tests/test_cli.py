@@ -395,9 +395,39 @@ def test_gram_signs_file(tmp_path):
 
 
 def test_precision_floor(tmp_path):
-    rc = main(["gen", "--kind", "wh", "--d", "2", "--precision", "10",
+    rc = main(["gram", "--preset", "hexagon", "--d", "2", "--precision", "10",
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+    # gen does not read --precision, so it does not take the option
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "wh", "--d", "2", "--precision", "10",
+              "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--d", "2", "--force"],
+    ["groebner", "--in", "SYS", "--force"],
+    ["groebner", "--in", "SYS", "--precision", "256"],
+    ["overlaps", "--zauner", "1", "--force"],
+    ["gram", "--preset", "hexagon", "--d", "2", "--force"],
+], ids=["gen-force", "groebner-force", "groebner-precision",
+        "overlaps-force", "gram-force"])
+def test_option_not_taken(argv, tmp_path):
+    """A subcommand takes only the options it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+
+
+def test_alpha_zero_denominator(tmp_path, capsys):
+    rc = main(["gen", "--kind", "real", "--d", "2", "--n", "3",
+               "--alpha", "1/0", "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --alpha '1/0' is not a rational number; "
+                          "caused by ZeroDivisionError")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -431,6 +461,15 @@ _NOT_A_SYSTEM = '{"format": "polysystem"}'
 _NOT_SIGNS = '{"rows": [[0, 1], [1, 0]]}'
 
 
+def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
+    """A one-equation system file in x0..x3 with one term."""
+    return json.dumps({
+        "format": "polysystem", "kind": "wh_fiducial", "d": d,
+        "n_lines": 4, "vars": ["x0", "x1", "x2", "x3"], "field": field,
+        "labels": ["p_0_0"], "equations": [[{"c": coeff, "e": list(exps)}]],
+    })
+
+
 @pytest.mark.parametrize("argv, content, cause", [
     (["groebner", "--in", "BAD"], _NOT_A_SYSTEM, "KeyError: 'vars'"),
     (["groebner", "--in", "BAD"], "[1, 2]", "AttributeError: "),
@@ -447,9 +486,27 @@ _NOT_SIGNS = '{"rows": [[0, 1], [1, 0]]}'
     (["gram", "--in", "BAD", "--d", "2"], _NOT_SIGNS, "KeyError: 'signs'"),
     (["gen", "--kind", "real", "--d", "2", "--n", "3", "--in", "BAD"],
      _NOT_SIGNS, "KeyError: 'signs'"),
+    (["groebner", "--in", "BAD"], _system("1/0"), "ZeroDivisionError: "),
+    (["groebner", "--in", "BAD"],
+     _system("(1/0)*z @ n=12", field={"cyclotomic": 12}),
+     "ZeroDivisionError: "),
+    (["groebner", "--in", "BAD"], _system("1", exps=(1.5, 0, 0, 0)),
+     "TypeError: "),
+    (["groebner", "--in", "BAD"],
+     _system("1 @ n=12", field={"cyclotomic": 12.5}), "TypeError: "),
+    (["gram", "--in", "BAD", "--d", "1"], '{"signs": [[0, 1.9], [1.9, 0]]}',
+     "TypeError: "),
+    (["groebner", "--in", "BAD"], _system("1", d=2.5), "TypeError: "),
+    (["verify", "--in", "BAD"], '{"format": "solutions", "precision": 256, '
+     '"tolerances": {}, "points": [], "d": 2.5}', "TypeError: "),
+    (["verify", "--in", "BAD"], '{"format": "solutions", "precision": 256.5}',
+     "TypeError: "),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
-        "gen-real"])
+        "gen-real", "groebner-zero-denominator",
+        "groebner-cyclo-zero-denominator", "groebner-float-exponent",
+        "groebner-float-conductor", "gram-float-sign", "groebner-float-d",
+        "verify-float-d", "verify-float-precision"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

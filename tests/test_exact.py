@@ -11,7 +11,6 @@ from eqlines.exact import (
     CycloField,
     CycloNum,
     QQ,
-    cyclo_cos_sin,
     cyclo_embed,
     cyclo_from_str,
     cyclo_root_of_unity,
@@ -89,18 +88,6 @@ def test_embedding_matches_exponential():
             with mpmath.workprec(140):
                 want = mpmath.expjpi(mpmath.mpf(2 * k) / n)
                 assert abs(got - want) < mpmath.mpf(2) ** -110
-
-
-def test_cos_sin_pairs():
-    for d in (2, 3, 4, 5, 7):
-        for b in range(d):
-            for j in range(d):
-                c, s = cyclo_cos_sin(d, b, j)
-                with mpmath.workprec(140):
-                    ang = 2 * mpmath.pi * ((b * j) % d) / d
-                    assert abs(cyclo_embed(c, 120) - mpmath.cos(ang)) < mpmath.mpf(2) ** -100
-                    assert abs(cyclo_embed(s, 120) - mpmath.sin(ang)) < mpmath.mpf(2) ** -100
-                assert (c * c + s * s) == 1
 
 
 def test_conjugate_of_root():

@@ -7,6 +7,8 @@ random rational vectors, which checks both generators against the
 definition rather than against themselves.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -120,6 +122,24 @@ def test_phase_fix_toggle():
     assert on.labels[0] == "phase"
     assert "phase" not in off.labels
     assert on.ring.arity == off.ring.arity == 6
+
+
+# sha256 of the canonical JSON (sorted keys, two-space indent, trailing
+# newline, as the CLI writes it) of WH systems beyond the pinned CLI
+# files (d <= 3) and the golden d=4 forms. The digests come from an
+# earlier generator that expanded each overlap into cos/sin parts, so
+# they check this one against an independent derivation.
+WH_SYSTEM_SHA256 = {
+    (5, True): "23e2c7fe366354afc711d6f1e236caad8a7f8ea3b593a0644601d701b9589631",
+    (6, False): "d7f815548b72f7a27489b2bf4a283d97dd0958478b3d316c9a9724109242aac7",
+}
+
+
+@pytest.mark.parametrize("d, phase_fix", sorted(WH_SYSTEM_SHA256))
+def test_wh_system_pinned(d, phase_fix):
+    doc = gen_wh_system(d, phase_fix=phase_fix).to_json()
+    data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == WH_SYSTEM_SHA256[(d, phase_fix)]
 
 
 def _numeric_overlap_sq(v, a, b, prec=64):
