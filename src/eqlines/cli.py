@@ -25,7 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-import numpy as np
 
 from .groebner import (
     DEFAULT_PAIR_BUDGET,
@@ -504,7 +503,8 @@ def cmd_gram(args):
     dps = _dps(args.precision)
     spectral = []
     for a in res["admissible_alphas"]:
-        g = np.eye(spec.N) + float(a) * np.array(spec.signs, dtype=float)
+        g = [[float(i == j) + float(a) * s for j, s in enumerate(row)]
+             for i, row in enumerate(spec.signs)]
         try:
             sr = spectral_reconstruct(g, args.d, tol=max(args.tol, 1e-9))
             spectral.append({"ok": True, "recon_error": repr(sr["recon_error"])})

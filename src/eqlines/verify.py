@@ -11,6 +11,10 @@ of S, so root multiplicities come from exact gcd computations, not
 numerics; numerics enter only when locating the real roots of each
 squarefree factor. Spectral reconstruction then rebuilds explicit unit
 vectors from a numeric Gram matrix and confirms the round trip.
+
+Everything here is pure Python on mpmath and the standard library except
+spectral_reconstruct, which imports numpy when called for its LAPACK
+eigensolver; importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 import operator
+import statistics
 
 import mpmath
-import numpy as np
 
 from .exact import QQ, upoly_squarefree, upoly_trim
 from .polyring import Poly, Ring
@@ -306,7 +310,14 @@ def spectral_reconstruct(gram, d, tol=DEFAULT_TOL):
     columns of sqrt(Lambda) Q^T. Fails if the matrix has a negative
     eigenvalue below -tol or numeric rank above d.
     """
-    g = np.asarray(gram, dtype=float)
+    import numpy as np
+
+    try:
+        g = np.asarray(gram, dtype=float)
+    except ValueError:
+        raise VerificationError(
+            "gram matrix must be a rectangular array of numbers"
+        ) from None
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise VerificationError("gram matrix must be square")
     if not np.allclose(g, g.T, atol=tol):
@@ -336,21 +347,28 @@ def verify_equiangular_real(vectors, tol=DEFAULT_TOL):
 
     The common angle is estimated as the median off-diagonal magnitude,
     so a single corrupted pair shows up as a deviation rather than
-    skewing the estimate.
+    skewing the estimate. Inner products are correctly rounded sums
+    (math.fsum).
     """
-    n = len(vectors)
-    if n < 2:
+    if len(vectors) < 2:
         raise VerificationError("need at least two vectors")
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    max_dev = 0.0
-    mags = []
-    for j in range(n):
-        max_dev = max(max_dev, abs(float(vs[j] @ vs[j]) - 1.0))
-        for l in range(j + 1, n):
-            mags.append(abs(float(vs[j] @ vs[l])))
-    alpha_est = float(np.median(mags))
-    for m in mags:
-        max_dev = max(max_dev, abs(m - alpha_est))
+    vs = [[float(x) for x in v] for v in vectors]
+    if any(len(v) != len(vs[0]) for v in vs):
+        raise VerificationError("vectors must all have the same dimension")
+    if not all(math.isfinite(x) for v in vs for x in v):
+        raise VerificationError("non-finite coordinate")
+    try:
+        norms = [math.fsum(x * x for x in v) for v in vs]
+        mags = [
+            abs(math.fsum(x * y for x, y in zip(u, w)))
+            for j, u in enumerate(vs) for w in vs[j + 1:]
+        ]
+    except (OverflowError, ValueError):  # fsum of inf-inf raises ValueError
+        raise VerificationError("inner product overflows a float") from None
+    alpha_est = statistics.median(mags)
+    max_dev = max(
+        [abs(s - 1.0) for s in norms] + [abs(m - alpha_est) for m in mags]
+    )
     return {"ok": max_dev <= tol, "alpha_est": alpha_est, "max_dev": max_dev}
 
 
@@ -383,11 +401,7 @@ def hexagon_lines():
     """Three unit vectors in the plane with pairwise angle sixty
     degrees; inner products +-1/2 matching seidel_hexagon."""
     r = math.sqrt(3) / 2
-    return [
-        np.array([1.0, 0.0]),
-        np.array([0.5, r]),
-        np.array([0.5, -r]),
-    ]
+    return [(1.0, 0.0), (0.5, r), (0.5, -r)]
 
 
 def icosahedron_lines():
@@ -396,10 +410,10 @@ def icosahedron_lines():
     a = math.sqrt((5 - math.sqrt(5)) / 10)
     b = math.sqrt((5 + math.sqrt(5)) / 10)
     return [
-        np.array([0.0, a, b]),
-        np.array([0.0, -a, b]),
-        np.array([a, b, 0.0]),
-        np.array([-a, b, 0.0]),
-        np.array([b, 0.0, a]),
-        np.array([b, 0.0, -a]),
+        (0.0, a, b),
+        (0.0, -a, b),
+        (a, b, 0.0),
+        (-a, b, 0.0),
+        (b, 0.0, a),
+        (b, 0.0, -a),
     ]

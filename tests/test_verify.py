@@ -306,12 +306,16 @@ def _frac_det(m):
     return det
 
 
-def test_gram_triangular_graph_t8():
+def _t8_signs():
     # 28 lines in R^7: pairs of points of K8, sign +1 when two pairs share
     # a point; the Gram matrix I + S/3 has rank 7
     pairs = list(itertools.combinations(range(8), 2))
-    signs = [[0 if p == q else (1 if set(p) & set(q) else -1)
-              for q in pairs] for p in pairs]
+    return [[0 if p == q else (1 if set(p) & set(q) else -1)
+             for q in pairs] for p in pairs]
+
+
+def test_gram_triangular_graph_t8():
+    signs = _t8_signs()
     out = gram_analysis(SeidelSpec(signs), 7, precision=128)
     assert out["multiplicities"] == [21]
     with mpmath.workprec(128):
@@ -367,6 +371,11 @@ def test_spectral_not_psd():
         spectral_reconstruct(g, 2, tol=1e-10)
 
 
+def test_spectral_ragged_gram():
+    with pytest.raises(VerificationError, match="rectangular"):
+        spectral_reconstruct([[1.0, 0.5], [0.5]], 2)
+
+
 # -- real equiangular sets ----------------------------------------------------
 
 def test_real_hexagon():
@@ -392,6 +401,37 @@ def test_real_standard_basis_alpha_zero():
     out = verify_equiangular_real([[1, 0], [0, 1]], tol=1e-12)
     assert out["ok"]
     assert abs(out["alpha_est"]) < 1e-15
+
+
+@pytest.mark.parametrize("vectors,message", [
+    ([[1, 0], [math.nan, 1]], "non-finite"),
+    ([[1, 0], [0, math.inf]], "non-finite"),
+    ([[1, 0], [0, 1, 0]], "same dimension"),
+    ([[1e300, -1e300], [1e300, 1e300]], "overflows"),
+], ids=["nan", "inf", "ragged", "overflow"])
+def test_real_rejects_bad_vectors(vectors, message):
+    with pytest.raises(VerificationError, match=message):
+        verify_equiangular_real(vectors)
+
+
+def _real_check_numpy(vectors):
+    """The numpy formulation of verify_equiangular_real, as reference."""
+    vs = [np.asarray(v, dtype=float) for v in vectors]
+    mags = [abs(float(u @ w)) for j, u in enumerate(vs) for w in vs[j + 1:]]
+    alpha_est = float(np.median(mags))
+    max_dev = max([abs(float(u @ u) - 1.0) for u in vs]
+                  + [abs(m - alpha_est) for m in mags])
+    return alpha_est, max_dev
+
+
+def test_real_matches_numpy_reference():
+    t8 = _gram_from(SeidelSpec(_t8_signs()), 1 / 3)
+    t8_vectors = spectral_reconstruct(t8, 7)["vectors"]
+    for vectors in (hexagon_lines(), icosahedron_lines(), t8_vectors):
+        out = verify_equiangular_real(vectors)
+        alpha_est, max_dev = _real_check_numpy(vectors)
+        assert abs(out["alpha_est"] - alpha_est) <= 1e-15
+        assert abs(out["max_dev"] - max_dev) <= 1e-15
 
 
 def test_upoly_eval_matches_poly():
