@@ -10,6 +10,9 @@ to the console only, never written into files.
 Exit codes: 0 success, 2 validation or configuration failure (a
 malformed input file included), 3 pair budget exhaustion, 4
 verification failure.
+
+Each command imports the layers it runs when it runs, so ``gen --kind
+wh`` and ``groebner`` never load mpmath, the solver or the verifier.
 """
 
 from __future__ import annotations
@@ -23,48 +26,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import mpmath
-
-from .groebner import (
-    DEFAULT_PAIR_BUDGET,
-    GroebnerBasis,
-    PairBudgetExceeded,
-    buchberger,
-    grevlex_then_lex,
-    is_zero_dimensional,
-    quotient_dimension,
-    reduces_to_zero,
-)
-from .polyring import Poly, Ring
-from .exact import field_from_json
-from .sicgen import (
-    PolySystem,
-    gen_complex_full,
-    gen_real_system,
-    gen_wh_system,
-)
-from .solver import (
-    SolutionSet,
-    SolverError,
-    Tolerances,
-    _dps,
-    _is_real_point,
-    classify,
-    match_zauner,
-    solve_triangular,
-    zauner_vectors,
-)
-from .verify import (
-    DEFAULT_TOL,
-    SeidelSpec,
-    VerificationError,
-    gram_analysis,
-    seidel_hexagon,
-    seidel_icosahedron,
-    spectral_reconstruct,
-    verify_fiducial,
-)
 
 __all__ = ["ConfigError", "main"]
 
@@ -168,6 +129,8 @@ def _parse_alpha(text):
 
 
 def cmd_gen(args):
+    from .sicgen import gen_complex_full, gen_real_system, gen_wh_system
+
     if args.kind == "wh":
         system = gen_wh_system(args.d, phase_fix=args.phase_fix)
     elif args.kind == "complex-full":
@@ -179,6 +142,8 @@ def cmd_gen(args):
         if args.preset:
             signs = _seidel_preset(args.preset).signs
         elif args.inp:
+            from .verify import SeidelSpec
+
             signs = read_json(args.inp, SeidelSpec.from_json)[0].signs
         system = gen_real_system(
             args.d, args.n, alpha=_parse_alpha(args.alpha), signs=signs
@@ -205,6 +170,8 @@ def _cache_path(args, key):
 
 
 def basis_to_json(gb, input_hash):
+    from .groebner import is_zero_dimensional, quotient_dimension
+
     qdim = quotient_dimension(gb) if gb.reduced else None
     zero_dim = is_zero_dimensional(gb)
     return {
@@ -222,6 +189,10 @@ def basis_to_json(gb, input_hash):
 
 
 def basis_from_json(obj):
+    from .exact import field_from_json
+    from .groebner import GroebnerBasis
+    from .polyring import Poly, Ring
+
     if obj.get("format") == "basis_partial":
         raise ConfigError(
             "basis file records a pair-budget failure; nothing to solve"
@@ -244,6 +215,8 @@ def basis_from_json(obj):
 def _cached_basis(obj, system):
     """The basis in a cache file, if every equation of ``system`` reduces
     to zero modulo it (a basis over another ring raises ValueError)."""
+    from .groebner import reduces_to_zero
+
     gb = basis_from_json(obj)
     if not all(reduces_to_zero(f, gb) for f in system.equations):
         raise ValueError("cached basis does not reduce the system to zero")
@@ -251,9 +224,18 @@ def _cached_basis(obj, system):
 
 
 def cmd_groebner(args):
+    from .groebner import (
+        DEFAULT_PAIR_BUDGET,
+        PairBudgetExceeded,
+        buchberger,
+        grevlex_then_lex,
+    )
+    from .sicgen import PolySystem
+
+    budget = getattr(args, "pair_budget", DEFAULT_PAIR_BUDGET)
     system, input_hash = read_json(args.inp, PolySystem.from_json)
     key = hashlib.sha256(
-        f"{input_hash}:{args.order}:{args.pair_budget}".encode()
+        f"{input_hash}:{args.order}:{budget}".encode()
     ).hexdigest()
     out = args.out or f"basis_{system.kind}_d{system.d}.json"
     cached = _cache_path(args, key)
@@ -265,11 +247,11 @@ def cmd_groebner(args):
         try:
             if args.order == "grevlex_then_lex":
                 gb = grevlex_then_lex(
-                    list(system.equations), pair_budget=args.pair_budget
+                    list(system.equations), pair_budget=budget
                 )
             elif args.order == "lex":
                 gb = buchberger(
-                    list(system.equations), "lex", pair_budget=args.pair_budget
+                    list(system.equations), "lex", pair_budget=budget
                 )
             else:
                 raise ConfigError(f"unknown order {args.order!r}")
@@ -278,13 +260,13 @@ def cmd_groebner(args):
                 "format": "basis_partial",
                 "input_hash": input_hash,
                 "order": args.order,
-                "pair_budget": args.pair_budget,
+                "pair_budget": budget,
                 "pairs_processed": exc.pairs_processed,
                 "partial_size": len(exc.partial),
             })
             elapsed = time.monotonic() - t0
             print(
-                f"pair budget {args.pair_budget} exhausted after "
+                f"pair budget {budget} exhausted after "
                 f"{exc.pairs_processed} pairs ({elapsed:.1f}s); "
                 f"partial basis of {len(exc.partial)} elements not usable "
                 f"downstream; report written to {out}",
@@ -313,6 +295,17 @@ def cmd_groebner(args):
 
 
 def cmd_solve(args):
+    import mpmath
+
+    from .sicgen import PolySystem
+    from .solver import (
+        Tolerances,
+        _is_real_point,
+        classify,
+        match_zauner,
+        solve_triangular,
+    )
+
     (basis_obj, gb), basis_hash = read_json(
         args.inp, lambda o: (o, basis_from_json(o))
     )
@@ -321,12 +314,9 @@ def cmd_solve(args):
         basis_obj.get("input_hash"), system_hash,
         "system file", args.force,
     )
-    tol = Tolerances(
-        residual=args.tol_residual,
-        cluster=args.tol_cluster,
-        realness=args.tol_realness,
-        match=args.tol_match,
-    )
+    tol = Tolerances(**{
+        k[len("tol_"):]: v for k, v in vars(args).items() if k.startswith("tol_")
+    })
     t0 = time.monotonic()
     sols = solve_triangular(
         gb,
@@ -362,6 +352,8 @@ def cmd_solve(args):
 def _read_solutions(path):
     """The solutions file at ``path`` as (document, SolutionSet), with
     the sha256 of its bytes; the file must record the dimension d."""
+    from .solver import SolutionSet
+
     def parse(obj):
         sols = SolutionSet.from_json(obj)
         if obj.get("d") is None:
@@ -375,11 +367,18 @@ def _read_solutions(path):
 def _fiducial(p, d):
     """The vector in C^d of a WH fiducial point, whose coordinates are the
     d real parts followed by the d imaginary parts."""
+    import mpmath
+
     return [mpmath.mpc(p.coords[k].real, p.coords[d + k].real)
             for k in range(d)]
 
 
 def cmd_verify(args):
+    import mpmath
+
+    from .verify import DEFAULT_TOL, verify_fiducial
+
+    tol = getattr(args, "tol", DEFAULT_TOL)
     (sol_obj, sols), sol_hash = _read_solutions(args.inp)
     if args.system:
         _, system_hash = read_json(args.system)
@@ -398,7 +397,7 @@ def cmd_verify(args):
                      "max_dev": None}
                 )
                 continue
-            res = verify_fiducial(_fiducial(p, sol_obj["d"]), tol=args.tol,
+            res = verify_fiducial(_fiducial(p, sol_obj["d"]), tol=tol,
                                   precision=args.precision)
             worst = max(worst, res["max_dev"])
             all_ok = all_ok and res["ok"]
@@ -414,7 +413,7 @@ def cmd_verify(args):
     doc = {
         "format": "verify_report",
         "input_hash": sol_hash,
-        "tolerance": repr(args.tol),
+        "tolerance": repr(tol),
         "n_points": len(sols.points),
         "n_checked": n_checked,
         "all_ok": all_ok,
@@ -433,7 +432,11 @@ def cmd_verify(args):
 
 
 def _load_vector(args):
+    import mpmath
+
     if args.zauner_k:
+        from .solver import zauner_vectors
+
         if args.zauner_k not in (1, 3, 5, 7):
             raise ConfigError("--zauner takes 1, 3, 5 or 7")
         vecs = dict(zip((1, 3, 5, 7), zauner_vectors(args.precision)))
@@ -455,8 +458,13 @@ def _load_vector(args):
 
 
 def cmd_overlaps(args):
+    import mpmath
+
+    from .verify import DEFAULT_TOL, verify_fiducial
+
     v, source, upstream = _load_vector(args)
-    res = verify_fiducial(v, tol=args.tol, precision=args.precision)
+    tol = getattr(args, "tol", DEFAULT_TOL)
+    res = verify_fiducial(v, tol=tol, precision=args.precision)
     doc = {
         "format": "overlap_report",
         "source": source,
@@ -482,6 +490,8 @@ def cmd_overlaps(args):
 
 
 def _seidel_preset(name):
+    from .verify import seidel_hexagon, seidel_icosahedron
+
     presets = {"hexagon": seidel_hexagon, "icosahedron": seidel_icosahedron}
     if name not in presets:
         raise ConfigError(
@@ -491,6 +501,18 @@ def _seidel_preset(name):
 
 
 def cmd_gram(args):
+    import mpmath
+
+    from .solver import _dps
+    from .verify import (
+        DEFAULT_TOL,
+        SeidelSpec,
+        VerificationError,
+        gram_analysis,
+        spectral_reconstruct,
+    )
+
+    tol = getattr(args, "tol", DEFAULT_TOL)
     if args.preset:
         spec = _seidel_preset(args.preset)
         source = {"preset": args.preset}
@@ -499,14 +521,14 @@ def cmd_gram(args):
         source = {"input_hash": h}
     else:
         raise ConfigError("gram needs --preset or --in")
-    res = gram_analysis(spec, args.d, precision=args.precision, tol=args.tol)
+    res = gram_analysis(spec, args.d, precision=args.precision, tol=tol)
     dps = _dps(args.precision)
     spectral = []
     for a in res["admissible_alphas"]:
         g = [[float(i == j) + float(a) * s for j, s in enumerate(row)]
              for i, row in enumerate(spec.signs)]
         try:
-            sr = spectral_reconstruct(g, args.d, tol=max(args.tol, 1e-9))
+            sr = spectral_reconstruct(g, args.d, tol=max(tol, 1e-9))
             spectral.append({"ok": True, "recon_error": repr(sr["recon_error"])})
         except VerificationError as exc:
             spectral.append({"ok": False, "error": str(exc)})
@@ -576,7 +598,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--order", choices=("lex", "grevlex_then_lex"),
                    default="lex")
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    p.add_argument("--pair-budget", type=int, default=argparse.SUPPRESS)
     p.add_argument("--cache-dir", default="",
                    help=f"cache directory (or set {CACHE_ENV})")
     common(p)
@@ -585,10 +607,10 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True, help="basis file")
     p.add_argument("--system", required=True,
                    help="originating system file for residual checks")
-    p.add_argument("--tol-residual", type=float, default=Tolerances.residual)
-    p.add_argument("--tol-cluster", type=float, default=Tolerances.cluster)
-    p.add_argument("--tol-realness", type=float, default=Tolerances.realness)
-    p.add_argument("--tol-match", type=float, default=Tolerances.match)
+    p.add_argument("--tol-residual", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tol-cluster", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tol-realness", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tol-match", type=float, default=argparse.SUPPRESS)
     p.add_argument("--max-points", type=int, default=0,
                    help="branch cap; 0 means ten times the quotient dimension")
     common(p, force=True, precision=True)
@@ -597,7 +619,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True, help="solutions file")
     p.add_argument("--system", default="",
                    help="system file to revalidate the chain")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     common(p, force=True, precision=True)
 
     p = sub.add_parser("overlaps", help="normalized overlap report")
@@ -608,7 +630,7 @@ def _build_parser():
                    help="JSON file with [[re, im], ...] coordinates")
     p.add_argument("--zauner", dest="zauner_k", type=int, default=0,
                    help="use the closed-form d=4 fiducial k in {1,3,5,7}")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     common(p, precision=True)
 
     p = sub.add_parser("gram", help="symbolic Gram analysis of a sign pattern")
@@ -617,7 +639,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", default="",
                    help="JSON file with a signs matrix")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     common(p, precision=True)
 
     return ap
@@ -633,16 +655,21 @@ _DISPATCH = {
 }
 
 
+def _validation_errors():
+    """The exceptions that exit 2: ValueError (ConfigError and
+    VerificationError among them), ArithmeticError, and SolverError. A
+    SolverError can only have been raised once the solver is loaded, so
+    it is looked up there instead of importing the solver to name it."""
+    solver = sys.modules.get(f"{__package__}.solver")
+    return (ValueError, ArithmeticError) + ((solver.SolverError,) if solver else ())
+
+
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         _check_args(args)
         return _DISPATCH[args.command](args)
-    except PairBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ConfigError, VerificationError, SolverError, ValueError,
-            ArithmeticError) as exc:
+    except _validation_errors() as exc:
         causes = []
         cause = exc.__cause__
         while cause is not None:

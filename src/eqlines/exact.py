@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 import operator
 
-import mpmath
-
 __all__ = [
     "CycloNum",
     "QQ",
@@ -263,6 +261,8 @@ class _CycloContext:
 
 @lru_cache(maxsize=None)
 def _zeta_powers(n, precision):
+    import mpmath
+
     ctx = _CycloContext(n)
     with mpmath.workprec(precision + 16):
         zeta = mpmath.expjpi(mpmath.mpf(2) / n)
@@ -271,6 +271,8 @@ def _zeta_powers(n, precision):
 
 def rational_embed(q, precision=53):
     """A Fraction as an mpmath float at the given binary precision."""
+    import mpmath
+
     with mpmath.workprec(precision):
         return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
@@ -298,16 +300,22 @@ class CycloNum:
         raise AttributeError("CycloNum is immutable")
 
     @classmethod
+    def _new(cls, n, coeffs):
+        # internal results: coeffs is already a tuple of phi(n) Fractions
+        x = object.__new__(cls)
+        object.__setattr__(x, "n", n)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
+
+    @classmethod
     def from_rational(cls, n, q):
         ctx = _CycloContext(n)
-        coeffs = [Fraction(0)] * ctx.phi
-        coeffs[0] = Fraction(q)
-        return cls(n, coeffs)
+        return cls._new(n, (Fraction(q),) + (Fraction(0),) * (ctx.phi - 1))
 
     @classmethod
     def _raw(cls, n, long_coeffs):
         ctx = _CycloContext(n)
-        return cls(n, ctx.reduce_long(long_coeffs))
+        return cls._new(n, ctx.reduce_long(long_coeffs))
 
     # -- structure ---------------------------------------------------------
 
@@ -350,18 +358,18 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycloNum._new(self.n, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.n, [-c for c in self.coeffs])
+        return CycloNum._new(self.n, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycloNum._new(self.n, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -375,10 +383,10 @@ class CycloNum:
             return NotImplemented
         if other.is_rational():
             q = other.coeffs[0]
-            return CycloNum(self.n, [c * q for c in self.coeffs])
+            return CycloNum._new(self.n, tuple(c * q for c in self.coeffs))
         if self.is_rational():
             q = self.coeffs[0]
-            return CycloNum(self.n, [c * q for c in other.coeffs])
+            return CycloNum._new(self.n, tuple(c * q for c in other.coeffs))
         m = len(self.coeffs)
         long = [Fraction(0)] * (2 * m - 1)
         for i, a in enumerate(self.coeffs):
@@ -467,6 +475,8 @@ def cyclo_embed(x, precision=53):
     The result carries roughly ``precision`` correct bits; computation
     runs with 16 guard bits.
     """
+    import mpmath
+
     powers = _zeta_powers(x.n, precision)
     with mpmath.workprec(precision + 16):
         acc = mpmath.mpc(0)

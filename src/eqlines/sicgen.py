@@ -43,8 +43,6 @@ from fractions import Fraction
 from math import lcm
 import operator
 
-import mpmath
-
 from .exact import QQ, CycloField, cyclo_root_of_unity
 from .polyring import Poly, Ring
 
@@ -263,6 +261,8 @@ def apply_weyl(v, idx):
     Accepts a WeylIndex or an (a, b) tuple; entries may be any complex
     type mpmath understands.
     """
+    import mpmath
+
     if isinstance(idx, WeylIndex):
         a, b = idx.a, idx.b
     else:
@@ -280,6 +280,8 @@ def apply_weyl(v, idx):
 
 def fiducial_from_coords(coords):
     """Coordinate vector (x_0..x_(2d-1)) -> complex vector in C^d."""
+    import mpmath
+
     if len(coords) % 2:
         raise ValueError("need an even number of coordinates")
     d = len(coords) // 2

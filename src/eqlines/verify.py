@@ -121,7 +121,10 @@ class SeidelSpec:
 # ---------------------------------------------------------------------------
 
 def _as_mpc_vector(v):
-    return [mpmath.mpc(x) for x in v]
+    w = [mpmath.mpc(x) for x in v]
+    if not all(mpmath.isfinite(x) for x in w):
+        raise VerificationError("non-finite coordinate")
+    return w
 
 
 def verify_fiducial(v, tol=DEFAULT_TOL, precision=128):
@@ -169,6 +172,8 @@ def verify_equiangular_complex(vectors, tol=DEFAULT_TOL, precision=128):
         raise VerificationError(
             f"need {d * d} vectors of dimension {d}, got {len(vectors)}"
         )
+    if any(len(v) != d for v in vectors):
+        raise VerificationError("vectors must all have the same dimension")
     with mpmath.workprec(precision):
         vs = [_as_mpc_vector(v) for v in vectors]
         target = mpmath.mpf(1) / (d + 1)

@@ -26,10 +26,56 @@ def test_all_names_resolve(name):
     assert not missing, f"eqlines.{name}.__all__ names undefined {missing}"
 
 
-def test_import_does_not_load_numpy():
-    # numpy is loaded only by spectral_reconstruct, when it is called
-    src = Path(eqlines.__file__).resolve().parent.parent
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-            "import eqlines, eqlines.cli; "
-            "assert 'numpy' not in sys.modules, 'numpy imported'")
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+SRC = Path(eqlines.__file__).resolve().parent.parent
+
+
+def _loaded_after(code, tmp_path):
+    """Run ``code`` in a fresh interpreter in tmp_path and return the
+    eqlines, mpmath and numpy modules it left loaded."""
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
+             "print(' '.join(m for m in sys.modules "
+             "if m.split('.')[0] in ('eqlines', 'mpmath', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                         check=True, timeout=60, capture_output=True, text=True)
+    return set(out.stdout.split())
+
+
+def test_import_does_not_load_numpy(tmp_path):
+    # nor mpmath, nor any layer: each loads on first use
+    assert _loaded_after("import eqlines, eqlines.cli", tmp_path) == {
+        "eqlines", "eqlines.cli",
+    }
+
+
+def test_exact_loads_without_mpmath(tmp_path):
+    assert _loaded_after("from eqlines import CycloField", tmp_path) == {
+        "eqlines", "eqlines.exact",
+    }
+
+
+def test_gen_and_groebner_load_no_numeric_layer(tmp_path):
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from eqlines.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['gen', '--kind', 'wh', '--d', '2', '--out', 's.json']) == 0\n"
+        "    assert main(['groebner', '--in', 's.json', '--out', 'b.json']) == 0",
+        tmp_path,
+    )
+    assert "eqlines.groebner" in loaded
+    assert not loaded & {"mpmath", "numpy", "eqlines.solver", "eqlines.verify"}
+
+
+def test_package_names_resolve_to_their_modules():
+    wrong = [
+        name for name in eqlines.__all__
+        if getattr(eqlines, name) is not getattr(
+            importlib.import_module(f"eqlines.{eqlines._OWNER[name]}"), name)
+    ]
+    assert not wrong, f"eqlines names bound to the wrong object: {wrong}"
+    assert set(eqlines.__all__) <= set(dir(eqlines))
+
+
+def test_package_unknown_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eqlines.no_such_name

@@ -120,6 +120,23 @@ def test_verify_equiangular_complex_rejects_orthonormal_padding():
     assert not out["ok"]
 
 
+@pytest.mark.parametrize("vectors,message", [
+    ([[math.nan, math.nan]] * 4, "non-finite"),
+    ([[1, 0], [0, 1], [1, complex(0, math.inf)], [1, 1]], "non-finite"),
+    ([[1, 0], [0, 1, 7], [0, 1], [1, 1]], "same dimension"),
+], ids=["nan", "inf", "ragged"])
+def test_complex_rejects_bad_vectors(vectors, message):
+    with pytest.raises(VerificationError, match=message):
+        verify_equiangular_complex(vectors)
+
+
+@pytest.mark.parametrize("v", [[1, math.nan], [complex(math.inf, 0), 1]],
+                         ids=["nan", "inf"])
+def test_verify_fiducial_rejects_non_finite(v):
+    with pytest.raises(VerificationError, match="non-finite"):
+        verify_fiducial(v)
+
+
 def test_all_real_d2_solutions_are_fiducials(d2_pipeline):
     _, _, sols = d2_pipeline
     reals = [p for p in sols.points if p.tags["real"]]
