@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -33,8 +34,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
-
-CACHE_ENV = "EQLINES_CACHE_DIR"
 
 
 class ConfigError(ValueError):
@@ -51,8 +50,11 @@ def _check_args(args):
         raise ConfigError("d must be at least 1")
     if opts.get("precision", 53) < 53:
         raise ConfigError("precision must be at least 53 bits")
-    if any(v <= 0 for k, v in opts.items() if k.startswith("tol")):
+    tols = [v for k, v in opts.items() if k.startswith("tol")]
+    if any(not v > 0 for v in tols):
         raise ConfigError("tolerances must be positive")
+    if any(math.isinf(v) for v in tols):
+        raise ConfigError("tolerances must be finite")
     if opts.get("pair_budget", 1) < 1:
         raise ConfigError("pair budget must be positive")
 
@@ -61,17 +63,11 @@ def _check_args(args):
 # file plumbing
 # ---------------------------------------------------------------------------
 
-def canonical_bytes(obj):
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
-
-
-def write_bytes(path, data):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)
-
-
 def write_canonical(path, obj):
-    write_bytes(path, canonical_bytes(obj))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(
+        (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    )
 
 
 def read_json(path, parse=None):
@@ -162,13 +158,6 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _cache_path(args, key):
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV, "")
-    if not cache_dir:
-        return None
-    return Path(cache_dir) / f"{key}.json"
-
-
 def basis_to_json(gb, input_hash):
     from .groebner import is_zero_dimensional, quotient_dimension
 
@@ -212,17 +201,6 @@ def basis_from_json(obj):
     )
 
 
-def _cached_basis(obj, system):
-    """The basis in a cache file, if every equation of ``system`` reduces
-    to zero modulo it (a basis over another ring raises ValueError)."""
-    from .groebner import reduces_to_zero
-
-    gb = basis_from_json(obj)
-    if not all(reduces_to_zero(f, gb) for f in system.equations):
-        raise ValueError("cached basis does not reduce the system to zero")
-    return gb
-
-
 def cmd_groebner(args):
     from .groebner import (
         DEFAULT_PAIR_BUDGET,
@@ -234,63 +212,44 @@ def cmd_groebner(args):
 
     budget = getattr(args, "pair_budget", DEFAULT_PAIR_BUDGET)
     system, input_hash = read_json(args.inp, PolySystem.from_json)
-    key = hashlib.sha256(
-        f"{input_hash}:{args.order}:{budget}".encode()
-    ).hexdigest()
     out = args.out or f"basis_{system.kind}_d{system.d}.json"
-    cached = _cache_path(args, key)
-    hit = cached is not None and cached.exists()
-    if hit:
-        gb, _ = read_json(cached, lambda o: _cached_basis(o, system))
-    else:
-        t0 = time.monotonic()
-        try:
-            if args.order == "grevlex_then_lex":
-                gb = grevlex_then_lex(
-                    list(system.equations), pair_budget=budget
-                )
-            elif args.order == "lex":
-                gb = buchberger(
-                    list(system.equations), "lex", pair_budget=budget
-                )
-            else:
-                raise ConfigError(f"unknown order {args.order!r}")
-        except PairBudgetExceeded as exc:
-            write_canonical(out, {
-                "format": "basis_partial",
-                "input_hash": input_hash,
-                "order": args.order,
-                "pair_budget": budget,
-                "pairs_processed": exc.pairs_processed,
-                "partial_size": len(exc.partial),
-            })
-            elapsed = time.monotonic() - t0
-            print(
-                f"pair budget {budget} exhausted after "
-                f"{exc.pairs_processed} pairs ({elapsed:.1f}s); "
-                f"partial basis of {len(exc.partial)} elements not usable "
-                f"downstream; report written to {out}",
-                file=sys.stderr,
-            )
-            return EXIT_BUDGET
+    t0 = time.monotonic()
+    try:
+        if args.order == "grevlex_then_lex":
+            gb = grevlex_then_lex(list(system.equations), pair_budget=budget)
+        elif args.order == "lex":
+            gb = buchberger(list(system.equations), "lex", pair_budget=budget)
+        else:
+            raise ConfigError(f"unknown order {args.order!r}")
+    except PairBudgetExceeded as exc:
+        write_canonical(out, {
+            "format": "basis_partial",
+            "input_hash": input_hash,
+            "order": args.order,
+            "pair_budget": budget,
+            "pairs_processed": exc.pairs_processed,
+            "partial_size": len(exc.partial),
+        })
         elapsed = time.monotonic() - t0
+        print(
+            f"pair budget {budget} exhausted after "
+            f"{exc.pairs_processed} pairs ({elapsed:.1f}s); "
+            f"partial basis of {len(exc.partial)} elements not usable "
+            f"downstream; report written to {out}",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
+    elapsed = time.monotonic() - t0
     doc = basis_to_json(gb, input_hash)
-    data = canonical_bytes(doc)
-    if cached is not None and not hit:
-        write_bytes(cached, data)
-    write_bytes(out, data)
-    fields = [
+    write_canonical(out, doc)
+    _summary(args, [
         ("basis_size", len(doc["basis"])),
         ("pair_count", doc["pair_count"]),
         ("zero_dimensional", doc["zero_dimensional"]),
         ("quotient_dimension", doc["quotient_dimension"]),
-    ]
-    if hit:
-        fields.insert(0, ("cache", "hit"))
-    else:
-        fields.append(("elapsed", f"{elapsed:.2f}s"))
-    fields.append(("out", out))
-    _summary(args, fields)
+        ("elapsed", f"{elapsed:.2f}s"),
+        ("out", out),
+    ])
     return EXIT_OK
 
 
@@ -351,14 +310,20 @@ def cmd_solve(args):
 
 def _read_solutions(path):
     """The solutions file at ``path`` as (document, SolutionSet), with
-    the sha256 of its bytes; the file must record the dimension d."""
+    the sha256 of its bytes; the file must record the dimension d, and
+    every point must have 2d coordinates."""
     from .solver import SolutionSet
 
     def parse(obj):
         sols = SolutionSet.from_json(obj)
         if obj.get("d") is None:
             raise ConfigError("solutions file does not record the dimension")
-        operator.index(obj["d"])
+        d = operator.index(obj["d"])
+        for i, p in enumerate(sols.points):
+            if len(p.coords) != 2 * d:
+                raise ValueError(
+                    f"point {i} has {len(p.coords)} coordinates, not {2 * d}"
+                )
         return obj, sols
 
     return read_json(path, parse)
@@ -599,8 +564,6 @@ def _build_parser():
     p.add_argument("--order", choices=("lex", "grevlex_then_lex"),
                    default="lex")
     p.add_argument("--pair-budget", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--cache-dir", default="",
-                   help=f"cache directory (or set {CACHE_ENV})")
     common(p)
 
     p = sub.add_parser("solve", help="solve a zero-dimensional basis")

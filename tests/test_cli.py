@@ -274,50 +274,24 @@ def test_determinism_byte_identical(tmp_path):
     assert digests == PINNED_SHA256
 
 
-def test_groebner_cache_hit(tmp_path, monkeypatch, capsys):
+def test_groebner_ignores_cache_env(tmp_path, monkeypatch, capsys):
+    """groebner computes the basis every time: a basis planted in
+    EQLINES_CACHE_DIR is never read."""
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("EQLINES_CACHE_DIR", str(cache))
     sp = _gen_d2(tmp_path)
     b1 = tmp_path / "b1.json"
     b2 = tmp_path / "b2.json"
-    capsys.readouterr()
     assert main(["groebner", "--in", str(sp), "--out", str(b1)]) == 0
-    assert "cache=hit" not in capsys.readouterr().out
-    assert list(cache.iterdir())
-    assert main(["groebner", "--in", str(sp), "--out", str(b2)]) == 0
-    assert capsys.readouterr().out.startswith("cache=hit basis_size=4 ")
-    assert b1.read_bytes() == b2.read_bytes()
-
-
-@pytest.mark.parametrize("damage", ["empty-object", "truncated",
-                                    "empty-basis"])
-def test_groebner_cache_hit_rejects_bad_file(damage, tmp_path, monkeypatch,
-                                             capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("EQLINES_CACHE_DIR", str(cache))
-    sp = _gen_d2(tmp_path)
-    out = tmp_path / "b.json"
-    assert main(["groebner", "--in", str(sp), "--out", str(out)]) == 0
-    (cached,) = cache.iterdir()
-    text = cached.read_text()
-    if damage == "empty-object":
-        cached.write_text("{}")
-    elif damage == "truncated":
-        cached.write_text(text[: len(text) // 2])
-    else:
-        doc = json.loads(text)
-        doc["basis"] = []
-        doc["pair_count"] = 5
-        cached.write_text(json.dumps(doc))
-    out.unlink()
+    planted = _read(b1)
+    planted["basis"] = [[{"c": "1", "e": [0, 0, 0, 0]}]]
+    for f in cache.iterdir():
+        f.write_text(json.dumps(planted, sort_keys=True, indent=2) + "\n")
     capsys.readouterr()
-    assert main(["groebner", "--in", str(sp), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {cached} is not a valid input file")
-    assert "Traceback" not in err
-    assert not out.exists()
+    assert main(["groebner", "--in", str(sp), "--out", str(b2)]) == 0
+    assert b2.read_bytes() == b1.read_bytes()
+    assert "quotient_dimension=32" in capsys.readouterr().out
 
 
 def test_verify_exit_code_on_failure(tmp_path):
@@ -409,10 +383,11 @@ def test_precision_floor(tmp_path):
     ["gen", "--d", "2", "--force"],
     ["groebner", "--in", "SYS", "--force"],
     ["groebner", "--in", "SYS", "--precision", "256"],
+    ["groebner", "--in", "SYS", "--cache-dir", "c"],
     ["overlaps", "--zauner", "1", "--force"],
     ["gram", "--preset", "hexagon", "--d", "2", "--force"],
 ], ids=["gen-force", "groebner-force", "groebner-precision",
-        "overlaps-force", "gram-force"])
+        "groebner-cache-dir", "overlaps-force", "gram-force"])
 def test_option_not_taken(argv, tmp_path):
     """A subcommand takes only the options it reads."""
     with pytest.raises(SystemExit) as exc:
@@ -441,6 +416,9 @@ def test_alpha_zero_denominator(tmp_path, capsys):
      "tolerances must be positive"),
     (["groebner", "--in", "SYS", "--pair-budget", "0"],
      "pair budget must be positive"),
+    (["solve", "--in", "BASIS", "--system", "SYS", "--tol-residual", "nan"],
+     "tolerances must be positive"),
+    (["verify", "--in", "SOLS", "--tol", "inf"], "tolerances must be finite"),
 ])
 def test_out_of_range_option(argv, message, d2_files, tmp_path, capsys):
     paths = {"SYS": str(d2_files[0]), "BASIS": str(d2_files[1]),
@@ -459,6 +437,12 @@ def test_missing_input_file(tmp_path):
 
 _NOT_A_SYSTEM = '{"format": "polysystem"}'
 _NOT_SIGNS = '{"rows": [[0, 1], [1, 0]]}'
+# a d=2 solutions file whose one real point has 2 coordinates, not 4
+_SHORT_COORDS = json.dumps({
+    "format": "solutions", "precision": 256, "tolerances": {}, "d": 2,
+    "points": [{"coords": [["0.5", "0"], ["0.5", "0"]], "residual": "0",
+                "tags": {"real": True}}],
+})
 
 
 def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
@@ -501,12 +485,17 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
      '"tolerances": {}, "points": [], "d": 2.5}', "TypeError: "),
     (["verify", "--in", "BAD"], '{"format": "solutions", "precision": 256.5}',
      "TypeError: "),
+    (["verify", "--in", "BAD"], _SHORT_COORDS,
+     "ValueError: point 0 has 2 coordinates, not 4"),
+    (["overlaps", "--in", "BAD", "--index", "0"], _SHORT_COORDS,
+     "ValueError: point 0 has 2 coordinates, not 4"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
         "groebner-cyclo-zero-denominator", "groebner-float-exponent",
         "groebner-float-conductor", "gram-float-sign", "groebner-float-d",
-        "verify-float-d", "verify-float-precision"])
+        "verify-float-d", "verify-float-precision", "verify-short-coords",
+        "overlaps-short-coords"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"
