@@ -22,12 +22,7 @@ import mpmath
 
 from eqlines.groebner import PairBudgetExceeded, grevlex_then_lex
 from eqlines.sicgen import gen_wh_system
-from eqlines.solver import (
-    classify,
-    match_zauner,
-    solve_triangular,
-    zauner_vectors,
-)
+from eqlines.solver import classify, solve_triangular, zauner_vectors
 from eqlines.verify import verify_fiducial
 
 EXPECTED = {
@@ -85,7 +80,6 @@ def run(argv=None):
 
     sols = solve_triangular(gb, gens, precision=args.precision)
     classify(sols, 4)
-    match_zauner(sols)
     counts = sols.counts()
     print("counts:", counts)
     mismatches = {

@@ -34,6 +34,7 @@ _LAYERS = {
     ),
     "sicgen": (
         "PolySystem",
+        "SeidelSpec",
         "apply_weyl",
         "gen_complex_full",
         "gen_real_system",
@@ -50,7 +51,6 @@ _LAYERS = {
         "zauner_vectors",
     ),
     "verify": (
-        "SeidelSpec",
         "gram_analysis",
         "spectral_reconstruct",
         "unit_certify",

@@ -57,6 +57,8 @@ def _check_args(args):
         raise ConfigError("tolerances must be finite")
     if opts.get("pair_budget", 1) < 1:
         raise ConfigError("pair budget must be positive")
+    if opts.get("max_points", 0) < 0:
+        raise ConfigError("max points must not be negative")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,24 @@ def _parse_alpha(text):
         raise ConfigError(f"--alpha {text!r} is not a rational number") from exc
 
 
+def _seidel_spec(args):
+    """The sign pattern named by --preset or read from --in, with its
+    source for the report; (None, None) when neither is given."""
+    from .sicgen import SeidelSpec, seidel_hexagon, seidel_icosahedron
+
+    if args.preset:
+        presets = {"hexagon": seidel_hexagon, "icosahedron": seidel_icosahedron}
+        if args.preset not in presets:
+            raise ConfigError(
+                f"unknown preset {args.preset!r}; choose from {sorted(presets)}"
+            )
+        return presets[args.preset](), {"preset": args.preset}
+    if args.inp:
+        spec, h = read_json(args.inp, SeidelSpec.from_json)
+        return spec, {"input_hash": h}
+    return None, None
+
+
 def cmd_gen(args):
     from .sicgen import gen_complex_full, gen_real_system, gen_wh_system
 
@@ -134,15 +154,10 @@ def cmd_gen(args):
     elif args.kind == "real":
         if args.n < 2:
             raise ConfigError("real systems need --n of at least 2")
-        signs = None
-        if args.preset:
-            signs = _seidel_preset(args.preset).signs
-        elif args.inp:
-            from .verify import SeidelSpec
-
-            signs = read_json(args.inp, SeidelSpec.from_json)[0].signs
+        spec, _ = _seidel_spec(args)
         system = gen_real_system(
-            args.d, args.n, alpha=_parse_alpha(args.alpha), signs=signs
+            args.d, args.n, alpha=_parse_alpha(args.alpha),
+            signs=spec.signs if spec else None,
         )
     else:
         raise ConfigError(f"unknown kind {args.kind!r}")
@@ -254,16 +269,8 @@ def cmd_groebner(args):
 
 
 def cmd_solve(args):
-    import mpmath
-
     from .sicgen import PolySystem
-    from .solver import (
-        Tolerances,
-        _is_real_point,
-        classify,
-        match_zauner,
-        solve_triangular,
-    )
+    from .solver import Tolerances, classify, solve_triangular
 
     (basis_obj, gb), basis_hash = read_json(
         args.inp, lambda o: (o, basis_from_json(o))
@@ -286,12 +293,6 @@ def cmd_solve(args):
     )
     if system.kind == "wh_fiducial":
         classify(sols, system.d)
-        if system.d == 4:
-            match_zauner(sols)
-    else:
-        with mpmath.workprec(args.precision):
-            for p in sols.points:
-                p.tags["real"] = _is_real_point(p.coords, tol.realness)
     elapsed = time.monotonic() - t0
     doc = sols.to_json()
     doc["input_hash"] = basis_hash
@@ -329,18 +330,10 @@ def _read_solutions(path):
     return read_json(path, parse)
 
 
-def _fiducial(p, d):
-    """The vector in C^d of a WH fiducial point, whose coordinates are the
-    d real parts followed by the d imaginary parts."""
-    import mpmath
-
-    return [mpmath.mpc(p.coords[k].real, p.coords[d + k].real)
-            for k in range(d)]
-
-
 def cmd_verify(args):
     import mpmath
 
+    from .sicgen import fiducial_from_coords
     from .verify import DEFAULT_TOL, verify_fiducial
 
     tol = getattr(args, "tol", DEFAULT_TOL)
@@ -362,7 +355,7 @@ def cmd_verify(args):
                      "max_dev": None}
                 )
                 continue
-            res = verify_fiducial(_fiducial(p, sol_obj["d"]), tol=tol,
+            res = verify_fiducial(fiducial_from_coords(p.coords), tol=tol,
                                   precision=args.precision)
             worst = max(worst, res["max_dev"])
             all_ok = all_ok and res["ok"]
@@ -413,11 +406,13 @@ def _load_vector(args):
             ])
         return v, {"vector_file": os.path.basename(args.vector)}, None
     if args.inp:
-        (sol_obj, sols), sol_hash = _read_solutions(args.inp)
+        from .sicgen import fiducial_from_coords
+
+        (_, sols), sol_hash = _read_solutions(args.inp)
         if not 0 <= args.index < len(sols.points):
             raise ConfigError("--index out of range")
         with mpmath.workprec(args.precision):
-            v = _fiducial(sols.points[args.index], sol_obj["d"])
+            v = fiducial_from_coords(sols.points[args.index].coords)
         return v, {"index": args.index}, sol_hash
     raise ConfigError("overlaps needs --in with --index, --vector or --zauner")
 
@@ -454,37 +449,20 @@ def cmd_overlaps(args):
     return EXIT_OK if res["ok"] else EXIT_VERIFY
 
 
-def _seidel_preset(name):
-    from .verify import seidel_hexagon, seidel_icosahedron
-
-    presets = {"hexagon": seidel_hexagon, "icosahedron": seidel_icosahedron}
-    if name not in presets:
-        raise ConfigError(
-            f"unknown preset {name!r}; choose from {sorted(presets)}"
-        )
-    return presets[name]()
-
-
 def cmd_gram(args):
     import mpmath
 
     from .solver import _dps
     from .verify import (
         DEFAULT_TOL,
-        SeidelSpec,
         VerificationError,
         gram_analysis,
         spectral_reconstruct,
     )
 
     tol = getattr(args, "tol", DEFAULT_TOL)
-    if args.preset:
-        spec = _seidel_preset(args.preset)
-        source = {"preset": args.preset}
-    elif args.inp:
-        spec, h = read_json(args.inp, SeidelSpec.from_json)
-        source = {"input_hash": h}
-    else:
+    spec, source = _seidel_spec(args)
+    if spec is None:
         raise ConfigError("gram needs --preset or --in")
     res = gram_analysis(spec, args.d, precision=args.precision, tol=tol)
     dps = _dps(args.precision)

@@ -210,8 +210,11 @@ def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
     """Two stage pipeline: grevlex basis first, then recompute under lex.
 
     The intermediate basis generates the same ideal, so the second stage
-    yields exactly the reduced lex basis of the input ideal; the grevlex
-    stage usually makes the lex stage cheaper on dense inputs.
+    yields exactly the reduced lex basis of the input ideal. Measured: on
+    the WH d=2 system the grevlex stage takes 5 pairs and the lex stage
+    0; on the 25 ideals of the test corpus the two stages take about
+    twice the CPU time of a plain lex run, the surplus being the second
+    Buchberger run.
     """
     stage1 = buchberger(generators, "grevlex", pair_budget=pair_budget)
     remaining = max(pair_budget - stage1.pair_count, 1)

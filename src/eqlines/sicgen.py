@@ -31,9 +31,11 @@ wh_fiducial
 real_lines
     N unit vectors in R^d with |<u_j, u_l>| = alpha: equations
     C_jl^2 = alpha^2 off the diagonal and C_jl^2 = 1 on it, where
-    C_jl = sum_k u_jk u_lk. With a sign matrix the stronger linear
-    variant C_jl = s_jl * alpha is emitted instead. A symbolic alpha
-    becomes the last ring variable.
+    C_jl = sum_k u_jk u_lk. With a sign matrix, checked as a SeidelSpec
+    (symmetric, zero diagonal, +-1 off it), the stronger linear variant
+    C_jl = s_jl * alpha is emitted instead. A symbolic alpha becomes the
+    last ring variable. The sign patterns of the hexagon and the
+    icosahedron are built in.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ __all__ = [
     "gen_real_system",
     "apply_weyl",
     "fiducial_from_coords",
+    "SeidelSpec",
+    "seidel_hexagon",
+    "seidel_icosahedron",
 ]
 
 
@@ -295,30 +300,76 @@ def fiducial_from_coords(coords):
 # real equiangular lines
 # ---------------------------------------------------------------------------
 
-def _validate_signs(signs, N):
-    if len(signs) != N or any(len(row) != N for row in signs):
-        raise ValueError("sign matrix must be N x N")
-    for j in range(N):
-        if signs[j][j] != 0:
-            raise ValueError("sign matrix diagonal must be zero")
-        for l in range(N):
-            if j != l and signs[j][l] not in (1, -1):
-                raise ValueError("off-diagonal signs must be +1 or -1")
-            if signs[j][l] != signs[l][j]:
-                raise ValueError("sign matrix must be symmetric")
+@dataclass(frozen=True)
+class SeidelSpec:
+    """Sign pattern of a real equiangular line set.
+
+    signs is symmetric with zero diagonal and +-1 off the diagonal;
+    the Gram matrix of the lines at angle alpha is I + alpha*signs.
+    """
+
+    N: int
+    signs: tuple
+
+    def __init__(self, signs):
+        rows = tuple(tuple(map(operator.index, row)) for row in signs)
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("sign matrix must be N x N")
+        for j in range(n):
+            if rows[j][j] != 0:
+                raise ValueError("sign matrix diagonal must be zero")
+            for l in range(n):
+                if j != l and rows[j][l] not in (1, -1):
+                    raise ValueError("off-diagonal signs must be +1 or -1")
+                if rows[j][l] != rows[l][j]:
+                    raise ValueError("sign matrix must be symmetric")
+        object.__setattr__(self, "N", n)
+        object.__setattr__(self, "signs", rows)
+
+    def to_json(self):
+        return {"signs": [list(r) for r in self.signs]}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(obj["signs"])
+
+
+def seidel_hexagon():
+    """Sign pattern of three coplanar lines at sixty degrees."""
+    return SeidelSpec([
+        [0, 1, 1],
+        [1, 0, -1],
+        [1, -1, 0],
+    ])
+
+
+def seidel_icosahedron():
+    """Sign pattern of the six diagonals of a regular icosahedron."""
+    m = [[0] * 6 for _ in range(6)]
+    neg = {(1, 6), (2, 3), (2, 4), (2, 6), (4, 5), (4, 6)}
+    for j in range(6):
+        for l in range(j + 1, 6):
+            s = -1 if (j + 1, l + 1) in neg else 1
+            m[j][l] = s
+            m[l][j] = s
+    return SeidelSpec(m)
 
 
 def gen_real_system(d, N, alpha=None, signs=None):
     """System for N unit vectors in R^d pairwise at angle arccos(alpha).
 
     alpha may be a Fraction (fixed common angle) or None, in which case
-    a variable named alpha is appended to the ring. With ``signs`` the
-    sign-resolved linear variant replaces the squared equations.
+    a variable named alpha is appended to the ring. With ``signs``, an
+    N x N sign matrix checked as a SeidelSpec, the sign-resolved linear
+    variant replaces the squared equations.
     """
     if d < 1 or N < 1:
         raise ValueError("d and N must be positive")
     if signs is not None:
-        _validate_signs(signs, N)
+        signs = SeidelSpec(signs).signs
+        if len(signs) != N:
+            raise ValueError("sign matrix must be N x N")
     names = [f"u_{j}_{k}" for j in range(1, N + 1) for k in range(1, d + 1)]
     symbolic = alpha is None
     if symbolic:

@@ -11,12 +11,13 @@ never invent them. Basis elements in a single variable are replaced by
 their exact square-free parts first, so root finding, simultaneous
 iteration on all roots (mpmath's polyroots), never meets an exact
 repeated root; a repeated root that only appears after numeric
-specialization makes it fail with a SolverError.
+specialization makes it fail with a SolverError. Every returned point
+is tagged as coordinate-wise real or not.
 
-Classification tags solutions: coordinate-wise real points, sign pairs
-v/-v with a canonical representative, Weyl-Heisenberg orbits up to a
-global phase, and matches against the four closed-form d=4 fiducial
-vectors built from the golden ratio constants.
+Classification of fiducial solutions adds sign pairs v/-v with a
+canonical representative, Weyl-Heisenberg orbits up to a global phase,
+and, for d=4, matches against the four closed-form fiducial vectors
+built from the golden ratio constants.
 """
 
 from __future__ import annotations
@@ -281,7 +282,8 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     """Numerically solve a zero-dimensional reduced lex basis.
 
     system_equations is the original generating system; every returned
-    point is validated against it, not just against the basis.
+    point is validated against it, not just against the basis, and
+    tagged ``real`` when every coordinate is real to tol.realness.
     """
     tol = tol or Tolerances()
     if gb.order != "lex":
@@ -406,6 +408,9 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
             if clustered and _point_dist(clustered[-1].coords, p.coords) <= tol.cluster:
                 continue
             clustered.append(p)
+    with mpmath.workprec(precision):
+        for p in clustered:
+            p.tags["real"] = _is_real_point(p.coords, tol.realness)
     return SolutionSet(clustered, precision, tol)
 
 
@@ -442,14 +447,15 @@ def _phase_distance(v, w):
     return max(abs(x - phase * y) for x, y in zip(v, w))
 
 
-def classify(solset, d, tol=None):
-    """Tag realness, sign pairs, and Weyl-Heisenberg orbits in place.
+def classify(solset, d):
+    """Tag realness, sign pairs, and Weyl-Heisenberg orbits in place,
+    and for d=4 the closed-form fiducials (match_zauner).
 
     Orbit grouping applies to coordinate-wise real points of a
     fiducial system: two points share an orbit when some displacement
     maps one fiducial vector to the other up to a global phase.
     """
-    tol = tol or solset.tolerances
+    tol = solset.tolerances
     with mpmath.workprec(solset.precision):
         pts = solset.points
         for p in pts:
@@ -479,6 +485,8 @@ def classify(solset, d, tol=None):
                 assigned = len(reps)
                 reps.append((assigned, v))
             p.tags["orbit_id"] = assigned
+    if d == 4:
+        match_zauner(solset)
     return solset
 
 
@@ -511,27 +519,21 @@ def zauner_vectors(precision=256):
         return vecs
 
 
-def match_zauner(solset, precision=None, tol=None):
+def match_zauner(solset):
     """Tag solutions matching a closed-form d=4 fiducial up to phase.
 
     Only the canonical representative of each sign pair is tagged, so
     the tag count equals the number of matched fiducials up to sign.
     """
-    precision = precision or solset.precision
-    tol = tol or solset.tolerances
+    tol = solset.tolerances
     if any(len(p.coords) != 8 for p in solset.points):
         raise ValueError("zauner matching applies to d=4 solutions")
-    targets = zauner_vectors(precision)
-    with mpmath.workprec(precision):
+    targets = zauner_vectors(solset.precision)
+    with mpmath.workprec(solset.precision):
         for p in solset.points:
-            real = p.tags.get("real")
-            if real is None:
-                real = _is_real_point(p.coords, tol.realness)
-            canonical = p.tags.get("sign_canonical")
-            if canonical is None:
-                canonical = real and _sign_canonical(p.coords, tol.match)
             hit = False
-            if real and canonical:
+            if (_is_real_point(p.coords, tol.realness)
+                    and _sign_canonical(p.coords, tol.match)):
                 v = fiducial_from_coords(p.coords)
                 hit = any(
                     _phase_distance(v, vk) <= tol.match for vk in targets

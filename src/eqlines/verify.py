@@ -22,19 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-import operator
 import statistics
 
 import mpmath
 
 from .exact import QQ, upoly_squarefree, upoly_trim
 from .polyring import Poly, Ring
-from .sicgen import _validate_signs, apply_weyl
+from .sicgen import apply_weyl
 from .solver import _dps, _roots_numeric, _univ_coeffs
 
 __all__ = [
     "OverlapReport",
-    "SeidelSpec",
     "VerificationError",
     "SpectralError",
     "verify_fiducial",
@@ -44,8 +42,6 @@ __all__ = [
     "gram_analysis",
     "spectral_reconstruct",
     "verify_equiangular_real",
-    "seidel_hexagon",
-    "seidel_icosahedron",
     "hexagon_lines",
     "icosahedron_lines",
 ]
@@ -86,34 +82,6 @@ class OverlapReport:
                 "theta": mpmath.nstr(e["theta"], dps),
             }
         return {"d": self.d, "entries": out}
-
-
-@dataclass(frozen=True)
-class SeidelSpec:
-    """Sign pattern of a real equiangular line set.
-
-    signs is symmetric with zero diagonal and +-1 off the diagonal;
-    the Gram matrix of the lines at angle alpha is I + alpha*signs.
-    """
-
-    N: int
-    signs: tuple
-
-    def __init__(self, signs):
-        rows = tuple(tuple(map(operator.index, row)) for row in signs)
-        try:
-            _validate_signs(rows, len(rows))
-        except ValueError as exc:
-            raise VerificationError(str(exc)) from None
-        object.__setattr__(self, "N", len(rows))
-        object.__setattr__(self, "signs", rows)
-
-    def to_json(self):
-        return {"signs": [list(r) for r in self.signs]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["signs"])
 
 
 # ---------------------------------------------------------------------------
@@ -381,37 +349,16 @@ def verify_equiangular_real(vectors, tol=DEFAULT_TOL):
 # reference configurations
 # ---------------------------------------------------------------------------
 
-def seidel_hexagon():
-    """Sign pattern of three coplanar lines at sixty degrees."""
-    return SeidelSpec([
-        [0, 1, 1],
-        [1, 0, -1],
-        [1, -1, 0],
-    ])
-
-
-def seidel_icosahedron():
-    """Sign pattern of the six diagonals of a regular icosahedron."""
-    m = [[0] * 6 for _ in range(6)]
-    neg = {(1, 6), (2, 3), (2, 4), (2, 6), (4, 5), (4, 6)}
-    for j in range(6):
-        for l in range(j + 1, 6):
-            s = -1 if (j + 1, l + 1) in neg else 1
-            m[j][l] = s
-            m[l][j] = s
-    return SeidelSpec(m)
-
-
 def hexagon_lines():
     """Three unit vectors in the plane with pairwise angle sixty
-    degrees; inner products +-1/2 matching seidel_hexagon."""
+    degrees; inner products +-1/2 matching sicgen.seidel_hexagon."""
     r = math.sqrt(3) / 2
     return [(1.0, 0.0), (0.5, r), (0.5, -r)]
 
 
 def icosahedron_lines():
     """Six unit vectors along icosahedron diagonals; inner products
-    +-1/sqrt(5) matching seidel_icosahedron."""
+    +-1/sqrt(5) matching sicgen.seidel_icosahedron."""
     a = math.sqrt((5 - math.sqrt(5)) / 10)
     b = math.sqrt((5 + math.sqrt(5)) / 10)
     return [

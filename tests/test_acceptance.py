@@ -32,14 +32,12 @@ from eqlines.groebner import (
     reduces_to_zero,
 )
 from eqlines.polyring import Poly, Ring
-from eqlines.sicgen import gen_wh_system
-from eqlines.solver import classify, match_zauner, solve_triangular, zauner_vectors
+from eqlines.sicgen import gen_wh_system, seidel_hexagon, seidel_icosahedron
+from eqlines.solver import classify, solve_triangular, zauner_vectors
 from eqlines.verify import (
     gram_analysis,
     hexagon_lines,
     icosahedron_lines,
-    seidel_hexagon,
-    seidel_icosahedron,
     spectral_reconstruct,
     unit_certify,
     verify_equiangular_real,
@@ -245,7 +243,6 @@ def test_criterion_06_d4_table():
     # full path: only reached when the budget admits the d=4 basis
     sols = solve_triangular(gb, gens, precision=256)
     classify(sols, 4)
-    match_zauner(sols)
     counts = sols.counts()
     got = (counts["total"], counts["real"], counts["real_up_to_sign"],
            counts["orbits"], counts["zauner"])

@@ -419,6 +419,8 @@ def test_alpha_zero_denominator(tmp_path, capsys):
     (["solve", "--in", "BASIS", "--system", "SYS", "--tol-residual", "nan"],
      "tolerances must be positive"),
     (["verify", "--in", "SOLS", "--tol", "inf"], "tolerances must be finite"),
+    (["solve", "--in", "BASIS", "--system", "SYS", "--max-points", "-5"],
+     "max points must not be negative"),
 ])
 def test_out_of_range_option(argv, message, d2_files, tmp_path, capsys):
     paths = {"SYS": str(d2_files[0]), "BASIS": str(d2_files[1]),

@@ -1,6 +1,9 @@
-"""Package surface: every eqlines module exports only names it defines."""
+"""Package surface: every eqlines module exports only names it defines,
+imports only from the layers below it, and loads only what it runs."""
 
+import ast
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -64,6 +67,66 @@ def test_gen_and_groebner_load_no_numeric_layer(tmp_path):
     )
     assert "eqlines.groebner" in loaded
     assert not loaded & {"mpmath", "numpy", "eqlines.solver", "eqlines.verify"}
+
+
+@pytest.mark.parametrize("source", [
+    ["--preset", "hexagon"],
+    ["--in", "signs.json"],
+])
+def test_gen_real_loads_no_numeric_layer(source, tmp_path):
+    (tmp_path / "signs.json").write_text(
+        json.dumps({"signs": [[0, 1, 1], [1, 0, -1], [1, -1, 0]]}))
+    argv = ["gen", "--kind", "real", "--d", "2", "--n", "3", *source,
+            "--out", "r.json"]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from eqlines.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0",
+        tmp_path,
+    )
+    assert "eqlines.sicgen" in loaded
+    assert not loaded & {"mpmath", "numpy", "eqlines.solver",
+                         "eqlines.verify", "eqlines.groebner"}
+
+
+# each module imports only from modules of a lower rank; groebner and
+# sicgen share a rank, so neither imports the other
+LAYER_RANK = {"exact": 0, "polyring": 1, "groebner": 2, "sicgen": 2,
+              "solver": 3, "verify": 4, "cli": 5}
+
+
+def _eqlines_imports(path):
+    """The eqlines modules that the file at ``path`` imports anywhere,
+    inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module:
+                    found.add(node.module.split(".")[0])
+                else:
+                    found.update(a.name for a in node.names)
+            elif node.module and node.module.split(".")[0] == "eqlines":
+                parts = node.module.split(".")
+                found.update(parts[1:2] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "eqlines" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    assert set(LAYER_RANK) == set(MODULES)
+    pkg = Path(eqlines.__file__).resolve().parent
+    upward = {
+        name: sorted(dep for dep in _eqlines_imports(pkg / f"{name}.py")
+                     if LAYER_RANK[dep] >= LAYER_RANK[name])
+        for name in MODULES
+    }
+    assert upward == {name: [] for name in MODULES}
 
 
 def test_package_names_resolve_to_their_modules():

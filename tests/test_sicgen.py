@@ -268,7 +268,8 @@ def test_real_system_squared_variant():
 
 def test_real_system_sign_variant_hexagon():
     from eqlines.solver import embed_coeff, eval_embedded
-    from eqlines.verify import hexagon_lines, seidel_hexagon
+    from eqlines.sicgen import seidel_hexagon
+    from eqlines.verify import hexagon_lines
 
     signs = seidel_hexagon().signs
     s = gen_real_system(2, 3, signs=signs)
@@ -287,7 +288,8 @@ def test_real_system_sign_variant_hexagon():
 
 def test_real_system_sign_variant_icosahedron():
     from eqlines.solver import embed_coeff, eval_embedded
-    from eqlines.verify import icosahedron_lines, seidel_icosahedron
+    from eqlines.sicgen import seidel_icosahedron
+    from eqlines.verify import icosahedron_lines
 
     signs = seidel_icosahedron().signs
     s = gen_real_system(3, 6, signs=signs)

@@ -117,6 +117,15 @@ def test_solve_spec_examples():
     assert got == set(itertools.product((-1, 1), repeat=2))
 
 
+def test_solve_tags_realness():
+    # x = +-1 real, x = +-i not; no classify call needed
+    x, y = _xy()
+    eqs = [x ** 4 - 1, y - 1]
+    sols = solve_triangular(buchberger(eqs, "lex"), eqs, precision=128)
+    assert [p.tags["real"] for p in sols.points] == [True, False, False, True]
+    assert sols.counts()["real"] == 2
+
+
 def test_residuals_against_original_system():
     x, y = _xy()
     gens = [x ** 2 + y ** 2 - 1, x * y - 1]
@@ -322,6 +331,15 @@ def test_match_zauner_closed_forms():
     flags = [p.tags["zauner_match"] for p in sols.points]
     # canonical representatives match, negations and the basis vector do not
     assert flags == [True] * 4 + [False] * 5
+    assert sols.counts()["zauner"] == 4
+
+
+def test_classify_d4_matches_zauner():
+    vecs = zauner_vectors(160)
+    with mpmath.workprec(160):
+        negs = [[-x for x in v] for v in vecs]
+    sols = classify(_solset_from_vectors(vecs + negs), 4)
+    assert [p.tags["zauner_match"] for p in sols.points] == [True] * 4 + [False] * 4
     assert sols.counts()["zauner"] == 4
 
 

@@ -19,18 +19,16 @@ from eqlines.exact import (
     upoly_squarefree,
 )
 from eqlines.polyring import Poly, Ring
+from eqlines.sicgen import SeidelSpec, seidel_hexagon, seidel_icosahedron
 from eqlines.solver import zauner_vectors
 from eqlines.verify import (
     OverlapReport,
-    SeidelSpec,
     SpectralError,
     VerificationError,
     gram_analysis,
     hexagon_lines,
     icosahedron_lines,
     reciprocity_check,
-    seidel_hexagon,
-    seidel_icosahedron,
     spectral_reconstruct,
     unit_certify,
     verify_equiangular_complex,
@@ -225,13 +223,13 @@ def test_squarefree_reconstructs(tail, power):
 # -- Seidel specs and Gram analysis ------------------------------------------
 
 def test_seidel_spec_validation():
-    with pytest.raises(VerificationError):
+    with pytest.raises(ValueError, match="must be N x N"):
         SeidelSpec([[0, 1], [1, 0], [1, 1]])
-    with pytest.raises(VerificationError):
+    with pytest.raises(ValueError, match="diagonal must be zero"):
         SeidelSpec([[1, 1], [1, 0]])
-    with pytest.raises(VerificationError):
+    with pytest.raises(ValueError, match="off-diagonal signs must be"):
         SeidelSpec([[0, 2], [2, 0]])
-    with pytest.raises(VerificationError):
+    with pytest.raises(ValueError, match="must be symmetric"):
         SeidelSpec([[0, 1], [-1, 0]])
 
 
