@@ -26,7 +26,6 @@ _LAYERS = {
         "PairBudgetExceeded",
         "buchberger",
         "check_certificate",
-        "elimination_ideal",
         "grevlex_then_lex",
         "is_groebner",
         "is_zero_dimensional",
@@ -54,7 +53,6 @@ _LAYERS = {
         "gram_analysis",
         "spectral_reconstruct",
         "unit_certify",
-        "verify_equiangular_complex",
         "verify_equiangular_real",
         "verify_fiducial",
     ),

@@ -11,6 +11,10 @@ Exit codes: 0 success, 2 validation or configuration failure (a
 malformed input file included), 3 pair budget exhaustion, 4
 verification failure.
 
+File formats and checks live in the layers: ``PolySystem``,
+``GroebnerBasis``, ``SolutionSet`` and ``SeidelSpec`` read and write
+their own files, and the verifier runs every check. A command only
+parses options, reads files, calls the layers and writes the reports.
 Each command imports the layers it runs when it runs, so ``gen --kind
 wh`` and ``groebner`` never load mpmath, the solver or the verifier.
 """
@@ -173,49 +177,6 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def basis_to_json(gb, input_hash):
-    from .groebner import is_zero_dimensional, quotient_dimension
-
-    qdim = quotient_dimension(gb) if gb.reduced else None
-    zero_dim = is_zero_dimensional(gb)
-    return {
-        "format": "basis",
-        "input_hash": input_hash,
-        "order": gb.order,
-        "vars": list(gb.ring.vars),
-        "field": gb.ring.field.to_json(),
-        "reduced": gb.reduced,
-        "pair_count": gb.pair_count,
-        "basis": [p.terms_to_json() for p in gb.basis],
-        "zero_dimensional": zero_dim,
-        "quotient_dimension": qdim if zero_dim else None,
-    }
-
-
-def basis_from_json(obj):
-    from .exact import field_from_json
-    from .groebner import GroebnerBasis
-    from .polyring import Poly, Ring
-
-    if obj.get("format") == "basis_partial":
-        raise ConfigError(
-            "basis file records a pair-budget failure; nothing to solve"
-        )
-    if obj.get("format") != "basis":
-        raise ValueError("not a basis file")
-    ring = Ring(tuple(obj["vars"]), field_from_json(obj["field"]))
-    basis = tuple(
-        Poly.terms_from_json(t, ring) for t in obj["basis"]
-    )
-    return GroebnerBasis(
-        ring=ring,
-        order=obj["order"],
-        basis=basis,
-        reduced=obj["reduced"],
-        pair_count=obj["pair_count"],
-    )
-
-
 def cmd_groebner(args):
     from .groebner import (
         DEFAULT_PAIR_BUDGET,
@@ -255,7 +216,8 @@ def cmd_groebner(args):
         )
         return EXIT_BUDGET
     elapsed = time.monotonic() - t0
-    doc = basis_to_json(gb, input_hash)
+    doc = gb.to_json()
+    doc["input_hash"] = input_hash
     write_canonical(out, doc)
     _summary(args, [
         ("basis_size", len(doc["basis"])),
@@ -269,12 +231,18 @@ def cmd_groebner(args):
 
 
 def cmd_solve(args):
+    from .groebner import GroebnerBasis
     from .sicgen import PolySystem
     from .solver import Tolerances, classify, solve_triangular
 
-    (basis_obj, gb), basis_hash = read_json(
-        args.inp, lambda o: (o, basis_from_json(o))
-    )
+    def parse_basis(obj):
+        if obj.get("format") == "basis_partial":
+            raise ConfigError(
+                "basis file records a pair-budget failure; nothing to solve"
+            )
+        return obj, GroebnerBasis.from_json(obj)
+
+    (basis_obj, gb), basis_hash = read_json(args.inp, parse_basis)
     system, system_hash = read_json(args.system, PolySystem.from_json)
     _check_chain(
         basis_obj.get("input_hash"), system_hash,
@@ -453,12 +421,7 @@ def cmd_gram(args):
     import mpmath
 
     from .solver import _dps
-    from .verify import (
-        DEFAULT_TOL,
-        VerificationError,
-        gram_analysis,
-        spectral_reconstruct,
-    )
+    from .verify import DEFAULT_TOL, gram_analysis, spectral_checks
 
     tol = getattr(args, "tol", DEFAULT_TOL)
     spec, source = _seidel_spec(args)
@@ -466,15 +429,6 @@ def cmd_gram(args):
         raise ConfigError("gram needs --preset or --in")
     res = gram_analysis(spec, args.d, precision=args.precision, tol=tol)
     dps = _dps(args.precision)
-    spectral = []
-    for a in res["admissible_alphas"]:
-        g = [[float(i == j) + float(a) * s for j, s in enumerate(row)]
-             for i, row in enumerate(spec.signs)]
-        try:
-            sr = spectral_reconstruct(g, args.d, tol=max(tol, 1e-9))
-            spectral.append({"ok": True, "recon_error": repr(sr["recon_error"])})
-        except VerificationError as exc:
-            spectral.append({"ok": False, "error": str(exc)})
     doc = {
         "format": "gram_report",
         "source": source,
@@ -486,7 +440,7 @@ def cmd_gram(args):
         "admissible_alphas": [mpmath.nstr(a, dps) for a in res["admissible_alphas"]],
         "multiplicities": res["multiplicities"],
         "odd_integer_flags": res["odd_integer_flags"],
-        "spectral": spectral,
+        "spectral": spectral_checks(spec, res["admissible_alphas"], args.d, tol),
     }
     out = args.out or "gram_report.json"
     write_canonical(out, doc)

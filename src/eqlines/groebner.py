@@ -39,7 +39,6 @@ __all__ = [
     "buchberger",
     "grevlex_then_lex",
     "reduce_basis",
-    "elimination_ideal",
     "is_zero_dimensional",
     "quotient_dimension",
     "is_groebner",
@@ -64,6 +63,33 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.basis)
+
+    def to_json(self):
+        """The basis file: the ring, the basis, and whether the ideal is
+        zero-dimensional with its quotient dimension (None unless a
+        reduced basis shows it finite)."""
+        zero_dim = is_zero_dimensional(self)
+        return {
+            "format": "basis",
+            "order": self.order,
+            **self.ring.to_json(),
+            "reduced": self.reduced,
+            "pair_count": self.pair_count,
+            "basis": [p.terms_to_json() for p in self.basis],
+            "zero_dimensional": zero_dim,
+            "quotient_dimension": (
+                quotient_dimension(self) if zero_dim and self.reduced else None
+            ),
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        """Read a basis file; any other format raises ValueError."""
+        if obj.get("format") != "basis":
+            raise ValueError("not a basis file")
+        ring = Ring.from_json(obj)
+        basis = tuple(Poly.terms_from_json(t, ring) for t in obj["basis"])
+        return cls(ring, obj["order"], basis, obj["reduced"], obj["pair_count"])
 
 
 class PairBudgetExceeded(RuntimeError):
@@ -244,27 +270,6 @@ def reduce_basis(gb):
         out.append(r.monic(order))
     out.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
     return GroebnerBasis(gb.ring, order, tuple(out), True, gb.pair_count)
-
-
-def elimination_ideal(gb, l):
-    """Basis of the ideal's intersection with k[x_l, ..., x_(n-1)].
-
-    Requires a lex basis; by the elimination theorem the returned
-    polynomials form a Groebner basis of the elimination ideal in the
-    smaller ring.
-    """
-    if gb.order != "lex":
-        raise ValueError("elimination needs a lex basis")
-    arity = gb.ring.arity
-    if not 0 <= l <= arity:
-        raise ValueError(f"elimination index {l} out of range")
-    sub_ring = Ring(gb.ring.vars[l:], gb.ring.field)
-    kept = []
-    for p in gb.basis:
-        if all(i >= l for i in p.support()):
-            terms = tuple((m[l:], c) for m, c in p.terms)
-            kept.append(Poly(sub_ring, terms, _canonical=True))
-    return GroebnerBasis(sub_ring, "lex", tuple(kept), gb.reduced, gb.pair_count)
 
 
 def _has_constant(gb):

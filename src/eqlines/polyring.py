@@ -125,6 +125,15 @@ class Ring:
     def __repr__(self):
         return f"Ring({list(self.vars)}, {self.field!r})"
 
+    def to_json(self):
+        """The ring header {"vars", "field"} of every file that stores
+        polynomials."""
+        return {"vars": list(self.vars), "field": self.field.to_json()}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(tuple(obj["vars"]), field_from_json(obj["field"]))
+
 
 class Poly:
     """Immutable multivariate polynomial with canonical lex term order."""
@@ -417,11 +426,7 @@ class Poly:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
-        return {
-            "vars": list(self.ring.vars),
-            "field": self.ring.field.to_json(),
-            "terms": self.terms_to_json(),
-        }
+        return {**self.ring.to_json(), "terms": self.terms_to_json()}
 
     def terms_to_json(self):
         """Just the term list; ring data comes from the enclosing object."""
@@ -433,7 +438,7 @@ class Poly:
     @classmethod
     def from_json(cls, obj, ring=None):
         if ring is None:
-            ring = Ring(tuple(obj["vars"]), field_from_json(obj["field"]))
+            ring = Ring.from_json(obj)
         return cls.terms_from_json(obj["terms"], ring)
 
     @classmethod

@@ -49,7 +49,6 @@ from .exact import QQ, CycloField, cyclo_root_of_unity
 from .polyring import Poly, Ring
 
 __all__ = [
-    "WeylIndex",
     "PolySystem",
     "gen_complex_full",
     "gen_wh_system",
@@ -60,17 +59,6 @@ __all__ = [
     "seidel_hexagon",
     "seidel_icosahedron",
 ]
-
-
-@dataclass(frozen=True)
-class WeylIndex:
-    """Displacement exponents (a, b) with 0 <= a, b < d."""
-
-    a: int
-    b: int
-
-    def reduced(self, d):
-        return WeylIndex(self.a % d, self.b % d)
 
 
 @dataclass(frozen=True)
@@ -100,8 +88,7 @@ class PolySystem:
             "kind": self.kind,
             "d": self.d,
             "n_lines": self.n_lines,
-            "vars": list(self.ring.vars),
-            "field": self.ring.field.to_json(),
+            **self.ring.to_json(),
             "labels": list(self.labels),
             "equations": [eq.terms_to_json() for eq in self.equations],
             "metadata": meta,
@@ -109,11 +96,9 @@ class PolySystem:
 
     @classmethod
     def from_json(cls, obj):
-        from .exact import field_from_json
-
         if obj.get("format") != "polysystem":
             raise ValueError("not a polysystem file")
-        ring = Ring(tuple(obj["vars"]), field_from_json(obj["field"]))
+        ring = Ring.from_json(obj)
         eqs = tuple(
             Poly.terms_from_json(t, ring) for t in obj["equations"]
         )
@@ -260,18 +245,15 @@ def gen_wh_system(d, phase_fix=True):
     )
 
 
-def apply_weyl(v, idx):
+def apply_weyl(v, ab):
     """Numeric displacement V^a U^b of a vector, at current mp precision.
 
-    Accepts a WeylIndex or an (a, b) tuple; entries may be any complex
-    type mpmath understands.
+    ``ab`` is the pair (a, b) of integers, taken mod d; entries of v may
+    be any complex type mpmath understands.
     """
     import mpmath
 
-    if isinstance(idx, WeylIndex):
-        a, b = idx.a, idx.b
-    else:
-        a, b = idx
+    a, b = ab
     d = len(v)
     a %= d
     b %= d

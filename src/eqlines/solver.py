@@ -162,6 +162,8 @@ class SolutionSet:
         if obj.get("format") != "solutions":
             raise ValueError("not a solutions file")
         precision = operator.index(obj["precision"])
+        if precision < 53:
+            raise ValueError(f"recorded precision {precision} is below 53 bits")
         with mpmath.workprec(precision):
             points = []
             for p in obj["points"]:

@@ -1,16 +1,17 @@
 """Verification suite for equiangular line candidates.
 
 Complex side: overlap extraction against the Weyl-Heisenberg orbit,
-the squared-modulus pattern check for fiducials and full vector
-families, and algebraic-unit certification of overlap minimal
-polynomials (monic integer and reciprocal, or x +- 1).
+the squared-modulus pattern check for fiducials, and algebraic-unit
+certification of overlap minimal polynomials (monic integer and
+reciprocal, or x +- 1).
 
 Real side: exact symbolic analysis of the Gram matrix I + alpha*S of a
 sign pattern S. The determinant comes from the characteristic polynomial
 of S, so root multiplicities come from exact gcd computations, not
 numerics; numerics enter only when locating the real roots of each
 squarefree factor. Spectral reconstruction then rebuilds explicit unit
-vectors from a numeric Gram matrix and confirms the round trip.
+vectors from a numeric Gram matrix and confirms the round trip;
+spectral_checks runs it on I + alpha*S for each admissible alpha.
 
 Everything here is pure Python on mpmath and the standard library except
 spectral_reconstruct, which imports numpy when called for its LAPACK
@@ -36,11 +37,11 @@ __all__ = [
     "VerificationError",
     "SpectralError",
     "verify_fiducial",
-    "verify_equiangular_complex",
     "reciprocity_check",
     "unit_certify",
     "gram_analysis",
     "spectral_reconstruct",
+    "spectral_checks",
     "verify_equiangular_real",
     "hexagon_lines",
     "icosahedron_lines",
@@ -129,30 +130,6 @@ def verify_fiducial(v, tol=DEFAULT_TOL, precision=128):
                 max_dev = max(max_dev, abs(abs(ip) ** 2 - target))
         report = OverlapReport(d, entries)
         return {"ok": max_dev <= tol, "max_dev": max_dev, "report": report}
-
-
-def verify_equiangular_complex(vectors, tol=DEFAULT_TOL, precision=128):
-    """Pairwise angle check on a family of d^2 unit vectors in C^d."""
-    if not vectors:
-        raise VerificationError("empty family")
-    d = len(vectors[0])
-    if len(vectors) != d * d:
-        raise VerificationError(
-            f"need {d * d} vectors of dimension {d}, got {len(vectors)}"
-        )
-    if any(len(v) != d for v in vectors):
-        raise VerificationError("vectors must all have the same dimension")
-    with mpmath.workprec(precision):
-        vs = [_as_mpc_vector(v) for v in vectors]
-        target = mpmath.mpf(1) / (d + 1)
-        max_dev = mpmath.mpf(0)
-        for j, vj in enumerate(vs):
-            nrm2 = sum(abs(x) ** 2 for x in vj)
-            max_dev = max(max_dev, abs(nrm2 - 1))
-            for vl in vs[j + 1:]:
-                ip = sum(x * mpmath.conj(y) for x, y in zip(vj, vl))
-                max_dev = max(max_dev, abs(abs(ip) ** 2 - target))
-        return {"ok": max_dev <= tol, "max_dev": max_dev}
 
 
 def _univariate_coeffs(f):
@@ -313,6 +290,28 @@ def spectral_reconstruct(gram, d, tol=DEFAULT_TOL):
         )
     return {"vectors": [v[:, j].copy() for j in range(n)],
             "recon_error": recon_error}
+
+
+def spectral_checks(spec, alphas, d, tol=DEFAULT_TOL):
+    """Run spectral_reconstruct on the float Gram matrix I + alpha*S of
+    the sign pattern ``spec`` for each alpha.
+
+    ``tol`` also bounds the high-precision root analysis, so it is
+    floored at 1e-9 here, where the eigensolver works in doubles.
+    Returns one report entry per alpha: {"ok": True, "recon_error":
+    repr of the error} or {"ok": False, "error": message}.
+    """
+    out = []
+    for a in alphas:
+        g = [[float(i == j) + float(a) * s for j, s in enumerate(row)]
+             for i, row in enumerate(spec.signs)]
+        try:
+            sr = spectral_reconstruct(g, d, tol=max(tol, 1e-9))
+        except VerificationError as exc:
+            out.append({"ok": False, "error": str(exc)})
+        else:
+            out.append({"ok": True, "recon_error": repr(sr["recon_error"])})
+    return out
 
 
 def verify_equiangular_real(vectors, tol=DEFAULT_TOL):

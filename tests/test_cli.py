@@ -491,13 +491,15 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
      "ValueError: point 0 has 2 coordinates, not 4"),
     (["overlaps", "--in", "BAD", "--index", "0"], _SHORT_COORDS,
      "ValueError: point 0 has 2 coordinates, not 4"),
+    (["verify", "--in", "BAD"], '{"format": "solutions", "precision": 10}',
+     "ValueError: recorded precision 10 is below 53 bits"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
         "groebner-cyclo-zero-denominator", "groebner-float-exponent",
         "groebner-float-conductor", "gram-float-sign", "groebner-float-d",
         "verify-float-d", "verify-float-precision", "verify-short-coords",
-        "overlaps-short-coords"])
+        "overlaps-short-coords", "verify-low-precision"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

@@ -21,7 +21,6 @@ from eqlines.groebner import (
     PairBudgetExceeded,
     buchberger,
     check_certificate,
-    elimination_ideal,
     grevlex_then_lex,
     is_groebner,
     is_zero_dimensional,
@@ -175,15 +174,6 @@ def test_spec_toy_basis():
     assert set(gb.basis) == {x ** 2, y}
 
 
-def test_elimination_ideal():
-    x, y = _vars(R2)
-    gb = buchberger([x ** 2 + y ** 2 - 1, x * y - 1], "lex")
-    eli = elimination_ideal(gb, 1)
-    assert eli.ring.vars == ("y",)
-    t = Poly.variable(eli.ring, 0)
-    assert set(eli.basis) == {t ** 4 - t ** 2 + 1}
-
-
 def test_zero_dimensionality_detection():
     x, y = _vars(R2)
     assert is_zero_dimensional(buchberger([x ** 2 - 1, y ** 2 - 1], "lex"))
@@ -256,6 +246,34 @@ def test_cyclo_coefficient_ideal():
         assert reduces_to_zero(g, gb)
     assert is_zero_dimensional(gb)
     assert quotient_dimension(gb) == 2
+
+
+def _basis_cases():
+    wh2 = gen_wh_system(2).equations
+    lifted = [g.with_field(CycloField(12)) for g in CORPUS[10]]
+    return [buchberger(wh2, "lex"), buchberger(lifted, "grevlex")]
+
+
+@pytest.mark.parametrize("gb", _basis_cases(),
+                         ids=["wh2-lex-Q", "corpus10-grevlex-cyclo12"])
+def test_basis_json_round_trip(gb):
+    obj = gb.to_json()
+    assert obj["format"] == "basis"
+    back = GroebnerBasis.from_json(obj)
+    assert back.ring == gb.ring
+    assert (back.basis, back.order, back.reduced, back.pair_count) == (
+        gb.basis, gb.order, gb.reduced, gb.pair_count)
+    assert obj["zero_dimensional"] and obj["quotient_dimension"] == quotient_dimension(gb)
+
+
+@pytest.mark.parametrize("obj", [
+    {"format": "basis_partial", "order": "lex", "pair_budget": 1,
+     "pairs_processed": 2, "partial_size": 3},
+    {"format": "solutions"},
+], ids=["basis_partial", "solutions"])
+def test_basis_from_json_rejects_other_formats(obj):
+    with pytest.raises(ValueError, match="not a basis file"):
+        GroebnerBasis.from_json(obj)
 
 
 def test_determinism_repeated_runs():

@@ -2,7 +2,9 @@
 imports only from the layers below it, and loads only what it runs."""
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import pkgutil
 import subprocess
@@ -88,6 +90,26 @@ def test_gen_real_loads_no_numeric_layer(source, tmp_path):
     assert "eqlines.sicgen" in loaded
     assert not loaded & {"mpmath", "numpy", "eqlines.solver",
                          "eqlines.verify", "eqlines.groebner"}
+
+
+def test_basis_file_reads_without_cli(tmp_path):
+    """A groebner --out file reads back through the library alone."""
+    from eqlines.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--kind", "wh", "--d", "2",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert main(["groebner", "--in", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "b.json")]) == 0
+    loaded = _loaded_after(
+        "import json\n"
+        "from eqlines.groebner import GroebnerBasis\n"
+        "gb = GroebnerBasis.from_json(json.load(open('b.json')))\n"
+        "assert len(gb) == 4 and gb.order == 'lex'",
+        tmp_path,
+    )
+    assert "eqlines.groebner" in loaded
+    assert not loaded & {"eqlines.cli", "mpmath", "numpy"}
 
 
 # each module imports only from modules of a lower rank; groebner and

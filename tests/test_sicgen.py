@@ -19,7 +19,6 @@ from eqlines.exact import CycloField, CycloNum, QQ, cyclo_embed
 from eqlines.polyring import Poly
 from eqlines.sicgen import (
     PolySystem,
-    WeylIndex,
     apply_weyl,
     fiducial_from_coords,
     gen_complex_full,
@@ -206,14 +205,10 @@ def test_apply_weyl_unitary_and_periodic():
             v = [x / nrm for x in v]
             for a in range(d):
                 for b in range(d):
-                    w = apply_weyl(v, WeylIndex(a, b))
+                    w = apply_weyl(v, (a, b))
                     assert abs(sum(abs(x) ** 2 for x in w) - 1) < mpmath.mpf(2) ** -70
             w = apply_weyl(v, (d, 0))
             assert all(abs(x - y) < mpmath.mpf(2) ** -70 for x, y in zip(w, v))
-
-
-def test_weyl_index_reduction():
-    assert WeylIndex(5, -1).reduced(4) == WeylIndex(1, 3)
 
 
 def test_fiducial_from_coords():

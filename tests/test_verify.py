@@ -29,9 +29,9 @@ from eqlines.verify import (
     hexagon_lines,
     icosahedron_lines,
     reciprocity_check,
+    spectral_checks,
     spectral_reconstruct,
     unit_certify,
-    verify_equiangular_complex,
     verify_equiangular_real,
     verify_fiducial,
 )
@@ -91,41 +91,6 @@ def test_overlap_report_json():
         theta = float(entry["theta"])
         assert -math.pi < theta <= math.pi + 1e-15
         assert float(entry["modulus_error"]) < 1e-10
-
-
-def _wh_orbit_d4():
-    from eqlines.sicgen import apply_weyl
-
-    v = zauner_vectors(192)[0]
-    with mpmath.workprec(192):
-        return [apply_weyl(v, (a, b)) for a in range(4) for b in range(4)]
-
-
-def test_verify_equiangular_complex_orbit():
-    out = verify_equiangular_complex(_wh_orbit_d4(), tol=1e-10, precision=192)
-    assert out["ok"]
-    assert out["max_dev"] < mpmath.mpf(1e-12)
-
-
-def test_verify_equiangular_complex_cardinality():
-    with pytest.raises(VerificationError):
-        verify_equiangular_complex([[1, 0], [0, 1], [1, 1]], tol=1e-10)
-
-
-def test_verify_equiangular_complex_rejects_orthonormal_padding():
-    vecs = [[1, 0], [0, 1], [1, 0], [0, 1]]
-    out = verify_equiangular_complex(vecs, tol=1e-10, precision=128)
-    assert not out["ok"]
-
-
-@pytest.mark.parametrize("vectors,message", [
-    ([[math.nan, math.nan]] * 4, "non-finite"),
-    ([[1, 0], [0, 1], [1, complex(0, math.inf)], [1, 1]], "non-finite"),
-    ([[1, 0], [0, 1, 7], [0, 1], [1, 1]], "same dimension"),
-], ids=["nan", "inf", "ragged"])
-def test_complex_rejects_bad_vectors(vectors, message):
-    with pytest.raises(VerificationError, match=message):
-        verify_equiangular_complex(vectors)
 
 
 @pytest.mark.parametrize("v", [[1, math.nan], [complex(math.inf, 0), 1]],
@@ -389,6 +354,15 @@ def test_spectral_not_psd():
 def test_spectral_ragged_gram():
     with pytest.raises(VerificationError, match="rectangular"):
         spectral_reconstruct([[1.0, 0.5], [0.5]], 2)
+
+
+def test_spectral_checks_one_entry_per_alpha():
+    """The hexagon embeds in R^2 at alpha 1/2 only; at 1/4 its Gram
+    matrix has rank 3, and the entry records the error instead."""
+    out = spectral_checks(seidel_hexagon(), [Fraction(1, 2), 0.25], 2)
+    assert [e["ok"] for e in out] == [True, False]
+    assert float(out[0]["recon_error"]) <= 1e-9
+    assert out[1]["error"] == "numeric rank 3 exceeds dimension 2"
 
 
 # -- real equiangular sets ----------------------------------------------------
