@@ -1,18 +1,20 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic numbers.
 
 Rationals are stdlib ``fractions.Fraction``. A :class:`CycloNum` is an
-element of the cyclotomic field Q(zeta_n), stored on the power basis
-1, z, ..., z^(phi(n)-1) and kept reduced modulo the n-th cyclotomic
-polynomial, so two elements are equal iff their coefficient vectors are
-identical. All arithmetic is exact; the only approximate operation is
-:func:`cyclo_embed`, which maps into mpmath complex numbers at a caller
-chosen binary precision.
+element of the cyclotomic field Q(zeta_n) on the power basis
+1, z, ..., z^(phi(n)-1), kept reduced modulo the n-th cyclotomic
+polynomial and stored as phi(n) integer numerators over one positive
+denominator in lowest terms, so two elements are equal iff their
+numerators and denominators are identical. All arithmetic is exact; the
+only approximate operation is :func:`cyclo_embed`, which maps into
+mpmath complex numbers at a caller chosen binary precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+import math
 import operator
 
 __all__ = [
@@ -166,8 +168,7 @@ def _upoly_ext_gcd(a, b):
         t0, t1 = t1, upoly_sub(t0, upoly_mul(q, t1))
     if not r0:
         return [], s0, t0
-    lead = r0[-1]
-    inv = 1 / lead
+    inv = Fraction(1) / r0[-1]
     return ([c * inv for c in r0], [c * inv for c in s0], [c * inv for c in t0])
 
 
@@ -228,17 +229,14 @@ class _CycloContext:
     def __init__(self, n):
         self.n = n
         self.phi = euler_phi(n)
-        self.minpoly = tuple(Fraction(c) for c in cyclotomic_poly(n))
-        # rows[e] = coefficients of z^e reduced mod Phi_n, for every power
-        # that can show up in a product of two reduced elements
+        self.minpoly = cyclotomic_poly(n)
+        # rows[e] = integer coefficients of z^e reduced mod Phi_n, for
+        # every power that can show up in a product of two reduced elements
         top = max(n, 2 * self.phi - 1)
-        rows = []
-        row = [Fraction(0)] * self.phi
-        if self.phi:
-            row[0] = Fraction(1)
-        rows.append(tuple(row))
+        row = [1] + [0] * (self.phi - 1)
+        rows = [tuple(row)]
         for _ in range(1, top):
-            shifted = [Fraction(0)] + list(row)
+            shifted = [0] + row
             overflow = shifted.pop()
             if overflow:
                 # Phi_n is monic: z^phi = -(lower coefficients)
@@ -249,9 +247,12 @@ class _CycloContext:
         self.rows = tuple(rows)
 
     def reduce_long(self, cs):
-        """Reduce a raw coefficient list (any length) mod Phi_n."""
-        out = [Fraction(0)] * self.phi
-        for e, c in enumerate(cs):
+        """Reduce a raw integer coefficient list, at least phi(n) long,
+        mod Phi_n."""
+        phi = self.phi
+        out = list(cs[:phi])
+        for e in range(phi, len(cs)):
+            c = cs[e]
             if c:
                 for i, r in enumerate(self.rows[e % self.n]):
                     if r:
@@ -280,63 +281,80 @@ def rational_embed(q, precision=53):
 class CycloNum:
     """An element of Q(zeta_n) on the reduced power basis.
 
-    Mixed arithmetic with ``int`` and ``Fraction`` is supported; two
-    CycloNum operands must share the same conductor.
+    The value is sum(num[k] * z^k) / den: ``num`` is a tuple of phi(n)
+    ints and ``den`` a positive int with gcd(den, *num) == 1, so equal
+    elements have equal fields. ``coeffs`` gives the same value as a
+    tuple of Fractions. Mixed arithmetic with ``int`` and ``Fraction`` is
+    supported; two CycloNum operands must share the same conductor.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n, coeffs):
         ctx = _CycloContext(n)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != ctx.phi:
             raise ValueError(
                 f"Q(zeta_{n}) elements need {ctx.phi} coefficients, got {len(coeffs)}"
             )
+        # over the lcm of reduced denominators the numerators are coprime
+        # to it, so this is already in lowest terms
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
 
     @classmethod
-    def _new(cls, n, coeffs):
-        # internal results: coeffs is already a tuple of phi(n) Fractions
+    def _new(cls, n, num, den):
+        # internal results: num is a tuple of phi(n) ints and den > 0;
+        # divides out their common factor
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
         x = object.__new__(cls)
         object.__setattr__(x, "n", n)
-        object.__setattr__(x, "coeffs", coeffs)
+        object.__setattr__(x, "num", num)
+        object.__setattr__(x, "den", den)
         return x
 
     @classmethod
     def from_rational(cls, n, q):
-        ctx = _CycloContext(n)
-        return cls._new(n, (Fraction(q),) + (Fraction(0),) * (ctx.phi - 1))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        zeros = (0,) * (_CycloContext(n).phi - 1)
+        return cls._new(n, (q.numerator,) + zeros, q.denominator)
 
-    @classmethod
-    def _raw(cls, n, long_coeffs):
-        ctx = _CycloContext(n)
-        return cls._new(n, ctx.reduce_long(long_coeffs))
+    @property
+    def coeffs(self):
+        """The power basis coefficients as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_part(self):
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def conjugate(self):
         """Complex conjugation, z -> z^(n-1)."""
         n = self.n
         long = [0] * n
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             long[(n - k) % n] = c
-        return CycloNum._raw(n, long)
+        return CycloNum._new(n, _CycloContext(n).reduce_long(long), self.den)
 
     def is_real(self):
         return self == self.conjugate()
@@ -354,22 +372,27 @@ class CycloNum:
             return CycloNum.from_rational(self.n, other)
         return None
 
-    def __add__(self, other):
+    def _add_sub(self, other, op):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNum._new(self.n, tuple(map(operator.add, self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        if a == b:
+            return CycloNum._new(self.n, tuple(map(op, self.num, other.num)), a)
+        return CycloNum._new(
+            self.n, tuple([op(x * b, y * a) for x, y in zip(self.num, other.num)]), a * b
+        )
+
+    def __add__(self, other):
+        return self._add_sub(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum._new(self.n, tuple(-c for c in self.coeffs))
+        return CycloNum._new(self.n, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycloNum._new(self.n, tuple(map(operator.sub, self.coeffs, other.coeffs)))
+        return self._add_sub(other, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -381,20 +404,21 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        den = self.den * other.den
         if other.is_rational():
-            q = other.coeffs[0]
-            return CycloNum._new(self.n, tuple(c * q for c in self.coeffs))
+            q = other.num[0]
+            return CycloNum._new(self.n, tuple([c * q for c in self.num]), den)
         if self.is_rational():
-            q = self.coeffs[0]
-            return CycloNum._new(self.n, tuple(c * q for c in other.coeffs))
-        m = len(self.coeffs)
-        long = [Fraction(0)] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
+            q = self.num[0]
+            return CycloNum._new(self.n, tuple([c * q for c in other.num]), den)
+        m = len(self.num)
+        long = [0] * (2 * m - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     if b:
                         long[i + j] += a * b
-        return CycloNum._raw(self.n, long)
+        return CycloNum._new(self.n, _CycloContext(self.n).reduce_long(long), den)
 
     __rmul__ = __mul__
 
@@ -402,14 +426,17 @@ class CycloNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
         if self.is_rational():
-            return CycloNum.from_rational(self.n, 1 / self.coeffs[0])
+            return CycloNum.from_rational(self.n, Fraction(self.den, self.num[0]))
         ctx = _CycloContext(self.n)
-        g, u, _ = _upoly_ext_gcd(list(self.coeffs), list(ctx.minpoly))
+        g, u, _ = _upoly_ext_gcd(list(self.num), list(ctx.minpoly))
         # Phi_n is irreducible over Q, so the gcd with any nonzero
         # reduced element is 1
-        if g != [Fraction(1)]:
+        if g != [1]:
             raise ArithmeticError("cyclotomic inverse failed")
-        return CycloNum._raw(self.n, u)
+        # u * num = 1 with deg u < phi(n), so den * u is the inverse of
+        # num / den on the reduced basis
+        u = [c * self.den for c in u]
+        return CycloNum(self.n, u + [0] * (ctx.phi - len(u)))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -441,18 +468,23 @@ class CycloNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            # both sides are in lowest terms with a positive denominator
+            return (
+                self.is_rational()
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
         if isinstance(other, CycloNum):
-            return self.n == other.n and self.coeffs == other.coeffs
+            return self.n == other.n and self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.n, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.n, self.num, self.den))
 
     def __repr__(self):
         return f"CycloNum({self.n}, {list(self.coeffs)})"
@@ -464,9 +496,7 @@ class CycloNum:
 def cyclo_root_of_unity(n, k):
     """zeta_n^k as a CycloNum (k may be any integer)."""
     ctx = _CycloContext(n)
-    e = k % n
-    row = ctx.rows[e]
-    return CycloNum(n, row)
+    return CycloNum._new(n, ctx.rows[k % n], 1)
 
 
 def cyclo_embed(x, precision=53):

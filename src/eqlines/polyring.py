@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 import operator
 
-from .exact import CycloNum, QQ, CycloField, field_from_json
+from .exact import CycloNum, field_from_json
 
 __all__ = [
     "ORDERS",
@@ -343,12 +343,9 @@ class Poly:
 
     def _eval_rational(self, point):
         # rational points keep monomial values in Q, so each term costs
-        # scalar multiplies instead of a full field multiplication; over
-        # Q(zeta_n) they sum into one list of power basis coefficients
+        # a scalar multiply instead of a full field multiplication
         powers = [{0: Fraction(1)} for _ in point]
-        field = self.ring.field
-        acc = list(field.zero().coeffs) if isinstance(field, CycloField) else None
-        total = None
+        total = self.ring.field.zero()
         for m, c in self.terms:
             mono = Fraction(1)
             for i, e in enumerate(m):
@@ -357,17 +354,7 @@ class Poly:
                     if e not in tab:
                         tab[e] = Fraction(point[i]) ** e
                     mono *= tab[e]
-            if acc is not None:
-                for k, q in enumerate(c.coeffs):
-                    if q:
-                        acc[k] += mono * q
-            else:
-                val = c * mono
-                total = val if total is None else total + val
-        if acc is not None:
-            return CycloNum(field.n, acc)
-        if total is None:
-            return field.zero()
+            total = total + c * mono
         return total
 
     # -- comparisons and hashing ----------------------------------------------
@@ -425,21 +412,12 @@ class Poly:
 
     # -- serialization ------------------------------------------------------------
 
-    def to_json(self):
-        return {**self.ring.to_json(), "terms": self.terms_to_json()}
-
     def terms_to_json(self):
         """Just the term list; ring data comes from the enclosing object."""
         return [
             {"c": self.ring.field.render(c), "e": list(m)}
             for m, c in self.terms
         ]
-
-    @classmethod
-    def from_json(cls, obj, ring=None):
-        if ring is None:
-            ring = Ring.from_json(obj)
-        return cls.terms_from_json(obj["terms"], ring)
 
     @classmethod
     def terms_from_json(cls, term_list, ring):

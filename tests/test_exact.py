@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlines.exact import (
+    _upoly_ext_gcd,
     CycloField,
     CycloNum,
     QQ,
@@ -22,6 +23,7 @@ from eqlines.exact import (
     upoly_divmod,
     upoly_gcd,
     upoly_mul,
+    upoly_sub,
 )
 
 rationals = st.fractions(
@@ -203,3 +205,110 @@ def test_upoly_division_invariant():
     # gcd is monic and divides both inputs
     assert g[-1] == 1
     assert not upoly_divmod(b, g)[1]
+
+
+def test_upoly_ext_gcd_exact_on_int_lists():
+    # u*a + v*b = g holds exactly and every coefficient is a Fraction,
+    # also when the last nonzero remainder is one of the int inputs
+    for a, b, want in [
+        ([3, 1, -2, 5], list(cyclotomic_poly(12)), [1]),
+        ([3], list(cyclotomic_poly(4)), [1]),
+        # (3x - 6)(3x^2 + 1) and 3x - 6: the gcd is x - 2
+        ([-6, 3, -18, 9], [-6, 3], [-2, 1]),
+    ]:
+        g, u, v = _upoly_ext_gcd(a, b)
+        assert g == want
+        assert all(type(c) is Fraction for c in g + u + v)
+        assert upoly_sub(upoly_mul(u, a), upoly_sub(g, upoly_mul(v, b))) == []
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: power basis coefficient tuples of Fractions, a full
+# convolution, then reduction mod Phi_n by long division over Q
+# ---------------------------------------------------------------------------
+
+def ref_reduce(n, long):
+    _, r = upoly_divmod([Fraction(c) for c in long], list(cyclotomic_poly(n)))
+    return tuple(r) + (Fraction(0),) * (euler_phi(n) - len(r))
+
+
+def ref_mul(n, a, b):
+    long = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            long[i + j] += x * y
+    return ref_reduce(n, long)
+
+
+def ref_conjugate(n, a):
+    long = [Fraction(0)] * n
+    for k, c in enumerate(a):
+        long[(n - k) % n] = c
+    return ref_reduce(n, long)
+
+
+def ref_pow(n, a, k):
+    out = ref_reduce(n, [1])
+    for _ in range(k):
+        out = ref_mul(n, out, a)
+    return out
+
+
+def check_canonical(x):
+    assert isinstance(x.den, int) and x.den > 0
+    assert all(isinstance(c, int) for c in x.num)
+    assert math.gcd(x.den, *x.num) == 1
+    y = CycloNum(x.n, x.coeffs)
+    assert y == x and hash(y) == hash(x)
+
+
+CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 36)
+
+
+@st.composite
+def cyclo_pairs(draw):
+    n = draw(st.sampled_from(CONDUCTORS))
+    phi = euler_phi(n)
+    # zero coefficients are drawn often, as in the generated systems
+    elem = st.lists(
+        st.one_of(st.just(Fraction(0)), rationals),
+        min_size=phi, max_size=phi,
+    )
+    return n, tuple(draw(elem)), tuple(draw(elem))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cyclo_pairs(), k=st.integers(min_value=0, max_value=4))
+def test_arithmetic_matches_fraction_reference(case, k):
+    n, a, b = case
+    x, y = CycloNum(n, a), CycloNum(n, b)
+    assert x.coeffs == a and y.coeffs == b
+    for got, want in [
+        (x + y, tuple(p + q for p, q in zip(a, b))),
+        (x - y, tuple(p - q for p, q in zip(a, b))),
+        (x * y, ref_mul(n, a, b)),
+        (x.conjugate(), ref_conjugate(n, a)),
+        (x ** k, ref_pow(n, a, k)),
+        (-x, tuple(-c for c in a)),
+    ]:
+        check_canonical(got)
+        assert got.coeffs == want
+    if not x.is_zero():
+        inv = x.inverse()
+        check_canonical(inv)
+        assert ref_mul(n, inv.coeffs, a) == ref_reduce(n, [1])
+        assert (y / x).coeffs == ref_mul(n, b, inv.coeffs)
+        assert (x ** -2).coeffs == ref_pow(n, inv.coeffs, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(CONDUCTORS), q=rationals, r=rationals)
+def test_rational_elements_act_like_fractions(n, q, r):
+    x = CycloNum.from_rational(n, q)
+    check_canonical(x)
+    assert x == q and hash(x) == hash(q)
+    assert {q: "q"}[x] == "q" and {x: "x"}[q] == "x"
+    assert (x + r).coeffs[0] == q + r and (x * r).coeffs[0] == q * r
+    assert (x - r) == q - r and (r - x) == r - q
+    if q:
+        assert x.inverse() == 1 / q and r / x == r / q

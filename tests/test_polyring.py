@@ -6,6 +6,7 @@ arithmetic.
 """
 
 from fractions import Fraction
+import json
 
 import mpmath
 import pytest
@@ -220,9 +221,15 @@ def test_cyclo_coefficients_fast_eval():
         assert abs(cyclo_embed(v, 90) - want) < mpmath.mpf(2) ** -80
 
 
+def _json_round_trip(f):
+    # the file layout: a Ring header plus the term list, through json text
+    obj = json.loads(json.dumps({**f.ring.to_json(), "terms": f.terms_to_json()}))
+    return Poly.terms_from_json(obj["terms"], Ring.from_json(obj))
+
+
 def test_json_round_trip_qq():
     f = poly_from({(2, 1): Fraction(3, 7), (0, 0): Fraction(-2)})
-    g = Poly.from_json(f.to_json())
+    g = _json_round_trip(f)
     assert g == f and g.ring == f.ring
 
 
@@ -231,7 +238,7 @@ def test_json_round_trip_cyclo():
     R = Ring(("u", "v"), F)
     z = cyclo_root_of_unity(12, 7)
     f = Poly.from_dict(R, {(1, 1): z, (0, 2): F.coerce(Fraction(1, 3))})
-    g = Poly.from_json(f.to_json())
+    g = _json_round_trip(f)
     assert g == f and g.ring.field == F
 
 
