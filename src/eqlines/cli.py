@@ -507,7 +507,8 @@ def _build_parser():
     p.add_argument("--tol-realness", type=float, default=argparse.SUPPRESS)
     p.add_argument("--tol-match", type=float, default=argparse.SUPPRESS)
     p.add_argument("--max-points", type=int, default=0,
-                   help="branch cap; 0 means ten times the quotient dimension")
+                   help="branch cap; 0 means ten times the quotient "
+                   "dimension, at least 16")
     common(p, force=True, precision=True)
 
     p = sub.add_parser("verify", help="verify solutions as fiducials")

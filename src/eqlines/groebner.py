@@ -288,48 +288,43 @@ def is_zero_dimensional(gb):
     return True
 
 
+def _standard_monomials(gb):
+    """The monomials outside the leading term ideal of a zero-dimensional
+    basis: the staircase, which spans the quotient ring.
+
+    Standard monomials are closed under division, so every one other
+    than 1 is x_i times another; the walk starts at 1 and multiplies by
+    one variable at a time, keeping each monomial that no leading
+    monomial divides. A basis containing a constant has none.
+    """
+    lms = [p.leading_monomial(gb.order) for p in gb.basis]
+    standard = set() if _has_constant(gb) else {(0,) * gb.ring.arity}
+    todo = list(standard)
+    while todo:
+        m = todo.pop()
+        for i in range(len(m)):
+            up = m[:i] + (m[i] + 1,) + m[i + 1:]
+            # m is standard: a leading monomial dividing up has l[i] == up[i]
+            if up not in standard and not any(
+                l[i] == up[i] and mono_divides(l, up) for l in lms
+            ):
+                standard.add(up)
+                todo.append(up)
+    return standard
+
+
 def quotient_dimension(gb):
     """Number of standard monomials, or math.inf for positive dimension.
 
-    Counts monomials outside the leading term ideal; for a
-    zero-dimensional ideal this equals the k-dimension of the quotient
-    ring and bounds the number of solutions.
+    For a zero-dimensional ideal the standard monomials are finitely
+    many (Cox, Little, O'Shea, ch. 5 sec. 3); their number is the
+    k-dimension of the quotient ring and bounds the number of solutions.
     """
     if not gb.reduced:
         raise ValueError("quotient_dimension needs a reduced basis")
-    if _has_constant(gb):
-        return 0
     if not is_zero_dimensional(gb):
         return math.inf
-    arity = gb.ring.arity
-    lms = [p.leading_monomial(gb.order) for p in gb.basis]
-    bound = []
-    for i in range(arity):
-        pures = [m[i] for m in lms if m[i] > 0 and sum(m) == m[i]]
-        bound.append(min(pures))
-    by_maxvar = [[] for _ in range(arity)]
-    for m in lms:
-        top = max(i for i, e in enumerate(m) if e)
-        by_maxvar[top].append(m)
-
-    prefix = [0] * arity
-
-    def count(i):
-        if i == arity:
-            return 1
-        total = 0
-        for e in range(bound[i]):
-            prefix[i] = e
-            blocked = any(
-                all(m[j] <= prefix[j] for j in range(i + 1))
-                for m in by_maxvar[i]
-            )
-            if not blocked:
-                total += count(i + 1)
-        prefix[i] = 0
-        return total
-
-    return count(0)
+    return len(_standard_monomials(gb))
 
 
 def is_groebner(gb):

@@ -4,6 +4,11 @@
 forward: at each level every basis element that only involves the
 remaining variables is specialized at the partial point, the lowest
 degree nonzero univariate is solved, and every root spawns a branch.
+A reduced zero-dimensional lex basis holds, for each variable x_i, a
+monic x_i^k plus terms of lower x_i-degree in x_i..x_{n-1}; it sits at
+level i and specializes to a monic univariate, so no level ever runs
+out of polynomials. Other elements at a level may vanish at a partial
+point and are then skipped.
 Branches that fail the remaining specialized equations are pruned, and
 every surviving point must reproduce the original system to the
 residual tolerance, so the numeric filtering can only lose solutions,
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+import math
 import operator
 
 import mpmath
@@ -45,7 +51,6 @@ __all__ = [
     "SolutionSet",
     "SolverError",
     "NotZeroDimensionalError",
-    "DegenerateBranchError",
     "BranchCapExceeded",
     "univariate_roots",
     "solve_triangular",
@@ -63,16 +68,6 @@ class NotZeroDimensionalError(SolverError):
     pass
 
 
-class DegenerateBranchError(SolverError):
-    def __init__(self, level, partial_point):
-        super().__init__(
-            f"every specialized polynomial vanished at level {level}; "
-            "the branch cannot be separated"
-        )
-        self.level = level
-        self.partial_point = partial_point
-
-
 class BranchCapExceeded(SolverError):
     pass
 
@@ -86,6 +81,13 @@ class Tolerances:
     cluster: float = 1e-25
     realness: float = 1e-20
     match: float = 1e-10
+
+    def __post_init__(self):
+        for name, v in asdict(self).items():
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(
+                    f"tolerance {name} must be positive and finite, not {v!r}"
+                )
 
     def to_json(self):
         return {k: repr(v) for k, v in asdict(self).items()}
@@ -339,12 +341,12 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
         def trim(coeffs):
             mx = max(abs(c) for c in coeffs)
             if mx <= zero_floor:
-                return None, mx
+                return None
             cut = mx * mpmath.mpf(2) ** (-(precision - 16))
             k = 0
             while k < len(coeffs) - 1 and abs(coeffs[k]) <= cut:
                 k += 1
-            return coeffs[k:], mx
+            return coeffs[k:]
 
         def descend(i, tail):
             if i < 0:
@@ -354,15 +356,9 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
                     )
                 raw_points.append(tuple(tail))
                 return
-            specs = []
-            all_zero = True
-            for terms in level_terms[i]:
-                coeffs, mx = trim(specialize(terms, i, tail))
-                if coeffs is not None:
-                    all_zero = False
-                specs.append(coeffs)
-            if all_zero:
-                raise DegenerateBranchError(i, tuple(tail[i + 1:]))
+            specs = [
+                trim(specialize(terms, i, tail)) for terms in level_terms[i]
+            ]
             best = None
             for coeffs in specs:
                 if coeffs is None or len(coeffs) < 2:
@@ -370,7 +366,8 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
                 if best is None or len(coeffs) < len(best):
                     best = coeffs
             if best is None:
-                # only nonzero constants survive: inconsistent branch
+                # only nonzero constants survive; the monic element rules
+                # this out exactly, so only rounding can get here
                 return
             for r in _roots_numeric(best, work):
                 ok = True

@@ -447,6 +447,14 @@ _SHORT_COORDS = json.dumps({
 })
 
 
+def _bad_tolerance(name, value):
+    """A solutions file, empty but for one recorded tolerance."""
+    return json.dumps({
+        "format": "solutions", "precision": 256, "tolerances": {name: value},
+        "points": [], "d": 2,
+    })
+
+
 def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
     """A one-equation system file in x0..x3 with one term."""
     return json.dumps({
@@ -493,13 +501,18 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
      "ValueError: point 0 has 2 coordinates, not 4"),
     (["verify", "--in", "BAD"], '{"format": "solutions", "precision": 10}',
      "ValueError: recorded precision 10 is below 53 bits"),
+    (["verify", "--in", "BAD"], _bad_tolerance("realness", "-1"),
+     "ValueError: tolerance realness must be positive and finite, not -1.0"),
+    (["overlaps", "--in", "BAD", "--index", "0"], _bad_tolerance("match", "nan"),
+     "ValueError: tolerance match must be positive and finite, not nan"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
         "groebner-cyclo-zero-denominator", "groebner-float-exponent",
         "groebner-float-conductor", "gram-float-sign", "groebner-float-d",
         "verify-float-d", "verify-float-precision", "verify-short-coords",
-        "overlaps-short-coords", "verify-low-precision"])
+        "overlaps-short-coords", "verify-low-precision",
+        "verify-negative-tolerance", "overlaps-nan-tolerance"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ pipeline. Entries are built from classic textbook ideals plus a few
 randomized-but-seeded variants.
 """
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -28,7 +29,7 @@ from eqlines.groebner import (
     reduce_basis,
     reduces_to_zero,
 )
-from eqlines.polyring import Poly, Ring, reduce_poly, s_polynomial
+from eqlines.polyring import Poly, Ring, mono_divides, reduce_poly, s_polynomial
 from eqlines.sicgen import gen_wh_system
 
 R1 = Ring(("x",), QQ)
@@ -190,6 +191,59 @@ def test_quotient_dimension_values():
     u, v, w = _vars(R3)
     gb = buchberger([u + v + w, u * v + v * w + w * u, u * v * w - 1], "lex")
     assert quotient_dimension(gb) == 6
+
+
+def _staircase_box_count(gb):
+    """Reference count: the monomials below the pure-power exponents that
+    no leading monomial divides (a constant gives an empty box)."""
+    lms = [p.leading_monomial(gb.order) for p in gb.basis]
+    box = [
+        min(l[i] for l in lms if not any(l[:i] + l[i + 1:]))
+        for i in range(gb.ring.arity)
+    ]
+    return sum(
+        1 for m in itertools.product(*map(range, box))
+        if not any(mono_divides(l, m) for l in lms)
+    )
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_quotient_dimension_matches_box_count(order):
+    for idx, gens in enumerate(CORPUS):
+        gb = buchberger(gens, order)
+        expected = (
+            _staircase_box_count(gb) if is_zero_dimensional(gb) else math.inf
+        )
+        assert quotient_dimension(gb) == expected, idx
+
+
+def test_quotient_dimension_wh2_matches_box_count(d2_pipeline):
+    _, gb, _ = d2_pipeline
+    assert quotient_dimension(gb) == _staircase_box_count(gb) == 32
+
+
+def test_reduced_lex_basis_has_monic_pure_power_per_level():
+    """What the solver relies on: a zero-dimensional reduced lex basis
+    holds, for each x_i, an element of lowest variable x_i whose leading
+    term is a monic x_i^k; its other terms have x_i-degree below k."""
+    checked = 0
+    for idx, gens in enumerate(CORPUS):
+        gb = buchberger(gens, "lex")
+        if not is_zero_dimensional(gb) or quotient_dimension(gb) == 0:
+            continue
+        for i in range(gb.ring.arity):
+            pure = [
+                p for p in gb.basis
+                if min(p.support()) == i
+                and sum(p.leading_monomial("lex")) == p.leading_monomial("lex")[i]
+            ]
+            assert pure, (idx, i)
+            for p in pure:
+                lm = p.leading_monomial("lex")
+                assert p.leading_coeff("lex") == 1, (idx, i)
+                assert all(m[i] < lm[i] for m, _ in p.terms if m != lm), (idx, i)
+        checked += 1
+    assert checked >= 15
 
 
 def test_membership_decisions():

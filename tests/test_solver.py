@@ -11,7 +11,6 @@ from eqlines.groebner import GroebnerBasis, buchberger
 from eqlines.polyring import Poly, Ring
 from eqlines.solver import (
     BranchCapExceeded,
-    DegenerateBranchError,
     NotZeroDimensionalError,
     SolutionPoint,
     SolutionSet,
@@ -199,10 +198,17 @@ def test_empty_variety():
     assert counts["total"] == 0 and counts["orbits"] is None
 
 
-def test_degenerate_branch_error_fields():
-    err = DegenerateBranchError(2, (mpmath.mpc(1),))
-    assert err.level == 2
-    assert err.partial_point == (mpmath.mpc(1),)
+def test_vanishing_and_linear_specializations():
+    """Lex basis {x^2 - y, xy - x, y^2 - y}: at y = 1 the element xy - x
+    vanishes and is skipped, at y = 0 it leaves -x, the lowest degree."""
+    x, y = _xy()
+    gens = [x * (y - 1), y * (y - 1), x ** 2 - y]
+    gb = buchberger(gens, "lex")
+    assert set(gb.basis) == {x ** 2 - y, x * y - x, y ** 2 - y}
+    sols = solve_triangular(gb, gens, precision=128)
+    got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+    assert got == [(-1, 1), (0, 0), (1, 1)]
+    assert all(p.tags["real"] for p in sols.points)
 
 
 def test_d2_solution_set_structure(d2_pipeline):
@@ -360,3 +366,13 @@ def test_classify_empty():
 def test_tolerances_json_round_trip():
     t = Tolerances(residual=1e-9, cluster=1e-22, realness=1e-18, match=1e-8)
     assert Tolerances.from_json(t.to_json()) == t
+
+
+def test_tolerances_must_be_positive_and_finite():
+    for name in ("residual", "cluster", "realness", "match"):
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            msg = f"tolerance {name} must be positive and finite, not {value!r}"
+            with pytest.raises(ValueError, match=msg):
+                Tolerances(**{name: value})
+            with pytest.raises(ValueError, match=msg):
+                Tolerances.from_json({name: repr(value)})
