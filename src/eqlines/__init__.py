@@ -10,8 +10,8 @@ candidate configurations.
 Each layer loads on first use: ``import eqlines`` imports no submodule,
 and a name below imports the module that defines it when it is first
 looked up (PEP 562). mpmath is loaded only by the numeric code (solver,
-verify, ``exact.cyclo_embed``, ``sicgen.apply_weyl``), so generating a
-system and computing its Groebner basis run without it.
+verify, the field descriptors' ``embed``, ``sicgen.apply_weyl``), so
+generating a system and computing its Groebner basis run without it.
 """
 
 import importlib

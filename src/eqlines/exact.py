@@ -5,9 +5,14 @@ element of the cyclotomic field Q(zeta_n) on the power basis
 1, z, ..., z^(phi(n)-1), kept reduced modulo the n-th cyclotomic
 polynomial and stored as phi(n) integer numerators over one positive
 denominator in lowest terms, so two elements are equal iff their
-numerators and denominators are identical. All arithmetic is exact; the
-only approximate operation is :func:`cyclo_embed`, which maps into
-mpmath complex numbers at a caller chosen binary precision.
+numerators and denominators are identical.
+
+The field descriptors ``QQ`` and :class:`CycloField` own their scalars:
+``coerce``, ``zero``, ``one``, ``render``, ``parse`` and ``to_json``, and
+``embed``, the only approximate operation, which maps a scalar into an
+mpmath complex number at a caller chosen binary precision. polyring,
+groebner and solver reach scalars only through a descriptor and name
+neither scalar type. All other arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "cyclotomic_poly",
     "cyclo_root_of_unity",
     "cyclo_embed",
-    "rational_embed",
     "upoly_trim",
     "upoly_sub",
     "upoly_mul",
@@ -268,14 +272,6 @@ def _zeta_powers(n, precision):
     with mpmath.workprec(precision + 16):
         zeta = mpmath.expjpi(mpmath.mpf(2) / n)
         return tuple(zeta ** k for k in range(ctx.phi))
-
-
-def rational_embed(q, precision=53):
-    """A Fraction as an mpmath float at the given binary precision."""
-    import mpmath
-
-    with mpmath.workprec(precision):
-        return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
 class CycloNum:
@@ -523,8 +519,9 @@ def cyclo_embed(x, precision=53):
 def cyclo_to_str(x):
     """Render like ``(1/2)*z^2 - 1 @ n=12``; parsed back by cyclo_from_str."""
     parts = []
-    for k in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[k]
+    coeffs = x.coeffs
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         neg = c < 0
@@ -612,6 +609,14 @@ class _RationalField:
     def to_json(self):
         return "Q"
 
+    def embed(self, x, precision=53):
+        """x as an mpmath mpc at ``precision`` bits."""
+        import mpmath
+
+        x = self.coerce(x)
+        with mpmath.workprec(precision):
+            return mpmath.mpc(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
+
     def __repr__(self):
         return "QQ"
 
@@ -660,6 +665,10 @@ class CycloField:
 
     def to_json(self):
         return {"cyclotomic": self.n}
+
+    def embed(self, x, precision=53):
+        """x as an mpmath mpc; see cyclo_embed."""
+        return cyclo_embed(self.coerce(x), precision)
 
     def __repr__(self):
         return f"CycloField({self.n})"

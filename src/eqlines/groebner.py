@@ -107,10 +107,13 @@ class PairBudgetExceeded(RuntimeError):
 def _gm_update(f, G, B, ih, order):
     """Gebauer-Moeller pair set update after appending f[ih].
 
-    G is the ascending list of alive indices, all below ih, and B the
-    pending pair set. Candidate pairs are walked in ascending index
-    order so the retained set does not depend on hash ordering.
+    G is the ascending list of alive indices, all below ih, and B maps
+    each pending pair to its selection key, (key of the lcm of its
+    leading monomials, pair), computed once when the pair is created.
+    Candidate pairs are walked in ascending index order so the retained
+    set does not depend on hash ordering.
     """
+    key = monomial_key(order)
     lm = lambda i: f[i].leading_monomial(order)
     mh = lm(ih)
     lcms = [mono_lcm(mh, lm(ig)) for ig in G]
@@ -132,15 +135,17 @@ def _gm_update(f, G, B, ih, order):
             or mono_lcm(mh, lm(j)) == lcm_ij
         )
 
-    B_new = {pr for pr in B if keep(*pr)}
+    B_new = {pr: k for pr, k in B.items() if keep(*pr)}
     # first criterion: coprime leading terms never produce new information
-    B_new.update((ih, ig) for ig, _, coprime in D if not coprime)
+    B_new.update(
+        ((ih, ig), (key(lcm), (ih, ig))) for ig, lcm, coprime in D if not coprime
+    )
     return [ig for ig in G if not mono_divides(mh, lm(ig))] + [ih], B_new
 
 
 def _gm_pairs(f, order):
     """Alive indices and pending pairs after feeding f through _gm_update."""
-    G, B = [], set()
+    G, B = [], {}
     for ih in range(len(f)):
         G, B = _gm_update(f, G, B, ih, order)
     return G, B
@@ -190,28 +195,16 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
             raise ValueError("generators live in different rings")
         if g.is_zero():
             raise ValueError("zero generator")
-    key = monomial_key(order)
-
     f = _interreduce(generators, order)
     if not f:
         raise ValueError("generators reduce to nothing")
 
     G, B = _gm_pairs(f, order)
+    reducers = _reducers(f, G, order)
     pair_count = 0
     while B:
-        pair = min(
-            B,
-            key=lambda pr: (
-                key(
-                    mono_lcm(
-                        f[pr[0]].leading_monomial(order),
-                        f[pr[1]].leading_monomial(order),
-                    )
-                ),
-                pr,
-            ),
-        )
-        B.remove(pair)
+        pair = min(B, key=B.get)
+        del B[pair]
         pair_count += 1
         if pair_count > pair_budget:
             partial = GroebnerBasis(
@@ -221,15 +214,16 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
         s = s_polynomial(f[pair[0]], f[pair[1]], order)
         if s.is_zero():
             continue
-        r = reduce_poly(s, _reducers(f, G, order), order)
+        r = reduce_poly(s, reducers, order)
         if r.is_zero():
             continue
         ih = len(f)
         f.append(r.monic(order))
         G, B = _gm_update(f, G, B, ih, order)
+        reducers = _reducers(f, G, order)
 
     raw = GroebnerBasis(ring, order, tuple(f[g] for g in G), False, pair_count)
-    return replace(reduce_basis(raw), pair_count=pair_count)
+    return reduce_basis(raw)
 
 
 def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):

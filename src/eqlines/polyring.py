@@ -16,10 +16,9 @@ divisor leading term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 import operator
 
-from .exact import CycloNum, field_from_json
+from .exact import field_from_json
 
 __all__ = [
     "ORDERS",
@@ -330,31 +329,13 @@ class Poly:
         """Exact evaluation; point entries may live in a larger field."""
         if len(point) != self.ring.arity:
             raise ValueError("point arity mismatch")
-        if all(isinstance(x, (int, Fraction)) for x in point):
-            return self._eval_rational(point)
-        total = 0
+        total = self.ring.field.zero()
         for m, c in self.terms:
             acc = c
             for i, e in enumerate(m):
                 if e:
                     acc = acc * point[i] ** e
             total = total + acc
-        return total
-
-    def _eval_rational(self, point):
-        # rational points keep monomial values in Q, so each term costs
-        # a scalar multiply instead of a full field multiplication
-        powers = [{0: Fraction(1)} for _ in point]
-        total = self.ring.field.zero()
-        for m, c in self.terms:
-            mono = Fraction(1)
-            for i, e in enumerate(m):
-                if e:
-                    tab = powers[i]
-                    if e not in tab:
-                        tab[e] = Fraction(point[i]) ** e
-                    mono *= tab[e]
-            total = total + c * mono
         return total
 
     # -- comparisons and hashing ----------------------------------------------
@@ -427,15 +408,7 @@ class Poly:
     def with_field(self, field):
         """Coerce every coefficient into another coefficient field."""
         ring = Ring(self.ring.vars, field)
-        return Poly(ring, [(m, field.coerce(_downcast(c))) for m, c in self.terms])
-
-
-def _downcast(c):
-    # CycloNum with rational value passes through Fraction so it can be
-    # coerced into any target field
-    if isinstance(c, CycloNum) and c.is_rational():
-        return c.rational_part()
-    return c
+        return Poly(ring, [(m, field.coerce(c)) for m, c in self.terms])
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,12 @@ built from the golden ratio constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from fractions import Fraction
 import math
 import operator
 
 import mpmath
 
-from .exact import (
-    CycloNum,
-    cyclo_embed,
-    rational_embed,
-    upoly_mul,
-    upoly_squarefree,
-)
+from .exact import upoly_mul, upoly_squarefree
 from .groebner import is_zero_dimensional, quotient_dimension, reduce_basis
 from .polyring import Poly
 from .sicgen import apply_weyl, fiducial_from_coords
@@ -189,14 +182,9 @@ def _dps(prec):
 # numeric polynomial plumbing
 # ---------------------------------------------------------------------------
 
-def embed_coeff(c, precision):
-    if isinstance(c, CycloNum):
-        return cyclo_embed(c, precision)
-    return mpmath.mpc(rational_embed(Fraction(c), precision))
-
-
 def _embedded_terms(poly, precision):
-    return [(m, embed_coeff(c, precision)) for m, c in poly.terms]
+    embed = poly.ring.field.embed
+    return [(m, embed(c, precision)) for m, c in poly.terms]
 
 
 def eval_embedded(terms, point):
@@ -249,10 +237,11 @@ def univariate_roots(f, precision=256):
         raise ValueError("univariate_roots needs a one-variable polynomial")
     if f.is_zero():
         raise ValueError("zero polynomial")
+    embed = f.ring.field.embed
     roots = []
     for g, mult in upoly_squarefree(_univ_coeffs(f, 0)):
         with mpmath.workprec(precision + 32):
-            coeffs = [embed_coeff(c, precision + 32) for c in reversed(g)]
+            coeffs = [embed(c, precision + 32) for c in reversed(g)]
         for r in _roots_numeric(coeffs, precision):
             roots.extend([r] * mult)
     with mpmath.workprec(precision):
@@ -285,9 +274,10 @@ def _squarefree_part(p):
 def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=None):
     """Numerically solve a zero-dimensional reduced lex basis.
 
-    system_equations is the original generating system; every returned
-    point is validated against it, not just against the basis, and
-    tagged ``real`` when every coordinate is real to tol.realness.
+    system_equations is the original generating system, with at least
+    one nonzero equation; every returned point is validated against it,
+    not just against the basis, and tagged ``real`` when every
+    coordinate is real to tol.realness.
     """
     tol = tol or Tolerances()
     if gb.order != "lex":
@@ -295,6 +285,10 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     if any(q.ring.arity != gb.ring.arity for q in system_equations):
         raise ValueError(
             "system and basis disagree on the number of variables"
+        )
+    if not any(system_equations):
+        raise ValueError(
+            "the system has no nonzero equation to validate points against"
         )
     if not gb.reduced:
         gb = reduce_basis(gb)

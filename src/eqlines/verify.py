@@ -153,10 +153,12 @@ def reciprocity_check(f):
 def unit_certify(f):
     """Certify that a unit-circle root of f is an algebraic unit.
 
-    Accepts f that is monic with integer coefficients and either
+    Accepts f over Q that is monic with integer coefficients and either
     x +- 1 or reciprocal. The certificate is conditional on f being
     the root's minimal polynomial; irreducibility is not tested here.
     """
+    if f.ring.field != QQ:
+        raise VerificationError("unit certification needs a polynomial over Q")
     cs = _univariate_coeffs(f)
     reasons = []
     if cs[-1] != 1:
@@ -224,10 +226,7 @@ def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
         for factor, mult in upoly_squarefree(det):
             if mult < need:
                 continue
-            coeffs = [
-                mpmath.mpf(c.numerator) / c.denominator
-                for c in reversed(factor)
-            ]
+            coeffs = [QQ.embed(c, precision) for c in reversed(factor)]
             for r in _roots_numeric(coeffs, precision):
                 if abs(r.imag) > eps:
                     continue

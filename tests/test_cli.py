@@ -179,6 +179,24 @@ def test_solve_max_points_cap(d2_files, tmp_path):
     assert rc == 2
 
 
+def test_solve_empty_system_rejected(d2_files, tmp_path, capsys):
+    # forced past the hash check, a system with no equations cannot
+    # validate the points
+    sp, bp = d2_files
+    doc = _read(sp)
+    doc["equations"], doc["labels"] = [], []
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["solve", "--in", str(bp), "--system", str(empty), "--force",
+               "--out", str(tmp_path / "sols.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: the system has no nonzero equation" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sols.json").exists()
+
+
 def test_solve_realness_tolerance_json_summary(d2_files, tmp_path, capsys):
     # at the default realness tolerance 16 of the 32 points are real
     # (test_full_d2_pipeline); a tolerance of 1 accepts all of them

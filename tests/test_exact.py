@@ -19,7 +19,6 @@ from eqlines.exact import (
     cyclotomic_poly,
     euler_phi,
     field_from_json,
-    rational_embed,
     upoly_divmod,
     upoly_gcd,
     upoly_mul,
@@ -179,7 +178,7 @@ def test_rational_hash_compat():
 
 def test_rational_embed():
     with mpmath.workprec(80):
-        v = rational_embed(Fraction(1, 3), 64)
+        v = QQ.embed(Fraction(1, 3), 64).real
         assert abs(v - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -60
 
 

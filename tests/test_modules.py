@@ -151,6 +151,48 @@ def test_modules_import_only_lower_layers():
     assert upward == {name: [] for name in MODULES}
 
 
+def _identifiers(path):
+    """Every name the file at ``path`` uses in code: variables,
+    attributes and imported names (string literals do not count)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[0])
+    return found
+
+
+def _absolute_imports(path):
+    """The top-level module of every absolute import in the file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+    return found
+
+
+def test_field_descriptors_own_the_scalars():
+    """Only exact names CycloNum; the layers that handle polynomials
+    generically reach scalars through ``ring.field`` and never import
+    fractions."""
+    pkg = Path(eqlines.__file__).resolve().parent
+    naming = sorted(
+        name for name in MODULES
+        if name != "exact" and "CycloNum" in _identifiers(pkg / f"{name}.py")
+    )
+    assert naming == []
+    importing = sorted(
+        name for name in ("polyring", "groebner", "solver")
+        if "fractions" in _absolute_imports(pkg / f"{name}.py")
+    )
+    assert importing == []
+
+
 def test_package_names_resolve_to_their_modules():
     wrong = [
         name for name in eqlines.__all__

@@ -201,6 +201,9 @@ def test_eval_exact_cyclo_point():
     f = x ** 2 + 1
     z = cyclo_root_of_unity(4, 1)
     assert f.eval_exact((z,)) == 0
+    # the zero polynomial still evaluates to an element of its field
+    F = CycloField(4)
+    assert F.render(Poly.zero(Ring(("x",), F)).eval_exact((z,))) == "0 @ n=4"
 
 
 def test_cyclo_coefficients_fast_eval():
@@ -248,6 +251,9 @@ def test_with_field_round_trip():
     assert up.ring.field == CycloField(12)
     back = up.with_field(QQ)
     assert back == f
+    # a cyclotomic number keeps its conductor, even when it is rational
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        up.with_field(CycloField(24))
 
 
 def test_ring_mismatch_rejected():

@@ -230,7 +230,7 @@ def test_complex_full_shapes():
 
 def test_complex_full_oracle_on_wh_orbit():
     """A numeric SIC family satisfies the full-system equations."""
-    from eqlines.solver import embed_coeff, eval_embedded
+    from eqlines.solver import eval_embedded
 
     s2 = gen_complex_full(2)
     rhs = {lab: Fraction(r) for lab, r in s2.rhs.items()}
@@ -248,7 +248,7 @@ def test_complex_full_oracle_on_wh_orbit():
         for u in fam:
             pt.extend([x.imag for x in u])
         for lab, eq in zip(s2.labels, s2.equations):
-            terms = [(m, embed_coeff(c, 128)) for m, c in eq.terms]
+            terms = [(m, eq.ring.field.embed(c, 128)) for m, c in eq.terms]
             val = eval_embedded(terms, pt) + mpmath.mpf(rhs[lab].numerator) / rhs[lab].denominator
             want = 1 if lab.split("_")[1] == lab.split("_")[2] else mpmath.mpf(1) / 3
             assert abs(val - want) < mpmath.mpf(2) ** -100, lab
@@ -262,7 +262,7 @@ def test_real_system_squared_variant():
 
 
 def test_real_system_sign_variant_hexagon():
-    from eqlines.solver import embed_coeff, eval_embedded
+    from eqlines.solver import eval_embedded
     from eqlines.sicgen import seidel_hexagon
     from eqlines.verify import hexagon_lines
 
@@ -277,12 +277,12 @@ def test_real_system_sign_variant_hexagon():
             pt.extend([mpmath.mpf(float(c)) for c in u])
         pt.append(mpmath.mpf(1) / 2)
         for eq in s.equations:
-            terms = [(m, embed_coeff(c, 64)) for m, c in eq.terms]
+            terms = [(m, eq.ring.field.embed(c, 64)) for m, c in eq.terms]
             assert abs(eval_embedded(terms, pt)) < mpmath.mpf(1e-14)
 
 
 def test_real_system_sign_variant_icosahedron():
-    from eqlines.solver import embed_coeff, eval_embedded
+    from eqlines.solver import eval_embedded
     from eqlines.sicgen import seidel_icosahedron
     from eqlines.verify import icosahedron_lines
 
@@ -294,7 +294,7 @@ def test_real_system_sign_variant_icosahedron():
             pt.extend([mpmath.mpf(float(c)) for c in u])
         pt.append(1 / mpmath.sqrt(5))
         for eq in s.equations:
-            terms = [(m, embed_coeff(c, 64)) for m, c in eq.terms]
+            terms = [(m, eq.ring.field.embed(c, 64)) for m, c in eq.terms]
             assert abs(eval_embedded(terms, pt)) < mpmath.mpf(1e-13)
 
 

@@ -181,6 +181,15 @@ def test_arity_mismatch_rejected():
         solve_triangular(gb, [t ** 2 - 1], precision=128)
 
 
+@pytest.mark.parametrize("zeros", [0, 2])
+def test_system_without_equations_rejected(zeros):
+    # with nothing to validate against, every candidate point would pass
+    x, y = _xy()
+    gb = buchberger([x ** 2 - 1, y - x], "lex")
+    with pytest.raises(ValueError, match="no nonzero equation"):
+        solve_triangular(gb, [Poly.zero(x.ring)] * zeros, precision=128)
+
+
 def test_branch_cap():
     x, y = _xy()
     gens = [x ** 4 - 1, y ** 4 - 1]

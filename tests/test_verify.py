@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from eqlines.exact import (
     QQ,
+    CycloField,
     cyclotomic_poly,
     upoly_eval,
     upoly_mul,
@@ -151,6 +152,13 @@ def test_unit_certify_rejections():
     assert "not monic" in out2["reasons"]
     out3 = unit_certify(_poly(Fraction(1, 2), 1))
     assert not out3["unit"]
+
+
+def test_unit_certify_needs_rational_coefficients():
+    r = Ring(("x",), CycloField(4))
+    x = Poly.variable(r, "x")
+    with pytest.raises(VerificationError, match="over Q"):
+        unit_certify(x ** 2 + 1)
 
 
 # -- squarefree decomposition ------------------------------------------------
