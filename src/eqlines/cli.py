@@ -3,13 +3,15 @@
 Every command reads JSON, writes JSON, and prints a one-line summary.
 Output files are canonical (sorted keys, two-space indent, trailing
 newline) so identical configurations produce byte-identical files.
-Each file embeds the sha256 of its upstream input; downstream commands
-refuse a mismatched chain unless --force is given. Timing is printed
-to the console only, never written into files.
+Each file embeds the SHA-256 of the bytes of its upstream input;
+downstream commands refuse a mismatched chain unless --force is given.
+The hash is CPython's builtin SHA-256, not hashlib's, so no command
+loads OpenSSL. Timing is printed to the console only, never written
+into files.
 
 Exit codes: 0 success, 2 validation or configuration failure (a
-malformed input file included), 3 pair budget exhaustion, 4
-verification failure.
+malformed input file and a path that cannot be opened included), 3
+pair budget exhaustion, 4 verification failure.
 
 File formats and checks live in the layers: ``PolySystem``,
 ``GroebnerBasis``, ``SolutionSet`` and ``SeidelSpec`` read and write
@@ -22,7 +24,6 @@ wh`` and ``groebner`` never load mpmath, the solver or the verifier.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import operator
@@ -31,6 +32,15 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        # an interpreter built without the builtin hash modules
+        from hashlib import sha256
 
 __all__ = ["ConfigError", "main"]
 
@@ -71,9 +81,14 @@ def _check_args(args):
 
 def write_canonical(path, obj):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(
-        (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
-    )
+    try:
+        Path(path).write_bytes(
+            (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        )
+    except OSError as exc:
+        # a write that fails after the open (a full disk) names no file
+        exc.filename = exc.filename or str(path)
+        raise
 
 
 def read_json(path, parse=None):
@@ -95,7 +110,7 @@ def read_json(path, parse=None):
     except (LookupError, TypeError, ValueError, ArithmeticError,
             AttributeError) as exc:
         raise ConfigError(f"{path} is not a valid input file") from exc
-    return doc, hashlib.sha256(data).hexdigest()
+    return doc, sha256(data).hexdigest()
 
 
 def _check_chain(expected, actual, what, force):
@@ -575,6 +590,10 @@ def main(argv=None):
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: cannot read or write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -45,7 +45,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q or Q(zeta_n), as coefficient lists (low
-# degree first); coefficients are Fraction or CycloNum
+# degree first); results hold CycloNum coefficients when an input does,
+# else Fraction
 # ---------------------------------------------------------------------------
 
 def upoly_trim(cs):
@@ -56,8 +57,18 @@ def upoly_trim(cs):
     return cs
 
 
+def _upoly_field(*polys):
+    """The field of the coefficients in ``polys``: Q(zeta_n) when any
+    coefficient is a CycloNum, else Q, int coefficients included."""
+    for p in polys:
+        for c in p:
+            if isinstance(c, CycloNum):
+                return CycloField(c.n)
+    return QQ
+
+
 def upoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [_upoly_field(a, b).zero()] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
@@ -68,7 +79,7 @@ def upoly_sub(a, b):
 def upoly_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [_upoly_field(a, b).zero()] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -81,9 +92,10 @@ def upoly_divmod(a, b):
     b = upoly_trim(b)
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
+    field = _upoly_field(a, b)
     a = upoly_trim(a)
-    inv = Fraction(1) / b[-1]
-    q = [0 * inv] * max(len(a) - len(b) + 1, 0)
+    inv = field.one() / b[-1]
+    q = [field.zero()] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         k = len(a) - len(b)
         c = a[-1] * inv
@@ -91,7 +103,8 @@ def upoly_divmod(a, b):
         for i, cb in enumerate(b):
             a[k + i] -= c * cb
         a = upoly_trim(a)
-    return upoly_trim(q), a
+    # entries below the last quotient term are still as the caller gave them
+    return upoly_trim(q), [field.coerce(c) for c in a]
 
 
 def upoly_deriv(a):
@@ -102,7 +115,7 @@ def upoly_monic(a):
     a = upoly_trim(a)
     if not a:
         return a
-    inv = Fraction(1) / a[-1]
+    inv = _upoly_field(a).one() / a[-1]
     return [c * inv for c in a]
 
 

@@ -1,8 +1,10 @@
 """Command line driver: exit codes, hash chaining, determinism."""
 
+import errno
 import hashlib
 import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -449,10 +451,32 @@ def test_out_of_range_option(argv, message, d2_files, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_missing_input_file(tmp_path):
-    rc = main(["groebner", "--in", str(tmp_path / "absent.json"),
+def test_missing_input_file(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    rc = main(["groebner", "--in", str(absent),
                "--out", str(tmp_path / "b.json")])
     assert rc == 2
+    assert capsys.readouterr().err == f"error: missing file: {absent}\n"
+
+
+@pytest.mark.parametrize("argv, culprit, code", [
+    (["groebner", "--in", "DIR", "--out", "OUT"], "DIR", errno.EISDIR),
+    (["gen", "--kind", "wh", "--d", "2", "--out", "DIR"], "DIR", errno.EISDIR),
+    pytest.param(["gen", "--kind", "wh", "--d", "2", "--out", "/dev/full"],
+                 "/dev/full", errno.ENOSPC,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+], ids=["groebner-in", "gen-out", "gen-out-full-disk"])
+def test_unopenable_path(argv, culprit, code, tmp_path, capsys):
+    """A path that cannot be read or written exits 2 with a one-line
+    error naming it."""
+    paths = {"DIR": str(tmp_path), "OUT": str(tmp_path / "out.json")}
+    capsys.readouterr()
+    rc = main([paths.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: cannot read or write {paths.get(culprit, culprit)}: "
+                   f"{os.strerror(code)}\n")
 
 
 _NOT_A_SYSTEM = '{"format": "polysystem"}'

@@ -22,6 +22,7 @@ from eqlines.exact import (
     upoly_divmod,
     upoly_gcd,
     upoly_mul,
+    upoly_squarefree,
     upoly_sub,
 )
 
@@ -219,6 +220,32 @@ def test_upoly_ext_gcd_exact_on_int_lists():
         assert g == want
         assert all(type(c) is Fraction for c in g + u + v)
         assert upoly_sub(upoly_mul(u, a), upoly_sub(g, upoly_mul(v, b))) == []
+
+
+def _upoly_results(a, b):
+    """Every coefficient list upoly_sub, upoly_mul, upoly_divmod and
+    upoly_squarefree return for the inputs a and b."""
+    square = upoly_mul(upoly_mul(b, b), a)
+    return [upoly_sub(a, b), upoly_sub(b, a), upoly_mul(a, b),
+            *upoly_divmod(upoly_mul(a, a), b),
+            *(f for f, _ in upoly_squarefree(square))]
+
+
+def test_upoly_helpers_keep_cyclotomic_scalars():
+    z = cyclo_root_of_unity(12, 1)
+    assert [type(c) for c in upoly_mul([0, z], [z, 1])] == [CycloNum] * 3
+    assert [type(c) for c in upoly_sub([z], [z, 1])] == [CycloNum] * 2
+    for a, b in [([0, z], [z, 1]), ([1, 0, z], [z, 1]), ([3, 1], [z, 0, 1])]:
+        results = _upoly_results(a, b)
+        assert all(results[:3])
+        assert all(type(c) is CycloNum for r in results for c in r)
+
+
+def test_upoly_helpers_give_fractions_over_q():
+    for a, b in [([1, 0, 1], [0, 1]), ([2, 0, -3, 1], [-1, 1]), ([3], [1, 2])]:
+        results = _upoly_results(a, b)
+        assert all(results[:3])
+        assert all(type(c) is Fraction for r in results for c in r)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ imports only from the layers below it, and loads only what it runs."""
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -36,10 +38,12 @@ SRC = Path(eqlines.__file__).resolve().parent.parent
 
 def _loaded_after(code, tmp_path):
     """Run ``code`` in a fresh interpreter in tmp_path and return the
-    eqlines, mpmath and numpy modules it left loaded."""
+    eqlines, mpmath, numpy, hashlib and _hashlib modules it left
+    loaded."""
     probe = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
              "print(' '.join(m for m in sys.modules "
-             "if m.split('.')[0] in ('eqlines', 'mpmath', 'numpy')))")
+             "if m.split('.')[0] in "
+             "('eqlines', 'mpmath', 'numpy', 'hashlib', '_hashlib')))")
     out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
                          check=True, timeout=60, capture_output=True, text=True)
     return set(out.stdout.split())
@@ -90,6 +94,41 @@ def test_gen_real_loads_no_numeric_layer(source, tmp_path):
     assert "eqlines.sicgen" in loaded
     assert not loaded & {"mpmath", "numpy", "eqlines.solver",
                          "eqlines.verify", "eqlines.groebner"}
+
+
+def test_d2_chain_loads_no_openssl(tmp_path):
+    """The chain hashes with CPython's builtin SHA-256: hashlib, and
+    with it OpenSSL's libcrypto, stays unloaded."""
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from eqlines.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in [\n"
+        "        ['gen', '--kind', 'wh', '--d', '2', '--out', 's.json'],\n"
+        "        ['groebner', '--in', 's.json', '--out', 'b.json'],\n"
+        "        ['solve', '--in', 'b.json', '--system', 's.json',\n"
+        "         '--out', 'p.json'],\n"
+        "        ['verify', '--in', 'p.json', '--system', 's.json',\n"
+        "         '--out', 'v.json'],\n"
+        "        ['overlaps', '--zauner', '1', '--out', 'o.json'],\n"
+        "    ]:\n"
+        "        assert main(argv) == 0, argv",
+        tmp_path,
+    )
+    assert {"eqlines.solver", "eqlines.verify", "mpmath"} <= loaded
+    assert not loaded & {"hashlib", "_hashlib"}
+
+
+def test_cli_hash_is_sha256(tmp_path):
+    from eqlines.cli import main, read_json, sha256
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--kind", "wh", "--d", "2",
+                     "--out", str(tmp_path / "s.json")]) == 0
+    system = (tmp_path / "s.json").read_bytes()
+    for data in [b"", random.Random(1).randbytes(1 << 20), system]:
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    assert read_json(tmp_path / "s.json")[1] == hashlib.sha256(system).hexdigest()
 
 
 def test_basis_file_reads_without_cli(tmp_path):
@@ -149,6 +188,41 @@ def test_modules_import_only_lower_layers():
         for name in MODULES
     }
     assert upward == {name: [] for name in MODULES}
+
+
+def _hashlib_imports(path):
+    """Each import of hashlib or _hashlib in the file at ``path``, as
+    (line, inside an ``except ImportError`` handler)."""
+    tree = ast.parse(path.read_text())
+    handled = {
+        id(node)
+        for h in ast.walk(tree)
+        if isinstance(h, ast.ExceptHandler)
+        and isinstance(h.type, ast.Name) and h.type.id == "ImportError"
+        for node in ast.walk(h)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if {n.split(".")[0] for n in names} & {"hashlib", "_hashlib"}:
+            found.append((node.lineno, id(node) in handled))
+    return found
+
+
+def test_only_the_cli_fallback_imports_hashlib():
+    """hashlib maps OpenSSL into the process; the chain hash comes from
+    the builtin module, and hashlib only backs it up in cli.py on an
+    interpreter built without it."""
+    pkg = Path(eqlines.__file__).resolve().parent
+    imports = {p.stem: _hashlib_imports(p) for p in sorted(pkg.glob("*.py"))}
+    cli = imports.pop("cli")
+    assert imports == {name: [] for name in imports}
+    assert len(cli) == 1 and cli[0][1], cli
 
 
 def _identifiers(path):
