@@ -25,7 +25,6 @@ from .polyring import (
     Poly,
     Ring,
     mono_divides,
-    mono_div,
     mono_lcm,
     mono_mul,
     monomial_key,
@@ -235,11 +234,23 @@ def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
     0; on the 25 ideals of the test corpus the two stages take about
     twice the CPU time of a plain lex run, the surplus being the second
     Buchberger run.
+
+    ``pair_budget`` bounds the pairs of both stages together. When the
+    lex stage runs out, PairBudgetExceeded counts the pairs of both
+    stages and carries the partial lex basis.
     """
     stage1 = buchberger(generators, "grevlex", pair_budget=pair_budget)
-    remaining = max(pair_budget - stage1.pair_count, 1)
-    stage2 = buchberger(list(stage1.basis), "lex", pair_budget=remaining)
-    return replace(stage2, pair_count=stage1.pair_count + stage2.pair_count)
+    done = stage1.pair_count
+    try:
+        stage2 = buchberger(
+            list(stage1.basis), "lex", pair_budget=pair_budget - done
+        )
+    except PairBudgetExceeded as exc:
+        total = done + exc.pairs_processed
+        raise PairBudgetExceeded(
+            total, replace(exc.partial, pair_count=total)
+        ) from None
+    return replace(stage2, pair_count=done + stage2.pair_count)
 
 
 def reduce_basis(gb):

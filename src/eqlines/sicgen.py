@@ -198,12 +198,6 @@ def gen_wh_system(d, phase_fix=True):
                 obar = obar + vbar[j] * v[k] * w[-b * j % d]
             p[(a, b)] = o * obar
 
-    if all(
-        coeff.is_rational() for q in p.values() for _, coeff in q.terms
-    ):
-        ring = Ring(ring.vars, QQ)
-        p = {ab: q.with_field(QQ) for ab, q in p.items()}
-
     equations = []
     labels = []
     rhs = {}
@@ -232,6 +226,23 @@ def gen_wh_system(d, phase_fix=True):
             equations.append(q - offdiag)
             labels.append(label)
             rhs[label] = str(offdiag)
+
+    # a fresh ring, over Q when it can be, whose monomial table holds
+    # only the equations' monomials, and one shared instance per
+    # coefficient value: d=5 has 20 values among 1639 terms
+    target = cyclo
+    if all(c.is_rational() for q in equations for _, c in q.terms):
+        target = QQ
+    ring = Ring(ring.vars, target)
+    shared = {}
+
+    def share(c):
+        c = target.coerce(c)
+        return shared.setdefault(c, c)
+
+    equations = [
+        Poly(ring, [(m, share(c)) for m, c in q.terms]) for q in equations
+    ]
     return PolySystem(
         kind="wh_fiducial",
         d=d,

@@ -275,6 +275,32 @@ def test_pair_budget_exhaustion():
     assert gb.pair_count > 1
 
 
+def test_staged_budget_counts_both_stages():
+    # x^2 + y + z - 1 and its two rotations: a grevlex basis already, so
+    # stage 1 takes no pair and the lex stage two
+    x, y, z = _vars(R3)
+    gens = [x ** 2 + y + z - 1, x + y ** 2 + z - 1, x + y + z ** 2 - 1]
+    assert grevlex_then_lex(gens).pair_count == 2
+    for budget in (0, 1):
+        with pytest.raises(PairBudgetExceeded) as exc:
+            grevlex_then_lex(gens, pair_budget=budget)
+        assert exc.value.pairs_processed == budget + 1
+    assert grevlex_then_lex(gens, pair_budget=2).pair_count == 2
+
+
+def test_staged_budget_exhausted_in_stage_two():
+    # two pairs in each stage; budget 2 leaves the lex stage none
+    gens = CORPUS[8]
+    assert buchberger(gens, "grevlex").pair_count == 2
+    assert grevlex_then_lex(gens).pair_count == 4
+    for budget in (2, 3):
+        with pytest.raises(PairBudgetExceeded) as exc:
+            grevlex_then_lex(gens, pair_budget=budget)
+        assert exc.value.pairs_processed == budget + 1
+        assert exc.value.partial.order == "lex"
+        assert exc.value.partial.pair_count == budget + 1
+
+
 def test_base_field_invariance():
     """Q-coefficient generators declared over Q(zeta_12) give bases with
     the same rational coefficients."""

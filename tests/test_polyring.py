@@ -12,10 +12,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqlines import polyring
 from eqlines.exact import CycloField, QQ, cyclo_embed, cyclo_root_of_unity
 from eqlines.polyring import (
     Poly,
     Ring,
+    _divisibility_word,
+    _guard_bits,
+    _key_weights,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -24,6 +28,7 @@ from eqlines.polyring import (
     reduce_poly,
     s_polynomial,
 )
+from eqlines.sicgen import gen_wh_system
 
 R2 = Ring(("x", "y"), QQ)
 R3 = Ring(("x", "y", "z"), QQ)
@@ -271,3 +276,117 @@ def test_support_and_degree():
     assert f.support() == {0, 1}
     assert Poly.zero(R2).is_zero()
     assert Poly.constant(R2, Fraction(5)).constant_value() == 5
+
+
+# ---------------------------------------------------------------------------
+# packed keys, width widening, shared monomials
+# ---------------------------------------------------------------------------
+
+# exponents up to the 16-bit bound, where a packed field is fullest
+wide_monos = st.tuples(*[st.integers(min_value=0, max_value=2 ** 15 - 1)] * 3)
+
+
+def _packed(m, order, width=16):
+    return sum(e * w for e, w in zip(m, _key_weights(len(m), order, width)))
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@given(a=st.one_of(monos, wide_monos), b=st.one_of(monos, wide_monos))
+def test_packed_keys_order_and_add(order, a, b):
+    key = monomial_key(order)
+    ka, kb = _packed(a, order), _packed(b, order)
+    assert (ka > kb) == (key(a) > key(b))
+    assert (ka == kb) == (a == b)
+    assert _packed(mono_mul(a, b), order) == ka + kb
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@given(a=st.one_of(monos, wide_monos), b=st.one_of(monos, wide_monos))
+def test_guard_bit_divisibility(order, a, b):
+    guard = _guard_bits(3, 16)
+    wa = _divisibility_word(_packed(a, order), order, 3, 16)
+    wb = _divisibility_word(_packed(b, order), order, 3, 16)
+    assert not wa & guard and not wb & guard
+    assert (((wa | guard) - wb) & guard == guard) == mono_divides(b, a)
+    # a product of exponents below the bound cannot carry
+    assert _divisibility_word(
+        _packed(mono_mul(a, b), order), order, 3, 16
+    ) == wa + wb
+
+
+def _widths(monkeypatch):
+    """Record the field width of every packed division attempt."""
+    seen = []
+    divide = polyring._divide
+
+    def spy(f, divisors, heads, order, width):
+        seen.append(width)
+        return divide(f, divisors, heads, order, width)
+
+    monkeypatch.setattr(polyring, "_divide", spy)
+    return seen
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize("f, g, rem, widths", [
+    # a product of two terms within the bound crosses it: restart at 32
+    ({(20000, 20000): 1}, {(20000, 0): 1, (0, 20000): -1}, {(0, 40000): 1},
+     [16, 32]),
+    # an input exponent of 40000 needs 17 bits from the start
+    ({(40000, 0): 1}, {(20000, 0): 1, (0, 1): -1}, {(0, 2): 1}, [17]),
+])
+def test_division_widens_the_fields(monkeypatch, order, f, g, rem, widths):
+    f, g = poly_from(f), poly_from(g)
+    seen = _widths(monkeypatch)
+    r = reduce_poly(f, [g], order)
+    assert seen == widths
+    assert r == poly_from(rem) == _reference_division(f, [g], order)[1]
+
+
+def test_division_widens_for_a_divisor_tail(monkeypatch):
+    # under lex a tail exponent is not bounded by the head; the tail is
+    # packed only when the divisor is first used
+    x, y = Poly.variable(R2, 0), Poly.variable(R2, 1)
+    seen = _widths(monkeypatch)
+    assert reduce_poly(x, [x - y ** 40000], "lex") == y ** 40000
+    assert seen == [16, 32]
+    seen.clear()
+    assert reduce_poly(y, [x - y ** 40000], "lex") == y
+    assert seen == [16]
+
+
+def test_ring_shares_one_tuple_per_monomial():
+    ring = Ring(("x", "y", "z"), QQ)
+    f = Poly.from_dict(ring, {(1, 2, 0): 1, (0, 0, 1): 2})
+    g = Poly.from_dict(ring, {(1, 2, 0): 3})
+    assert f.terms[0][0] is g.terms[0][0]
+    x, y, z = (Poly.variable(ring, i) for i in range(3))
+    assert (x * y ** 2).terms[0][0] is f.terms[0][0]
+    assert x.mul_term((0, 2, 0), 5).terms[0][0] is f.terms[0][0]
+    r = reduce_poly(x * y ** 2 * z + z, [z - 1], "lex")
+    assert r == x * y ** 2 + 1
+    assert r.terms[0][0] is f.terms[0][0]
+    # the table is no part of the ring's value
+    other = Ring(("x", "y", "z"), QQ)
+    h = Poly.from_dict(other, {(1, 2, 0): 1, (0, 0, 1): 2})
+    assert other == ring and hash(other) == hash(ring)
+    assert other.to_json() == ring.to_json()
+    assert h == f and hash(h) == hash(f)
+    assert h.terms[0][0] == f.terms[0][0]
+    assert h.terms[0][0] is not f.terms[0][0]
+    assert f - h == Poly.zero(ring)
+
+
+@pytest.mark.parametrize("mono", [(1,), (0, -1, 0), (1, 0, 0, 0)])
+def test_mul_term_rejects_bad_exponents(mono):
+    x = Poly.variable(R3, 0)
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        x.mul_term(mono, 2)
+
+
+def test_wh_equations_share_coefficients():
+    system = gen_wh_system(5)
+    coeffs = [c for q in system.equations for _, c in q.terms]
+    assert len(coeffs) == 1639
+    assert len({id(c) for c in coeffs}) <= 20
+    assert all(q.ring is system.ring for q in system.equations)
