@@ -14,6 +14,11 @@ New basis elements are appended monic and fully reduced against the
 current basis. ``reduce_basis`` turns any basis into the unique reduced
 basis for its ideal and order: leading monomials minimal, every element
 monic, no term of any element divisible by another leading monomial.
+
+``buchberger`` works in a scratch ring that dies with the run. Its
+result, and the partial basis of an exhausted budget, live in the ring
+of the first generator, with its shared monomials and one coefficient
+instance per value.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .polyring import (
     mono_mul,
     monomial_key,
     reduce_poly,
+    rehome,
     s_polynomial,
 )
 
@@ -83,11 +89,15 @@ class GroebnerBasis:
 
     @classmethod
     def from_json(cls, obj):
-        """Read a basis file; any other format raises ValueError."""
+        """Read a basis file; any other format, or a zero basis element,
+        raises ValueError."""
         if obj.get("format") != "basis":
             raise ValueError("not a basis file")
         ring = Ring.from_json(obj)
         basis = tuple(Poly.terms_from_json(t, ring) for t in obj["basis"])
+        for i, p in enumerate(basis):
+            if p.is_zero():
+                raise ValueError(f"basis element {i} is zero")
         return cls(ring, obj["order"], basis, obj["reduced"], obj["pair_count"])
 
 
@@ -194,7 +204,8 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
             raise ValueError("generators live in different rings")
         if g.is_zero():
             raise ValueError("zero generator")
-    f = _interreduce(generators, order)
+    work = Ring(ring.vars, ring.field)  # interns what the run throws away
+    f = _interreduce(rehome(generators, work), order)
     if not f:
         raise ValueError("generators reduce to nothing")
 
@@ -207,7 +218,8 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
         pair_count += 1
         if pair_count > pair_budget:
             partial = GroebnerBasis(
-                ring, order, tuple(f[g] for g in G), False, pair_count
+                ring, order, tuple(rehome((f[g] for g in G), ring)), False,
+                pair_count,
             )
             raise PairBudgetExceeded(pair_count, partial)
         s = s_polynomial(f[pair[0]], f[pair[1]], order)
@@ -221,8 +233,12 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
         G, B = _gm_update(f, G, B, ih, order)
         reducers = _reducers(f, G, order)
 
-    raw = GroebnerBasis(ring, order, tuple(f[g] for g in G), False, pair_count)
-    return reduce_basis(raw)
+    # drop what the reduction no longer needs before it allocates
+    raw = tuple(f[g] for g in G)
+    del f, reducers
+    gb = reduce_basis(GroebnerBasis(work, order, raw, False, pair_count))
+    del raw
+    return replace(gb, ring=ring, basis=tuple(rehome(gb.basis, ring)))
 
 
 def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):

@@ -2,7 +2,10 @@
 
 Monomials are dense exponent tuples, and each ``Ring`` hands out one
 shared tuple per distinct monomial: every polynomial built in the ring
-refers to the same tuple object for the same monomial. A polynomial
+refers to the same tuple object for the same monomial. The table keeps
+every monomial the ring's polynomials have used, so a run that makes
+many throwaway polynomials works in a scratch ring and moves its result
+back with ``rehome``. A polynomial
 keeps its terms as a tuple sorted strictly decreasing in lex order,
 which makes the term list a canonical form: two polynomials are equal
 iff their ring and term tuples are equal. Supported term orders are
@@ -45,6 +48,7 @@ __all__ = [
     "Poly",
     "reduce_poly",
     "s_polynomial",
+    "rehome",
 ]
 
 ORDERS = ("lex", "grevlex")
@@ -119,9 +123,11 @@ class Ring:
     """A named variable list over a coefficient field descriptor.
 
     A ring also keeps the table of its monomials, which maps each
-    exponent tuple that a polynomial of the ring uses to its one shared
-    instance. The table is no part of the ring's value: it takes no part
-    in ``==``, ``hash`` or ``to_json``.
+    exponent tuple that a polynomial of the ring has used, also one long
+    gone, to its one shared instance; hence a run keeps its
+    intermediates in a scratch ``Ring(vars, field)``. The table is no
+    part of the ring's value: it takes no part in ``==``, ``hash`` or
+    ``to_json``.
     """
 
     __slots__ = ("vars", "field", "_monos")
@@ -440,8 +446,7 @@ class Poly:
 
     def with_field(self, field):
         """Coerce every coefficient into another coefficient field."""
-        ring = Ring(self.ring.vars, field)
-        return Poly(ring, [(m, field.coerce(c)) for m, c in self.terms])
+        return next(rehome([self], Ring(self.ring.vars, field)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +598,19 @@ def s_polynomial(p, q, order="lex"):
     left = p.mul_term(mono_div(L, pm), one / pc)
     right = q.mul_term(mono_div(L, qm), one / qc)
     return left - right
+
+
+def rehome(polys, ring):
+    """Yield each of polys rebuilt in ``ring``, with the same variables:
+    coefficients through ``ring.field.coerce`` (zeros drop out), one
+    instance per value across all of polys, and the ring's monomials."""
+    intern = ring._monos.setdefault
+    share = {}.setdefault
+    coerce = ring.field.coerce
+    for p in polys:
+        if p.ring.vars != ring.vars:
+            raise ValueError("variable mismatch")
+        terms = ((m, coerce(c)) for m, c in p.terms)
+        yield Poly(ring, tuple(
+            (intern(m, m), share(c, c)) for m, c in terms if c
+        ), _canonical=True)

@@ -46,7 +46,7 @@ from math import lcm
 import operator
 
 from .exact import QQ, CycloField, cyclo_root_of_unity
-from .polyring import Poly, Ring
+from .polyring import Poly, Ring, rehome
 
 __all__ = [
     "PolySystem",
@@ -188,16 +188,21 @@ def gen_wh_system(d, phase_fix=True):
     v = [x[k] + x[d + k] * i for k in range(d)]
     vbar = [x[k] - x[d + k] * i for k in range(d)]
 
-    p = {}
-    for a in range(d):
-        for b in range(d):
+    pairs = [(a, b) for a in range(d) for b in range(d)]
+    offdiag = Fraction(1, d + 1)
+
+    def overlaps():
+        """p_ab - rhs for each pair in turn, built only when asked for."""
+        for a, b in pairs:
             o = obar = Poly.zero(ring)
             for k in range(d):
                 j = (a + k) % d
                 o = o + v[j] * vbar[k] * w[b * j % d]
                 obar = obar + vbar[j] * v[k] * w[-b * j % d]
-            p[(a, b)] = o * obar
+            yield o * obar - (1 if (a, b) == (0, 0) else offdiag)
 
+    # each product shares its coefficients as soon as it is built, and
+    # only the distinct equations are kept
     equations = []
     labels = []
     rhs = {}
@@ -206,49 +211,30 @@ def gen_wh_system(d, phase_fix=True):
         equations.append(Poly.variable(ring, d))
         labels.append("phase")
         rhs["phase"] = "0"
-    equations.append(p[(0, 0)] - 1)
-    labels.append("p_0_0")
-    rhs["p_0_0"] = "1"
-    merged["p_0_0"] = ((0, 0),)
-    offdiag = Fraction(1, d + 1)
     seen = {}
-    for a in range(d):
-        for b in range(d):
-            if (a, b) == (0, 0):
-                continue
-            q = p[(a, b)]
-            if q in seen:
-                merged[seen[q]] = merged[seen[q]] + ((a, b),)
-                continue
-            label = f"p_{a}_{b}"
-            seen[q] = label
-            merged[label] = ((a, b),)
-            equations.append(q - offdiag)
-            labels.append(label)
-            rhs[label] = str(offdiag)
+    for (a, b), eq in zip(pairs, rehome(overlaps(), ring)):
+        label = seen.setdefault(eq, f"p_{a}_{b}")
+        if label in merged:
+            merged[label] += ((a, b),)
+            continue
+        merged[label] = ((a, b),)
+        equations.append(eq)
+        labels.append(label)
+        rhs[label] = "1" if (a, b) == (0, 0) else str(offdiag)
 
     # a fresh ring, over Q when it can be, whose monomial table holds
-    # only the equations' monomials, and one shared instance per
-    # coefficient value: d=5 has 20 values among 1639 terms
+    # only the equations' monomials, and one instance per coefficient
+    # value across the equations: d=5 has 20 values among 1639 terms
     target = cyclo
     if all(c.is_rational() for q in equations for _, c in q.terms):
         target = QQ
-    ring = Ring(ring.vars, target)
-    shared = {}
-
-    def share(c):
-        c = target.coerce(c)
-        return shared.setdefault(c, c)
-
-    equations = [
-        Poly(ring, [(m, share(c)) for m, c in q.terms]) for q in equations
-    ]
+    out = Ring(ring.vars, target)
     return PolySystem(
         kind="wh_fiducial",
         d=d,
         n_lines=d * d,
-        ring=ring,
-        equations=tuple(equations),
+        ring=out,
+        equations=tuple(rehome(equations, out)),
         labels=tuple(labels),
         rhs=rhs,
         merged=merged,

@@ -199,6 +199,25 @@ def test_solve_empty_system_rejected(d2_files, tmp_path, capsys):
     assert not (tmp_path / "sols.json").exists()
 
 
+def test_solve_rejects_zero_basis_element(d2_files, tmp_path, capsys):
+    # a basis element without terms is refused when the file is read,
+    # not later with "zero polynomial has no leading term"
+    sp, bp = d2_files
+    doc = _read(bp)
+    doc["basis"][1] = []
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["solve", "--in", str(bad), "--system", str(sp), "--force",
+               "--out", str(tmp_path / "sols.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad} is not a valid input file; "
+                          "caused by ValueError: basis element 1 is zero")
+    assert "Traceback" not in err
+    assert not (tmp_path / "sols.json").exists()
+
+
 def test_solve_realness_tolerance_json_summary(d2_files, tmp_path, capsys):
     # at the default realness tolerance 16 of the 32 points are real
     # (test_full_d2_pipeline); a tolerance of 1 accepts all of them

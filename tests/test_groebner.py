@@ -137,10 +137,69 @@ def test_is_groebner_matches_all_pairs(order):
     assert True in verdicts and False in verdicts
 
 
-def test_wh3_grevlex_basis_certified():
-    gb = buchberger(gen_wh_system(3).equations, "grevlex")
+@pytest.fixture(scope="module")
+def wh3_grevlex():
+    """The d=3 WH system, its grevlex basis and the number of monomials
+    in the system's ring right after the run, before any check adds
+    more."""
+    system = gen_wh_system(3)
+    gb = buchberger(system.equations, "grevlex")
+    return system, gb, len(system.ring._monos)
+
+
+def test_wh3_grevlex_basis_certified(wh3_grevlex):
+    _, gb, _ = wh3_grevlex
     assert (len(gb), gb.pair_count) == (58, 191)
     assert is_groebner(gb)
+
+
+def _assert_lives_in(ring, basis):
+    """Every element is in ``ring`` itself, and equal coefficients are
+    one object across the basis."""
+    assert all(p.ring is ring for p in basis)
+    coeffs = [c for p in basis for _, c in p.terms]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def _monomials(polys):
+    return {m for p in polys for m, _ in p.terms}
+
+
+def test_run_leaves_only_its_result_in_the_callers_ring(wh3_grevlex):
+    """Buchberger works in a scratch ring: the caller's ring gains only
+    the monomials of the result, and the result shares its monomials
+    and coefficients."""
+    system, gb, n_monos = wh3_grevlex
+    ring = system.ring
+    assert n_monos == 1029
+    assert n_monos == len(_monomials(system.equations + gb.basis))
+    _assert_lives_in(ring, gb.basis)
+    assert len({id(c) for p in gb.basis for _, c in p.terms}) == 1493
+    assert gb.ring is ring
+
+
+@pytest.mark.parametrize("run, partial", [
+    (lambda gens: buchberger(gens, "grevlex", pair_budget=1), True),
+    (lambda gens: grevlex_then_lex(gens, pair_budget=3), True),
+    (grevlex_then_lex, False),
+], ids=["buchberger-partial", "staged-partial", "staged"])
+def test_results_live_in_the_callers_ring(run, partial):
+    """The same for a partial basis and for both stages of the staged
+    pipeline; the ideal of CORPUS[8] takes two pairs in each stage."""
+    ring = Ring(("x", "y"), QQ)
+    x, y = _vars(ring)
+    gens = [x ** 4 - 1, x ** 2 * y - y, y ** 3 - y]
+    before = set(ring._monos)
+    try:
+        gb = run(gens)
+    except PairBudgetExceeded as exc:
+        gb = exc.partial
+    assert gb.reduced is not partial
+    added = set(ring._monos) - before
+    _assert_lives_in(ring, gb.basis)
+    # the staged runs add the monomials of their grevlex basis too
+    stage1 = buchberger(gens, "grevlex")
+    assert added <= _monomials(gb.basis) | _monomials(stage1.basis)
 
 
 @pytest.mark.parametrize("idx", range(len(CORPUS)))
@@ -353,6 +412,15 @@ def test_basis_json_round_trip(gb):
 ], ids=["basis_partial", "solutions"])
 def test_basis_from_json_rejects_other_formats(obj):
     with pytest.raises(ValueError, match="not a basis file"):
+        GroebnerBasis.from_json(obj)
+
+
+@pytest.mark.parametrize("element", [[], [{"c": "0", "e": [0, 0]}]],
+                         ids=["no-terms", "zero-coefficient"])
+def test_basis_from_json_rejects_zero_element(element):
+    obj = buchberger(CORPUS[1], "lex").to_json()
+    obj["basis"].insert(1, element)
+    with pytest.raises(ValueError, match="basis element 1 is zero"):
         GroebnerBasis.from_json(obj)
 
 

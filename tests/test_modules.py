@@ -267,6 +267,17 @@ def test_field_descriptors_own_the_scalars():
     assert importing == []
 
 
+def test_only_polyring_names_the_monomial_table():
+    """``Ring._monos`` belongs to polyring: the other layers move
+    polynomials between rings with ``rehome``."""
+    pkg = Path(eqlines.__file__).resolve().parent
+    naming = sorted(
+        name for name in MODULES
+        if "_monos" in _identifiers(pkg / f"{name}.py")
+    )
+    assert naming == ["polyring"]
+
+
 def test_package_names_resolve_to_their_modules():
     wrong = [
         name for name in eqlines.__all__
