@@ -2,10 +2,12 @@
 
 Rationals are stdlib ``fractions.Fraction``. A :class:`CycloNum` is an
 element of the cyclotomic field Q(zeta_n) on the power basis
-1, z, ..., z^(phi(n)-1), kept reduced modulo the n-th cyclotomic
-polynomial and stored as phi(n) integer numerators over one positive
-denominator in lowest terms, so two elements are equal iff their
-numerators and denominators are identical.
+1, z, ..., z^(phi(n)-1), stored as phi(n) integer numerators over one
+positive denominator in lowest terms, so two elements are equal iff
+their numerators and denominators are identical. Products and
+conjugates are reduced by integer division by the monic n-th
+cyclotomic polynomial Phi_n; the only per-conductor state is the cached
+Phi_n and the cached numeric powers of zeta_n.
 
 The field descriptors ``QQ`` and :class:`CycloField` own their scalars:
 ``coerce``, ``zero``, ``one``, ``render``, ``parse`` and ``to_json``, and
@@ -39,7 +41,6 @@ __all__ = [
     "upoly_gcd",
     "upoly_monic",
     "upoly_squarefree",
-    "upoly_eval",
 ]
 
 
@@ -166,13 +167,6 @@ def upoly_squarefree(f):
     return out
 
 
-def upoly_eval(a, x):
-    acc = 0
-    for c in reversed(list(a)):
-        acc = acc * x + c
-    return acc
-
-
 def _upoly_ext_gcd(a, b):
     # returns (g, u, v) with u*a + v*b = g, g monic
     r0, r1 = upoly_trim(a), upoly_trim(b)
@@ -210,19 +204,23 @@ def euler_phi(n):
     return result
 
 
-def _zpoly_exact_div(num, den):
-    # integer synthetic division by a monic divisor; remainder must vanish
+def _zpoly_divmod(num, den):
+    """Quotient and remainder of the integer coefficient list ``num`` by
+    the monic integer ``den``; the remainder has exactly deg(den) entries.
+
+    Synthetic division from the top: each entry at or above deg(den) is
+    final once reached and is the quotient's, and only the nonzero
+    coefficients of den below its leading one are subtracted."""
+    d = len(den) - 1
+    tail = [(i - d, c) for i, c in enumerate(den[:d]) if c]
     num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        q[k] = c
+    num += [0] * (d - len(num))
+    for e in range(len(num) - 1, d - 1, -1):
+        c = num[e]
         if c:
-            for i, cd in enumerate(den):
-                num[k + i] -= c * cd
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact division in cyclotomic construction")
-    return q
+            for i, cd in tail:
+                num[e + i] -= c * cd
+    return num[d:], num[:d]
 
 
 @lru_cache(maxsize=None)
@@ -235,56 +233,20 @@ def cyclotomic_poly(n):
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _zpoly_exact_div(num, cyclotomic_poly(d))
+            num, r = _zpoly_divmod(num, cyclotomic_poly(d))
+            if any(r):
+                raise ArithmeticError("non-exact division in cyclotomic construction")
     return tuple(num)
-
-
-@lru_cache(maxsize=None)
-class _CycloContext:
-    """Shared per-conductor data: phi(n), Phi_n, and power reduction rows."""
-
-    def __init__(self, n):
-        self.n = n
-        self.phi = euler_phi(n)
-        self.minpoly = cyclotomic_poly(n)
-        # rows[e] = integer coefficients of z^e reduced mod Phi_n, for
-        # every power that can show up in a product of two reduced elements
-        top = max(n, 2 * self.phi - 1)
-        row = [1] + [0] * (self.phi - 1)
-        rows = [tuple(row)]
-        for _ in range(1, top):
-            shifted = [0] + row
-            overflow = shifted.pop()
-            if overflow:
-                # Phi_n is monic: z^phi = -(lower coefficients)
-                for i in range(self.phi):
-                    shifted[i] -= overflow * self.minpoly[i]
-            row = shifted
-            rows.append(tuple(row))
-        self.rows = tuple(rows)
-
-    def reduce_long(self, cs):
-        """Reduce a raw integer coefficient list, at least phi(n) long,
-        mod Phi_n."""
-        phi = self.phi
-        out = list(cs[:phi])
-        for e in range(phi, len(cs)):
-            c = cs[e]
-            if c:
-                for i, r in enumerate(self.rows[e % self.n]):
-                    if r:
-                        out[i] += c * r
-        return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _zeta_powers(n, precision):
     import mpmath
 
-    ctx = _CycloContext(n)
+    phi = len(cyclotomic_poly(n)) - 1
     with mpmath.workprec(precision + 16):
         zeta = mpmath.expjpi(mpmath.mpf(2) / n)
-        return tuple(zeta ** k for k in range(ctx.phi))
+        return tuple(zeta ** k for k in range(phi))
 
 
 class CycloNum:
@@ -300,11 +262,11 @@ class CycloNum:
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n, coeffs):
-        ctx = _CycloContext(n)
+        phi = len(cyclotomic_poly(n)) - 1
         coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != ctx.phi:
+        if len(coeffs) != phi:
             raise ValueError(
-                f"Q(zeta_{n}) elements need {ctx.phi} coefficients, got {len(coeffs)}"
+                f"Q(zeta_{n}) elements need {phi} coefficients, got {len(coeffs)}"
             )
         # over the lcm of reduced denominators the numerators are coprime
         # to it, so this is already in lowest terms
@@ -335,7 +297,7 @@ class CycloNum:
     def from_rational(cls, n, q):
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        zeros = (0,) * (_CycloContext(n).phi - 1)
+        zeros = (0,) * (len(cyclotomic_poly(n)) - 2)
         return cls._new(n, (q.numerator,) + zeros, q.denominator)
 
     @property
@@ -363,7 +325,8 @@ class CycloNum:
         long = [0] * n
         for k, c in enumerate(self.num):
             long[(n - k) % n] = c
-        return CycloNum._new(n, _CycloContext(n).reduce_long(long), self.den)
+        _, r = _zpoly_divmod(long, cyclotomic_poly(n))
+        return CycloNum._new(n, tuple(r), self.den)
 
     def is_real(self):
         return self == self.conjugate()
@@ -427,7 +390,8 @@ class CycloNum:
                 for j, b in enumerate(other.num):
                     if b:
                         long[i + j] += a * b
-        return CycloNum._new(self.n, _CycloContext(self.n).reduce_long(long), den)
+        _, r = _zpoly_divmod(long, cyclotomic_poly(self.n))
+        return CycloNum._new(self.n, tuple(r), den)
 
     __rmul__ = __mul__
 
@@ -436,8 +400,8 @@ class CycloNum:
             raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
         if self.is_rational():
             return CycloNum.from_rational(self.n, Fraction(self.den, self.num[0]))
-        ctx = _CycloContext(self.n)
-        g, u, _ = _upoly_ext_gcd(list(self.num), list(ctx.minpoly))
+        minpoly = cyclotomic_poly(self.n)
+        g, u, _ = _upoly_ext_gcd(list(self.num), list(minpoly))
         # Phi_n is irreducible over Q, so the gcd with any nonzero
         # reduced element is 1
         if g != [1]:
@@ -445,7 +409,7 @@ class CycloNum:
         # u * num = 1 with deg u < phi(n), so den * u is the inverse of
         # num / den on the reduced basis
         u = [c * self.den for c in u]
-        return CycloNum(self.n, u + [0] * (ctx.phi - len(u)))
+        return CycloNum(self.n, u + [0] * (len(minpoly) - 1 - len(u)))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -504,8 +468,8 @@ class CycloNum:
 
 def cyclo_root_of_unity(n, k):
     """zeta_n^k as a CycloNum (k may be any integer)."""
-    ctx = _CycloContext(n)
-    return CycloNum._new(n, ctx.rows[k % n], 1)
+    _, r = _zpoly_divmod([0] * (k % n) + [1], cyclotomic_poly(n))
+    return CycloNum._new(n, tuple(r), 1)
 
 
 def cyclo_embed(x, precision=53):
@@ -552,18 +516,24 @@ def cyclo_to_str(x):
     return f"{poly} @ n={x.n}"
 
 
-def cyclo_from_str(s):
+def _split_conductor(s):
+    """The polynomial text of ``s`` and the conductor of its ``@ n=<digits>``
+    annotation; nothing about the field is computed."""
     import re
 
     text, _, tail = s.rpartition("@")
-    text = text.strip()
-    tail = tail.strip()
-    m = re.fullmatch(r"n=(\d+)", tail)
+    m = re.fullmatch(r"n=(\d+)", tail.strip())
     if not m:
         raise ValueError(f"missing conductor annotation in {s!r}")
-    n = int(m.group(1))
-    ctx = _CycloContext(n)
-    coeffs = [Fraction(0)] * ctx.phi
+    return text.strip(), int(m.group(1))
+
+
+def cyclo_from_str(s):
+    import re
+
+    text, n = _split_conductor(s)
+    phi = len(cyclotomic_poly(n)) - 1
+    coeffs = [Fraction(0)] * phi
     if text == "0":
         return CycloNum(n, coeffs)
     # normalize separators, keep a possible leading minus attached
@@ -583,7 +553,7 @@ def cyclo_from_str(s):
         else:
             coeff = Fraction(m.group(3))
             power = 0
-        if power >= ctx.phi:
+        if power >= phi:
             raise ValueError(f"power {power} not reduced for n={n}")
         coeffs[power] += sign * coeff
     return CycloNum(n, coeffs)
@@ -671,10 +641,10 @@ class CycloField:
         return cyclo_to_str(x)
 
     def parse(self, s):
-        x = cyclo_from_str(s)
-        if x.n != self.n:
-            raise ValueError(f"conductor mismatch: {x.n} vs {self.n}")
-        return x
+        n = _split_conductor(s)[1]
+        if n != self.n:
+            raise ValueError(f"conductor mismatch: {n} vs {self.n}")
+        return cyclo_from_str(s)
 
     def to_json(self):
         return {"cyclotomic": self.n}

@@ -355,10 +355,11 @@ def is_groebner(gb):
     the S-polynomial of every pair kept is reduced modulo the elements
     kept. If all of them reduce to zero, Buchberger with the same
     criteria would stop here, so the kept elements, and with them the
-    whole basis, form a Groebner basis (Gebauer, Moeller 1988).
+    whole basis, form a Groebner basis (Gebauer, Moeller 1988). The
+    reduction runs in a scratch ring, so the basis's ring gains nothing.
     """
     order = gb.order
-    f = list(gb.basis)
+    f = list(rehome(gb.basis, Ring(gb.ring.vars, gb.ring.field)))
     G, B = _gm_pairs(f, order)
     reducers = _reducers(f, G, order)
     return all(

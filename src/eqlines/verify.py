@@ -37,7 +37,6 @@ __all__ = [
     "VerificationError",
     "SpectralError",
     "verify_fiducial",
-    "reciprocity_check",
     "unit_certify",
     "gram_analysis",
     "spectral_reconstruct",
@@ -139,15 +138,6 @@ def _univariate_coeffs(f):
     if f.is_zero():
         raise VerificationError("zero polynomial")
     return _univ_coeffs(f, 0)
-
-
-def reciprocity_check(f):
-    """Palindrome test: x^n f(1/x) = f(x), plus degree parity."""
-    cs = _univariate_coeffs(f)
-    return {
-        "reciprocal": cs == cs[::-1],
-        "even_degree": (len(cs) - 1) % 2 == 0,
-    }
 
 
 def unit_certify(f):

@@ -566,6 +566,8 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
      "ValueError: tolerance realness must be positive and finite, not -1.0"),
     (["overlaps", "--in", "BAD", "--index", "0"], _bad_tolerance("match", "nan"),
      "ValueError: tolerance match must be positive and finite, not nan"),
+    (["groebner", "--in", "BAD"], _system("1 @ n=997", field={"cyclotomic": 12}),
+     "ValueError: conductor mismatch: 997 vs 12"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
@@ -573,7 +575,8 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
         "groebner-float-conductor", "gram-float-sign", "groebner-float-d",
         "verify-float-d", "verify-float-precision", "verify-short-coords",
         "overlaps-short-coords", "verify-low-precision",
-        "verify-negative-tolerance", "overlaps-nan-tolerance"])
+        "verify-negative-tolerance", "overlaps-nan-tolerance",
+        "groebner-conductor-mismatch"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic against independent numeric oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -51,6 +52,7 @@ def test_cyclotomic_poly_known():
 def test_cyclotomic_poly_degree_and_product():
     for n in (8, 9, 10, 15, 20, 36):
         assert len(cyclotomic_poly(n)) - 1 == euler_phi(n)
+        assert all(type(c) is int for c in cyclotomic_poly(n))
         # prod over divisors reassembles x^n - 1
         prod = [Fraction(1)]
         for d in range(1, n + 1):
@@ -63,7 +65,8 @@ def test_cyclotomic_poly_degree_and_product():
 
 
 def test_root_of_unity_is_primitive():
-    for n in (4, 5, 12, 20):
+    # phi = 1 at n = 1 and 2; 2*phi - 1 > n at 7 and 9
+    for n in (1, 2, 4, 5, 7, 9, 12, 20):
         z = cyclo_root_of_unity(n, 1)
         acc = CycloNum.from_rational(n, 1)
         for k in range(1, n):
@@ -72,6 +75,19 @@ def test_root_of_unity_is_primitive():
             if k < n:
                 assert acc != 1
         assert acc * z == 1
+
+
+def test_first_root_of_unity_builds_only_phi_n():
+    """A new conductor costs its Phi_n, not a table of n reduced powers
+    (61 MB at n = 2003)."""
+    tracemalloc.start()
+    try:
+        z = cyclo_root_of_unity(2003, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.num == (0, 1) + (0,) * 2000
+    assert peak < 1_000_000
 
 
 def test_minpoly_annihilates_generator():
@@ -93,7 +109,7 @@ def test_embedding_matches_exponential():
 
 
 def test_conjugate_of_root():
-    for n in (4, 12, 20):
+    for n in (1, 2, 4, 7, 9, 12, 20):
         for k in range(n):
             z = cyclo_root_of_unity(n, k)
             assert z.conjugate() == cyclo_root_of_unity(n, (n - k) % n)
@@ -195,6 +211,13 @@ def test_field_descriptors():
         CycloField(20).coerce(cyclo_root_of_unity(12, 1))
 
 
+def test_parse_checks_the_conductor_first():
+    before = cyclotomic_poly.cache_info().currsize
+    with pytest.raises(ValueError, match="conductor mismatch: 997 vs 12"):
+        CycloField(12).parse("1 @ n=997")
+    assert cyclotomic_poly.cache_info().currsize == before
+
+
 def test_upoly_division_invariant():
     a = [Fraction(2), Fraction(0), Fraction(-3), Fraction(1)]
     b = [Fraction(-1), Fraction(1)]
@@ -288,7 +311,7 @@ def check_canonical(x):
     assert y == x and hash(y) == hash(x)
 
 
-CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 36)
+CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 36)
 
 
 @st.composite

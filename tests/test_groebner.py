@@ -140,17 +140,18 @@ def test_is_groebner_matches_all_pairs(order):
 @pytest.fixture(scope="module")
 def wh3_grevlex():
     """The d=3 WH system, its grevlex basis and the number of monomials
-    in the system's ring right after the run, before any check adds
-    more."""
+    in the system's ring right after the run."""
     system = gen_wh_system(3)
     gb = buchberger(system.equations, "grevlex")
     return system, gb, len(system.ring._monos)
 
 
 def test_wh3_grevlex_basis_certified(wh3_grevlex):
-    _, gb, _ = wh3_grevlex
+    system, gb, n_monos = wh3_grevlex
     assert (len(gb), gb.pair_count) == (58, 191)
     assert is_groebner(gb)
+    # the check reduces in a scratch ring and leaves the system's alone
+    assert len(system.ring._monos) == n_monos
 
 
 def _assert_lives_in(ring, basis):

@@ -15,7 +15,6 @@ from eqlines.exact import (
     QQ,
     CycloField,
     cyclotomic_poly,
-    upoly_eval,
     upoly_mul,
     upoly_squarefree,
 )
@@ -29,7 +28,6 @@ from eqlines.verify import (
     gram_analysis,
     hexagon_lines,
     icosahedron_lines,
-    reciprocity_check,
     spectral_checks,
     spectral_reconstruct,
     unit_certify,
@@ -112,23 +110,6 @@ def test_all_real_d2_solutions_are_fiducials(d2_pipeline):
 
 
 # -- unit certification ------------------------------------------------------
-
-def test_reciprocity_examples():
-    assert reciprocity_check(_poly(1, 3, 1)) == {
-        "reciprocal": True,
-        "even_degree": True,
-    }
-    assert reciprocity_check(_poly(-1, 0, 1))["reciprocal"] is False
-    assert reciprocity_check(_poly(1, 1))["even_degree"] is False
-
-
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
-def test_reciprocity_matches_reversal(tail):
-    cs = [Fraction(c) for c in tail] + [Fraction(1)]
-    f = Poly.from_dict(RA, {(k,): c for k, c in enumerate(cs)})
-    out = reciprocity_check(f)
-    assert out["reciprocal"] == (cs == cs[::-1])
-
 
 def test_unit_certify_cyclotomics():
     for n in range(3, 51):
@@ -429,10 +410,3 @@ def test_real_matches_numpy_reference():
         alpha_est, max_dev = _real_check_numpy(vectors)
         assert abs(out["alpha_est"] - alpha_est) <= 1e-15
         assert abs(out["max_dev"] - max_dev) <= 1e-15
-
-
-def test_upoly_eval_matches_poly():
-    f = _poly(1, -3, 0, 2)
-    for x in (Fraction(0), Fraction(1, 2), Fraction(-3)):
-        assert upoly_eval([Fraction(1), Fraction(-3), Fraction(0), Fraction(2)], x) \
-            == f.eval_exact((x,))
