@@ -95,10 +95,10 @@ def read_json(path, parse=None):
     """Return the JSON document in ``path`` and the sha256 of its bytes.
 
     With ``parse``, the document is ``parse(obj)``. A file that does not
-    decode, or that the parser cannot read (a missing key, a value of
-    the wrong type or shape, a zero denominator), raises ConfigError
-    naming the file; a ConfigError from the parser itself passes through
-    unchanged.
+    decode (nested too deep included), or that the parser cannot read
+    (a missing key, a value of the wrong type or shape, a zero
+    denominator), raises ConfigError naming the file; a ConfigError from
+    the parser itself passes through unchanged.
     """
     data = Path(path).read_bytes()
     try:
@@ -108,7 +108,7 @@ def read_json(path, parse=None):
     except ConfigError:
         raise
     except (LookupError, TypeError, ValueError, ArithmeticError,
-            AttributeError) as exc:
+            AttributeError, RecursionError) as exc:
         raise ConfigError(f"{path} is not a valid input file") from exc
     return doc, sha256(data).hexdigest()
 
@@ -170,7 +170,7 @@ def cmd_gen(args):
         system = gen_wh_system(args.d, phase_fix=args.phase_fix)
     elif args.kind == "complex-full":
         system = gen_complex_full(args.d)
-    elif args.kind == "real":
+    else:  # "real"; argparse admits no other kind
         if args.n < 2:
             raise ConfigError("real systems need --n of at least 2")
         spec, _ = _seidel_spec(args)
@@ -178,8 +178,6 @@ def cmd_gen(args):
             args.d, args.n, alpha=_parse_alpha(args.alpha),
             signs=spec.signs if spec else None,
         )
-    else:
-        raise ConfigError(f"unknown kind {args.kind!r}")
     out = args.out or f"{args.kind.replace('-', '_')}_d{args.d}.json"
     write_canonical(out, system.to_json())
     _summary(args, [
@@ -208,10 +206,8 @@ def cmd_groebner(args):
     try:
         if args.order == "grevlex_then_lex":
             gb = grevlex_then_lex(list(system.equations), pair_budget=budget)
-        elif args.order == "lex":
+        else:  # "lex"; argparse admits no other order
             gb = buchberger(list(system.equations), "lex", pair_budget=budget)
-        else:
-            raise ConfigError(f"unknown order {args.order!r}")
     except PairBudgetExceeded as exc:
         write_canonical(out, {
             "format": "basis_partial",

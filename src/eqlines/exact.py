@@ -29,7 +29,6 @@ __all__ = [
     "QQ",
     "CycloField",
     "field_from_json",
-    "euler_phi",
     "cyclotomic_poly",
     "cyclo_root_of_unity",
     "cyclo_embed",
@@ -186,23 +185,6 @@ def _upoly_ext_gcd(a, b):
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
-
-def euler_phi(n):
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
 
 def _zpoly_divmod(num, den):
     """Quotient and remainder of the integer coefficient list ``num`` by

@@ -11,9 +11,9 @@ bit for bit. ``is_groebner`` applies the same criteria: it reduces
 only the S-pairs that this pair update keeps for the given basis.
 
 New basis elements are appended monic and fully reduced against the
-current basis. ``reduce_basis`` turns any basis into the unique reduced
-basis for its ideal and order: leading monomials minimal, every element
-monic, no term of any element divisible by another leading monomial.
+current basis. ``reduce_basis`` turns a Groebner basis, and only a
+Groebner basis, into the unique reduced basis of its ideal and order:
+every element monic, no term divisible by another leading monomial.
 
 ``buchberger`` works in a scratch ring that dies with the run. Its
 result, and the partial basis of an exhausted budget, live in the ring
@@ -169,7 +169,9 @@ def _reducers(f, G, order):
 
 
 def _interreduce(polys, order):
-    """Reduce each element against the others until a fixed point."""
+    """Reduce each element against the others, made monic, until a pass
+    drops no element and moves no leading monomial: each element is then
+    irreducible by the leading monomials of the others."""
     polys = [p for p in polys if not p.is_zero()]
     changed = True
     while changed:
@@ -182,7 +184,7 @@ def _interreduce(polys, order):
                 changed = True
                 continue
             r = r.monic(order)
-            if r != p:
+            if r.leading_monomial(order) != p.leading_monomial(order):
                 changed = True
             out.append(r)
         polys = out
@@ -270,27 +272,14 @@ def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
 
 
 def reduce_basis(gb):
-    """The unique reduced basis of the ideal spanned by gb, same order."""
+    """The reduced basis of gb, same order; gb must be a Groebner basis."""
     order = gb.order
     key = monomial_key(order)
-    polys = [p.monic(order) for p in gb.basis if not p.is_zero()]
+    polys = _interreduce(gb.basis, order)
     if not polys:
         raise ValueError("cannot reduce an empty basis")
-    # minimality: walk ascending leading monomials, drop covered ones
-    polys.sort(key=lambda p: key(p.leading_monomial(order)))
-    minimal = []
-    for p in polys:
-        lm = p.leading_monomial(order)
-        if not any(mono_divides(q.leading_monomial(order), lm) for q in minimal):
-            minimal.append(p)
-    # full tail reduction; leading monomials are now pairwise incomparable
-    out = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(p, others, order) if others else p
-        out.append(r.monic(order))
-    out.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
-    return GroebnerBasis(gb.ring, order, tuple(out), True, gb.pair_count)
+    polys.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
+    return GroebnerBasis(gb.ring, order, tuple(polys), True, gb.pair_count)
 
 
 def _has_constant(gb):

@@ -37,7 +37,6 @@ from bisect import insort
 from .exact import field_from_json
 
 __all__ = [
-    "ORDERS",
     "monomial_key",
     "mono_mul",
     "mono_div",
@@ -50,9 +49,6 @@ __all__ = [
     "s_polynomial",
     "rehome",
 ]
-
-ORDERS = ("lex", "grevlex")
-
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -381,11 +377,6 @@ class Poly:
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            if self.is_constant():
-                try:
-                    return self.constant_value() == self.ring.field.coerce(other)
-                except (TypeError, ValueError):
-                    return NotImplemented
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 

@@ -34,7 +34,7 @@ import operator
 import mpmath
 
 from .exact import upoly_mul, upoly_squarefree
-from .groebner import is_zero_dimensional, quotient_dimension, reduce_basis
+from .groebner import quotient_dimension
 from .polyring import Poly
 from .sicgen import apply_weyl, fiducial_from_coords
 
@@ -277,11 +277,13 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     system_equations is the original generating system, with at least
     one nonzero equation; every returned point is validated against it,
     not just against the basis, and tagged ``real`` when every
-    coordinate is real to tol.realness.
+    coordinate is real to tol.realness. Any other basis, the unreduced
+    partial basis of an exhausted pair budget among them, raises
+    ValueError.
     """
     tol = tol or Tolerances()
-    if gb.order != "lex":
-        raise ValueError("solve_triangular needs a lex basis")
+    if gb.order != "lex" or not gb.reduced:
+        raise ValueError("solve_triangular needs a reduced lex basis")
     if any(q.ring.arity != gb.ring.arity for q in system_equations):
         raise ValueError(
             "system and basis disagree on the number of variables"
@@ -290,11 +292,9 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
         raise ValueError(
             "the system has no nonzero equation to validate points against"
         )
-    if not gb.reduced:
-        gb = reduce_basis(gb)
-    if not is_zero_dimensional(gb):
-        raise NotZeroDimensionalError("ideal is not zero-dimensional")
     qdim = quotient_dimension(gb)
+    if qdim == math.inf:
+        raise NotZeroDimensionalError("ideal is not zero-dimensional")
     if qdim == 0:
         return SolutionSet([], precision, tol)
     cap = max_points if max_points is not None else max(10 * qdim, 16)

@@ -460,6 +460,11 @@ def test_alpha_zero_denominator(tmp_path, capsys):
     (["verify", "--in", "SOLS", "--tol", "inf"], "tolerances must be finite"),
     (["solve", "--in", "BASIS", "--system", "SYS", "--max-points", "-5"],
      "max points must not be negative"),
+    (["overlaps", "--zauner", "2"], "--zauner takes 1, 3, 5 or 7"),
+    (["overlaps"], "overlaps needs --in with --index, --vector or --zauner"),
+    (["gram", "--d", "2"], "gram needs --preset or --in"),
+    (["gram", "--preset", "foo", "--d", "2"],
+     "unknown preset 'foo'; choose from ['hexagon', 'icosahedron']"),
 ])
 def test_out_of_range_option(argv, message, d2_files, tmp_path, capsys):
     paths = {"SYS": str(d2_files[0]), "BASIS": str(d2_files[1]),
@@ -568,6 +573,19 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
      "ValueError: tolerance match must be positive and finite, not nan"),
     (["groebner", "--in", "BAD"], _system("1 @ n=997", field={"cyclotomic": 12}),
      "ValueError: conductor mismatch: 997 vs 12"),
+    (["groebner", "--in", "BAD"], "[" * 100000, "RecursionError: "),
+    (["groebner", "--in", "BAD"], _system("1 @ m=12", field={"cyclotomic": 12}),
+     "ValueError: missing conductor annotation in '1 @ m=12'"),
+    (["groebner", "--in", "BAD"], _system("2*z @ n=12", field={"cyclotomic": 12}),
+     "ValueError: bad cyclotomic term '2*z' in '2*z @ n=12'"),
+    (["groebner", "--in", "BAD"], _system("z^4 @ n=12", field={"cyclotomic": 12}),
+     "ValueError: power 4 not reduced for n=12"),
+    (["groebner", "--in", "BAD"], _system("1", field={"cyclotomic": 12, "x": 1}),
+     "ValueError: unknown field tag {'cyclotomic': 12, 'x': 1}"),
+    (["groebner", "--in", "BAD"], _system("1").replace('"x1"', '"x0"'),
+     "ValueError: duplicate variable names"),
+    (["groebner", "--in", "BAD"], _system("1").replace('"polysystem"', '"basis"'),
+     "ValueError: not a polysystem file"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
@@ -576,7 +594,10 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
         "verify-float-d", "verify-float-precision", "verify-short-coords",
         "overlaps-short-coords", "verify-low-precision",
         "verify-negative-tolerance", "overlaps-nan-tolerance",
-        "groebner-conductor-mismatch"])
+        "groebner-conductor-mismatch", "groebner-deep-json",
+        "groebner-no-conductor", "groebner-bad-cyclo-term",
+        "groebner-unreduced-power", "groebner-unknown-field",
+        "groebner-duplicate-vars", "groebner-not-a-system"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

@@ -18,7 +18,6 @@ from eqlines.exact import (
     cyclo_root_of_unity,
     cyclo_to_str,
     cyclotomic_poly,
-    euler_phi,
     field_from_json,
     upoly_divmod,
     upoly_gcd,
@@ -36,11 +35,6 @@ def brute_phi(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
-def test_euler_phi_small():
-    for n in range(1, 80):
-        assert euler_phi(n) == brute_phi(n)
-
-
 def test_cyclotomic_poly_known():
     assert tuple(cyclotomic_poly(1)) == (-1, 1)
     assert tuple(cyclotomic_poly(2)) == (1, 1)
@@ -51,7 +45,7 @@ def test_cyclotomic_poly_known():
 
 def test_cyclotomic_poly_degree_and_product():
     for n in (8, 9, 10, 15, 20, 36):
-        assert len(cyclotomic_poly(n)) - 1 == euler_phi(n)
+        assert len(cyclotomic_poly(n)) - 1 == brute_phi(n)
         assert all(type(c) is int for c in cyclotomic_poly(n))
         # prod over divisors reassembles x^n - 1
         prod = [Fraction(1)]
@@ -278,7 +272,7 @@ def test_upoly_helpers_give_fractions_over_q():
 
 def ref_reduce(n, long):
     _, r = upoly_divmod([Fraction(c) for c in long], list(cyclotomic_poly(n)))
-    return tuple(r) + (Fraction(0),) * (euler_phi(n) - len(r))
+    return tuple(r) + (Fraction(0),) * (brute_phi(n) - len(r))
 
 
 def ref_mul(n, a, b):
@@ -317,7 +311,7 @@ CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 36)
 @st.composite
 def cyclo_pairs(draw):
     n = draw(st.sampled_from(CONDUCTORS))
-    phi = euler_phi(n)
+    phi = brute_phi(n)
     # zero coefficients are drawn often, as in the generated systems
     elem = st.lists(
         st.one_of(st.just(Fraction(0)), rationals),

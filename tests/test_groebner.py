@@ -439,6 +439,31 @@ def test_reduce_basis_idempotent():
     assert again.basis == gb.basis
 
 
+def test_reduce_basis_keeps_the_ideal():
+    """(x^2 - y, x^2) is no Groebner basis; interreduction keeps the
+    generator y that dropping the covered leading monomial x^2 loses."""
+    x, y = _vars(R2)
+    gb = reduce_basis(GroebnerBasis(R2, "lex", (x ** 2 - y, x ** 2), False))
+    assert gb.basis == (x ** 2, y) and gb.reduced
+
+
+def test_interreduce_stops_once_leading_monomials_stay(monkeypatch):
+    """[x + y, y]: one pass reduces x + y to x and keeps both leading
+    monomials, so no confirming pass runs."""
+    from eqlines import groebner
+
+    calls = []
+
+    def counting(p, divisors, order):
+        calls.append(p)
+        return reduce_poly(p, divisors, order)
+
+    monkeypatch.setattr(groebner, "reduce_poly", counting)
+    x, y = _vars(R2)
+    assert groebner._interreduce([x + y, y], "lex") == [x, y]
+    assert len(calls) == 2
+
+
 def test_empty_and_zero_generators_rejected():
     with pytest.raises(ValueError):
         buchberger([], "lex")

@@ -124,6 +124,14 @@ def test_pow_and_scalar_ops():
     assert (f + 1) - 1 == f
 
 
+def test_poly_equals_only_polys():
+    """== agrees with hash: a constant polynomial is no scalar."""
+    five = Poly.constant(R2, 5)
+    assert five != 5 and 5 != five
+    assert {5: "a"}.get(five) is None
+    assert five == Poly.constant(R2, Fraction(5))
+
+
 def _reference_division(f, gs, order):
     """Textbook multivariate division (Cox, Little and O'Shea, Ideals,
     Varieties, and Algorithms, Ch. 2, §3, Thm. 3) in Poly arithmetic.

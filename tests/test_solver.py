@@ -173,6 +173,15 @@ def test_not_zero_dimensional():
         solve_triangular(gb, [x * y], precision=128)
 
 
+def test_unreduced_basis_rejected():
+    # (x^2 - y, x^2) is no Groebner basis, so the solver must not
+    # reduce it for the caller
+    x, y = _xy()
+    gb = GroebnerBasis(x.ring, "lex", (x ** 2 - y, x ** 2), False)
+    with pytest.raises(ValueError, match="needs a reduced lex basis"):
+        solve_triangular(gb, [x ** 2 - y, x ** 2], precision=128)
+
+
 def test_arity_mismatch_rejected():
     x, y = _xy()
     gb = buchberger([x ** 2 - 1, y - x], "lex")
