@@ -15,10 +15,11 @@ current basis. ``reduce_basis`` turns a Groebner basis, and only a
 Groebner basis, into the unique reduced basis of its ideal and order:
 every element monic, no term divisible by another leading monomial.
 
-``buchberger`` works in a scratch ring that dies with the run. Its
-result, and the partial basis of an exhausted budget, live in the ring
-of the first generator, with its shared monomials and one coefficient
-instance per value.
+``buchberger`` works in a scratch ring that dies with the run, and
+drops each element once it has left the basis and every pending pair
+(Gebauer, Moeller 1988). Its result, and the partial basis of an
+exhausted budget, live in the ring of the first generator, with its
+shared monomials and one coefficient instance per value.
 """
 
 from __future__ import annotations
@@ -89,16 +90,26 @@ class GroebnerBasis:
 
     @classmethod
     def from_json(cls, obj):
-        """Read a basis file; any other format, or a zero basis element,
-        raises ValueError."""
+        """Read a basis file; ValueError for any other format, a zero basis
+        element, or a basis claimed reduced that is not."""
         if obj.get("format") != "basis":
             raise ValueError("not a basis file")
         ring = Ring.from_json(obj)
+        order, reduced = obj["order"], obj["reduced"]
+        if not isinstance(reduced, bool):
+            raise ValueError(f"reduced flag {reduced!r} is not a bool")
         basis = tuple(Poly.terms_from_json(t, ring) for t in obj["basis"])
         for i, p in enumerate(basis):
             if p.is_zero():
                 raise ValueError(f"basis element {i} is zero")
-        return cls(ring, obj["order"], basis, obj["reduced"], obj["pair_count"])
+            if reduced and p.leading_coeff(order) != 1:
+                raise ValueError(f"basis element {i} is not monic")
+            if reduced and reduce_poly(p, basis[:i] + basis[i + 1:], order) is not p:
+                raise ValueError(f"basis element {i} is reducible by the others")
+        gb = cls(ring, order, basis, reduced, obj["pair_count"])
+        if reduced and not is_groebner(gb):
+            raise ValueError("basis is not a Groebner basis")
+        return gb
 
 
 class PairBudgetExceeded(RuntimeError):
@@ -225,8 +236,9 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
             )
             raise PairBudgetExceeded(pair_count, partial)
         s = s_polynomial(f[pair[0]], f[pair[1]], order)
-        if s.is_zero():
-            continue
+        # an element out of G and out of every pending pair is never read again
+        live = set(G).union(*B)
+        f = [p if i in live else None for i, p in enumerate(f)]
         r = reduce_poly(s, reducers, order)
         if r.is_zero():
             continue

@@ -2,15 +2,15 @@
 
 Monomials are dense exponent tuples, and each ``Ring`` hands out one
 shared tuple per distinct monomial: every polynomial built in the ring
-refers to the same tuple object for the same monomial. The table keeps
-every monomial the ring's polynomials have used, so a run that makes
-many throwaway polynomials works in a scratch ring and moves its result
-back with ``rehome``. A polynomial
-keeps its terms as a tuple sorted strictly decreasing in lex order,
-which makes the term list a canonical form: two polynomials are equal
-iff their ring and term tuples are equal. Supported term orders are
-"lex" and "grevlex"; both refine total degree comparisons the usual
-way, with variable 0 largest.
+refers to the same tuple object for the same monomial, except an
+S-polynomial and its unchanged remainder or monic multiple. The table
+keeps every monomial it has handed out, so a run that makes many
+throwaway polynomials works in a scratch ring and moves its result back
+with ``rehome``. A polynomial keeps its terms as a tuple sorted strictly
+decreasing in lex order, which makes the term list a canonical form:
+two polynomials are equal iff their ring and term tuples are equal.
+Supported term orders are "lex" and "grevlex"; both refine total degree
+comparisons the usual way, with variable 0 largest.
 
 Remainders come from ``reduce_poly``, the one multivariate division
 loop: at each step the current leading term is reduced against the
@@ -102,15 +102,6 @@ def _canonical_terms(ring, acc):
     )
 
 
-def _check_mono(ring, mono):
-    """mono as a tuple of ints; ValueError unless it is an exponent
-    vector of the ring."""
-    mono = tuple(map(operator.index, mono))
-    if len(mono) != ring.arity or any(e < 0 for e in mono):
-        raise ValueError(f"bad exponent vector {mono}")
-    return mono
-
-
 # ---------------------------------------------------------------------------
 # rings and polynomials
 # ---------------------------------------------------------------------------
@@ -120,10 +111,10 @@ class Ring:
 
     A ring also keeps the table of its monomials, which maps each
     exponent tuple that a polynomial of the ring has used, also one long
-    gone, to its one shared instance; hence a run keeps its
-    intermediates in a scratch ``Ring(vars, field)``. The table is no
-    part of the ring's value: it takes no part in ``==``, ``hash`` or
-    ``to_json``.
+    gone, to its one shared instance; S-polynomials do not fill it.
+    Hence a run keeps its intermediates in a scratch ``Ring(vars,
+    field)``. The table is no part of the ring's value: it takes no part
+    in ``==``, ``hash`` or ``to_json``.
     """
 
     __slots__ = ("vars", "field", "_monos")
@@ -181,7 +172,9 @@ class Poly:
         else:
             acc = {}
             for mono, coeff in terms:
-                mono = _check_mono(ring, mono)
+                mono = tuple(map(operator.index, mono))
+                if len(mono) != ring.arity or any(e < 0 for e in mono):
+                    raise ValueError(f"bad exponent vector {mono}")
                 c = ring.field.coerce(coeff)
                 acc[mono] = acc[mono] + c if mono in acc else c
             object.__setattr__(self, "terms", _canonical_terms(ring, acc))
@@ -345,19 +338,6 @@ class Poly:
                 base = base * base
         return result
 
-    def mul_term(self, mono, coeff):
-        """Multiply by a single term; used by the S-polynomials."""
-        mono = _check_mono(self.ring, mono)
-        coeff = self.ring.field.coerce(coeff)
-        if not coeff:
-            return Poly.zero(self.ring)
-        intern = self.ring._monos.setdefault
-        terms = []
-        for m, c in self.terms:
-            m = mono_mul(m, mono)
-            terms.append((intern(m, m), c * coeff))
-        return Poly(self.ring, tuple(terms), _canonical=True)
-
     # -- evaluation -----------------------------------------------------------
 
     def eval_exact(self, point):
@@ -492,7 +472,7 @@ def _top_exponent(ring, monos):
 
 def reduce_poly(f, divisors, order="lex"):
     """Remainder of f on division by the nonzero divisors, by the rule in
-    the module docstring."""
+    the module docstring; f itself when no leading term divides a term."""
     divisors = [g for g in divisors if not g.is_zero()]
     if any(g.ring != f.ring for g in divisors):
         raise ValueError("ring mismatch in division")
@@ -570,6 +550,8 @@ def _divide(f, divisors, heads, order, width):
                 insort(pending, mk)
             else:
                 p[mk] = s + nq * tc
+    if not tails:  # no term was divisible
+        return f
     shifts = _field_shifts(n, order, width)
     mask = (1 << width) - 1
     acc = {tuple(w >> s & mask for s in shifts): c for w, c in rem}
@@ -577,7 +559,8 @@ def _divide(f, divisors, heads, order, width):
 
 
 def s_polynomial(p, q, order="lex"):
-    """S(p, q) = (L/LT(p)) p - (L/LT(q)) q with L = lcm of the leading monomials."""
+    """S(p, q) = (L/LT(p)) p - (L/LT(q)) q with L = lcm of the leading
+    monomials: a throwaway whose monomials stay out of the ring's table."""
     if p.ring != q.ring:
         raise ValueError("ring mismatch in s_polynomial")
     if p.is_zero() or q.is_zero():
@@ -586,9 +569,14 @@ def s_polynomial(p, q, order="lex"):
     qm, qc = q.leading_term(order)
     L = mono_lcm(pm, qm)
     one = p.ring.field.one()
-    left = p.mul_term(mono_div(L, pm), one / pc)
-    right = q.mul_term(mono_div(L, qm), one / qc)
-    return left - right
+    acc = {}
+    for g, gm, k in ((p, pm, one / pc), (q, qm, -one / qc)):
+        u = mono_div(L, gm)
+        for m, c in g.terms:
+            m = mono_mul(m, u)
+            acc[m] = acc[m] + c * k if m in acc else c * k
+    terms = tuple((m, acc[m]) for m in sorted(acc, reverse=True) if acc[m])
+    return Poly(p.ring, terms, _canonical=True)
 
 
 def rehome(polys, ring):

@@ -530,6 +530,19 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
     })
 
 
+def _reduced_basis(*polys):
+    """A lex basis file in x, y over Q that claims to be reduced; each
+    polynomial is a list of (coefficient, exponent vector) terms."""
+    return json.dumps({
+        "format": "basis", "order": "lex", "vars": ["x", "y"], "field": "Q",
+        "reduced": True, "pair_count": 0,
+        "basis": [[{"c": c, "e": e} for c, e in p] for p in polys],
+    })
+
+
+_X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
+
+
 @pytest.mark.parametrize("argv, content, cause", [
     (["groebner", "--in", "BAD"], _NOT_A_SYSTEM, "KeyError: 'vars'"),
     (["groebner", "--in", "BAD"], "[1, 2]", "AttributeError: "),
@@ -586,6 +599,17 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
      "ValueError: duplicate variable names"),
     (["groebner", "--in", "BAD"], _system("1").replace('"polysystem"', '"basis"'),
      "ValueError: not a polysystem file"),
+    (["solve", "--in", "BAD", "--system", "SYS"],
+     _reduced_basis(_X2_MINUS_Y, [("1", [2, 0])]),
+     "ValueError: basis element 0 is reducible by the others"),
+    (["solve", "--in", "BAD", "--system", "SYS"],
+     _reduced_basis(_X2_MINUS_Y, [("1", [1, 1]), ("-1", [0, 0])]),
+     "ValueError: basis is not a Groebner basis"),
+    (["solve", "--in", "BAD", "--system", "SYS"],
+     _reduced_basis([("2", [1, 0])]), "ValueError: basis element 0 is not monic"),
+    (["solve", "--in", "BAD", "--system", "SYS"],
+     _reduced_basis([("1", [1, 0])]).replace("true", "1"),
+     "ValueError: reduced flag 1 is not a bool"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
@@ -597,7 +621,9 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
         "groebner-conductor-mismatch", "groebner-deep-json",
         "groebner-no-conductor", "groebner-bad-cyclo-term",
         "groebner-unreduced-power", "groebner-unknown-field",
-        "groebner-duplicate-vars", "groebner-not-a-system"])
+        "groebner-duplicate-vars", "groebner-not-a-system",
+        "solve-basis-unreduced", "solve-basis-not-groebner",
+        "solve-basis-not-monic", "solve-basis-reduced-not-bool"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"
