@@ -1,6 +1,7 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic numbers.
 
-Rationals are stdlib ``fractions.Fraction``. A :class:`CycloNum` is an
+A rational value is a stdlib ``fractions.Fraction`` in every field, Q
+being the prime field of each. A :class:`CycloNum` is an irrational
 element of the cyclotomic field Q(zeta_n) on the power basis
 1, z, ..., z^(phi(n)-1), stored as phi(n) integer numerators over one
 positive denominator in lowest terms, so two elements are equal iff
@@ -45,8 +46,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q or Q(zeta_n), as coefficient lists (low
-# degree first); results hold CycloNum coefficients when an input does,
-# else Fraction
+# degree first); rational results are Fraction and the others CycloNum,
+# as everywhere
 # ---------------------------------------------------------------------------
 
 def upoly_trim(cs):
@@ -57,18 +58,8 @@ def upoly_trim(cs):
     return cs
 
 
-def _upoly_field(*polys):
-    """The field of the coefficients in ``polys``: Q(zeta_n) when any
-    coefficient is a CycloNum, else Q, int coefficients included."""
-    for p in polys:
-        for c in p:
-            if isinstance(c, CycloNum):
-                return CycloField(c.n)
-    return QQ
-
-
 def upoly_sub(a, b):
-    out = [_upoly_field(a, b).zero()] * max(len(a), len(b))
+    out = [Fraction(0)] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
@@ -79,7 +70,7 @@ def upoly_sub(a, b):
 def upoly_mul(a, b):
     if not a or not b:
         return []
-    out = [_upoly_field(a, b).zero()] * (len(a) + len(b) - 1)
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -92,10 +83,9 @@ def upoly_divmod(a, b):
     b = upoly_trim(b)
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
-    field = _upoly_field(a, b)
     a = upoly_trim(a)
-    inv = field.one() / b[-1]
-    q = [field.zero()] * max(len(a) - len(b) + 1, 0)
+    inv = Fraction(1) / b[-1]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         k = len(a) - len(b)
         c = a[-1] * inv
@@ -104,7 +94,7 @@ def upoly_divmod(a, b):
             a[k + i] -= c * cb
         a = upoly_trim(a)
     # entries below the last quotient term are still as the caller gave them
-    return upoly_trim(q), [field.coerce(c) for c in a]
+    return upoly_trim(q), [Fraction(c) if isinstance(c, int) else c for c in a]
 
 
 def upoly_deriv(a):
@@ -115,7 +105,7 @@ def upoly_monic(a):
     a = upoly_trim(a)
     if not a:
         return a
-    inv = _upoly_field(a).one() / a[-1]
+    inv = Fraction(1) / a[-1]
     return [c * inv for c in a]
 
 
@@ -232,31 +222,30 @@ def _zeta_powers(n, precision):
 
 
 class CycloNum:
-    """An element of Q(zeta_n) on the reduced power basis.
+    """An irrational element of Q(zeta_n) on the reduced power basis.
 
     The value is sum(num[k] * z^k) / den: ``num`` is a tuple of phi(n)
     ints and ``den`` a positive int with gcd(den, *num) == 1, so equal
     elements have equal fields. ``coeffs`` gives the same value as a
-    tuple of Fractions. Mixed arithmetic with ``int`` and ``Fraction`` is
-    supported; two CycloNum operands must share the same conductor.
+    tuple of Fractions. A rational value is always a ``Fraction``: the
+    constructor and every operator return one, so a CycloNum is never
+    rational, in particular never zero. Mixed arithmetic with ``int`` and
+    ``Fraction`` is supported; two CycloNum operands must share the same
+    conductor.
     """
 
     __slots__ = ("n", "num", "den")
 
-    def __init__(self, n, coeffs):
+    def __new__(cls, n, coeffs):
         phi = len(cyclotomic_poly(n)) - 1
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(
                 f"Q(zeta_{n}) elements need {phi} coefficients, got {len(coeffs)}"
             )
-        # over the lcm of reduced denominators the numerators are coprime
-        # to it, so this is already in lowest terms
         den = math.lcm(*(c.denominator for c in coeffs))
-        num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
+        return cls._new(n, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
@@ -264,7 +253,10 @@ class CycloNum:
     @classmethod
     def _new(cls, n, num, den):
         # internal results: num is a tuple of phi(n) ints and den > 0;
-        # divides out their common factor
+        # a rational value becomes a Fraction, any other is divided by
+        # the common factor of num and den
+        if not any(num[1:]):
+            return Fraction(num[0], den)
         g = math.gcd(den, *num)
         if g != 1:
             num = tuple([c // g for c in num])
@@ -275,13 +267,6 @@ class CycloNum:
         object.__setattr__(x, "den", den)
         return x
 
-    @classmethod
-    def from_rational(cls, n, q):
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-        zeros = (0,) * (len(cyclotomic_poly(n)) - 2)
-        return cls._new(n, (q.numerator,) + zeros, q.denominator)
-
     @property
     def coeffs(self):
         """The power basis coefficients as a tuple of Fractions."""
@@ -289,17 +274,6 @@ class CycloNum:
         return tuple(Fraction(c, den) for c in self.num)
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self):
-        return not any(self.num)
-
-    def is_rational(self):
-        return not any(self.num[1:])
-
-    def rational_part(self):
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return Fraction(self.num[0], self.den)
 
     def conjugate(self):
         """Complex conjugation, z -> z^(n-1)."""
@@ -315,26 +289,28 @@ class CycloNum:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
+    def _parts(self, other):
+        # (numerators, denominator) of other on this power basis, or None
         if isinstance(other, CycloNum):
             if other.n != self.n:
                 raise ValueError(
                     f"conductor mismatch: {self.n} vs {other.n}"
                 )
-            return other
+            return other.num, other.den
         if isinstance(other, (int, Fraction)):
-            return CycloNum.from_rational(self.n, other)
+            return (other.numerator,) + (0,) * (len(self.num) - 1), other.denominator
         return None
 
     def _add_sub(self, other, op):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        a, b = self.den, other.den
+        num, b = parts
+        a = self.den
         if a == b:
-            return CycloNum._new(self.n, tuple(map(op, self.num, other.num)), a)
+            return CycloNum._new(self.n, tuple(map(op, self.num, num)), a)
         return CycloNum._new(
-            self.n, tuple([op(x * b, y * a) for x, y in zip(self.num, other.num)]), a * b
+            self.n, tuple([op(x * b, y * a) for x, y in zip(self.num, num)]), a * b
         )
 
     def __add__(self, other):
@@ -349,39 +325,31 @@ class CycloNum:
         return self._add_sub(other, operator.sub)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return self._add_sub(other, lambda x, y: y - x)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            q = other.numerator
+            return CycloNum._new(
+                self.n, tuple([c * q for c in self.num]), self.den * other.denominator
+            )
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        den = self.den * other.den
-        if other.is_rational():
-            q = other.num[0]
-            return CycloNum._new(self.n, tuple([c * q for c in self.num]), den)
-        if self.is_rational():
-            q = self.num[0]
-            return CycloNum._new(self.n, tuple([c * q for c in other.num]), den)
-        m = len(self.num)
+        num, den = parts
+        m = len(num)
         long = [0] * (2 * m - 1)
         for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.num):
+                for j, b in enumerate(num):
                     if b:
                         long[i + j] += a * b
         _, r = _zpoly_divmod(long, cyclotomic_poly(self.n))
-        return CycloNum._new(self.n, tuple(r), den)
+        return CycloNum._new(self.n, tuple(r), self.den * den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        if self.is_rational():
-            return CycloNum.from_rational(self.n, Fraction(self.den, self.num[0]))
         minpoly = cyclotomic_poly(self.n)
         g, u, _ = _upoly_ext_gcd(list(self.num), list(minpoly))
         # Phi_n is irreducible over Q, so the gcd with any nonzero
@@ -394,23 +362,23 @@ class CycloNum:
         return CycloNum(self.n, u + [0] * (len(minpoly) - 1 - len(u)))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        if isinstance(other, CycloNum):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycloNum.from_rational(self.n, 1)
+        result = Fraction(1)
         base = self
         while k:
             if k & 1:
@@ -422,23 +390,12 @@ class CycloNum:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # both sides are in lowest terms with a positive denominator
-            return (
-                self.is_rational()
-                and self.num[0] == other.numerator
-                and self.den == other.denominator
-            )
         if isinstance(other, CycloNum):
             return self.n == other.n and self.den == other.den and self.num == other.num
-        return NotImplemented
-
-    def __bool__(self):
-        return any(self.num)
+        # a CycloNum is never rational
+        return False if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
         return hash((self.n, self.num, self.den))
 
     def __repr__(self):
@@ -449,21 +406,24 @@ class CycloNum:
 
 
 def cyclo_root_of_unity(n, k):
-    """zeta_n^k as a CycloNum (k may be any integer)."""
+    """zeta_n^k (k may be any integer); a Fraction when it is +-1."""
     _, r = _zpoly_divmod([0] * (k % n) + [1], cyclotomic_poly(n))
     return CycloNum._new(n, tuple(r), 1)
 
 
 def cyclo_embed(x, precision=53):
-    """Numeric value of a CycloNum as an mpmath mpc.
+    """Numeric value of a CycloNum, Fraction or int as an mpmath mpc.
 
     The result carries roughly ``precision`` correct bits; computation
     runs with 16 guard bits.
     """
     import mpmath
 
-    powers = _zeta_powers(x.n, precision)
     with mpmath.workprec(precision + 16):
+        if not isinstance(x, CycloNum):
+            x = Fraction(x)
+            return mpmath.mpc(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
+        powers = _zeta_powers(x.n, precision)
         acc = mpmath.mpc(0)
         for c, p in zip(x.coeffs, powers):
             if c:
@@ -476,7 +436,8 @@ def cyclo_embed(x, precision=53):
 # ---------------------------------------------------------------------------
 
 def cyclo_to_str(x):
-    """Render like ``(1/2)*z^2 - 1 @ n=12``; parsed back by cyclo_from_str."""
+    """Render a CycloNum like ``(1/2)*z^2 - 1 @ n=12``; parsed back by
+    cyclo_from_str."""
     parts = []
     coeffs = x.coeffs
     for k in range(len(coeffs) - 1, -1, -1):
@@ -494,7 +455,7 @@ def cyclo_to_str(x):
             parts.append(("-" if neg else "") + body)
         else:
             parts.append((" - " if neg else " + ") + body)
-    poly = "".join(parts) if parts else "0"
+    poly = "".join(parts)
     return f"{poly} @ n={x.n}"
 
 
@@ -555,8 +516,6 @@ class _RationalField:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        if isinstance(x, CycloNum):
-            return x.rational_part()
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def zero(self):
@@ -593,7 +552,8 @@ class _RationalField:
 
 
 class CycloField:
-    """The field Q(zeta_n); scalars are CycloNum with conductor n."""
+    """The field Q(zeta_n); its scalars are Fractions for rational values
+    and CycloNums with conductor n for the others."""
 
     def __init__(self, n):
         if n < 1:
@@ -610,17 +570,19 @@ class CycloField:
                 raise ValueError(f"conductor mismatch: {x.n} vs {self.n}")
             return x
         if isinstance(x, (int, Fraction)):
-            return CycloNum.from_rational(self.n, x)
+            return QQ.coerce(x)
         raise TypeError(f"cannot coerce {x!r} into Q(zeta_{self.n})")
 
     def zero(self):
-        return CycloNum.from_rational(self.n, 0)
+        return Fraction(0)
 
     def one(self):
-        return CycloNum.from_rational(self.n, 1)
+        return Fraction(1)
 
     def render(self, x):
-        return cyclo_to_str(x)
+        if isinstance(x, CycloNum):
+            return cyclo_to_str(x)
+        return f"{x} @ n={self.n}"
 
     def parse(self, s):
         n = _split_conductor(s)[1]

@@ -62,7 +62,7 @@ def test_root_of_unity_is_primitive():
     # phi = 1 at n = 1 and 2; 2*phi - 1 > n at 7 and 9
     for n in (1, 2, 4, 5, 7, 9, 12, 20):
         z = cyclo_root_of_unity(n, 1)
-        acc = CycloNum.from_rational(n, 1)
+        acc = Fraction(1)
         for k in range(1, n):
             acc = acc * z
             assert acc == cyclo_root_of_unity(n, k)
@@ -87,10 +87,10 @@ def test_first_root_of_unity_builds_only_phi_n():
 def test_minpoly_annihilates_generator():
     for n in (4, 8, 12, 20):
         z = cyclo_root_of_unity(n, 1)
-        val = CycloNum.from_rational(n, 0)
+        val = Fraction(0)
         for c in reversed(cyclotomic_poly(n)):
             val = val * z + c
-        assert val.is_zero()
+        assert type(val) is Fraction and val == 0
 
 
 def test_embedding_matches_exponential():
@@ -110,9 +110,9 @@ def test_conjugate_of_root():
 
 
 def _rand_cyclo(n, draw_coeffs):
-    x = CycloNum.from_rational(n, 0)
+    x = Fraction(0)
     z = cyclo_root_of_unity(n, 1)
-    p = CycloNum.from_rational(n, 1)
+    p = Fraction(1)
     for c in draw_coeffs:
         x = x + p * c
         p = p * z
@@ -131,17 +131,19 @@ def test_conjugation_is_ring_hom(a, b):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     norm = a * a.conjugate()
-    assert norm.is_real()
+    assert norm.conjugate() == norm
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=cyclo_elems)
 def test_inverse(a):
-    if a.is_zero():
+    if not a:
         with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    else:
+            1 / a
+    elif isinstance(a, CycloNum):
         assert a * a.inverse() == 1
+    else:
+        assert a * (1 / a) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +158,11 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(a=cyclo_elems)
 def test_string_round_trip(a):
-    assert cyclo_from_str(cyclo_to_str(a)) == a
+    field = CycloField(12)
+    text = field.render(a)
+    assert field.parse(text) == a
+    if isinstance(a, CycloNum):
+        assert text == cyclo_to_str(a) and cyclo_from_str(text) == a
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,16 +181,19 @@ def test_embedding_is_additive_hom(a):
 def test_rational_detection():
     z4 = cyclo_root_of_unity(4, 1)
     sq = z4 * z4
-    assert sq.is_rational()
-    assert sq.rational_part() == -1
-    assert not z4.is_rational()
-    assert (z4 + z4.conjugate()).is_rational()
+    assert type(sq) is Fraction and sq == -1
+    assert isinstance(z4, CycloNum)
+    trace = z4 + z4.conjugate()
+    assert type(trace) is Fraction and trace == 0
 
 
 def test_rational_hash_compat():
-    x = CycloNum.from_rational(12, Fraction(3, 4))
-    assert x == Fraction(3, 4)
+    z = cyclo_root_of_unity(12, 1)
+    x = (z + Fraction(3, 4)) - z
+    assert type(x) is Fraction and x == Fraction(3, 4)
     assert hash(x) == hash(Fraction(3, 4))
+    assert CycloNum(12, [Fraction(3, 4), 0, 0, 0]) == Fraction(3, 4)
+    assert z != Fraction(3, 4) and Fraction(3, 4) != z
 
 
 def test_rational_embed():
@@ -203,6 +212,36 @@ def test_field_descriptors():
     assert f.render(x) and f.parse(f.render(x)) == x
     with pytest.raises(ValueError):
         CycloField(20).coerce(cyclo_root_of_unity(12, 1))
+
+
+def test_rational_scalars_are_fractions_in_every_field():
+    f = CycloField(12)
+    for x in (f.coerce(3), f.coerce(Fraction(3, 7)), f.zero(), f.one(),
+              f.parse("-3/7 @ n=12"), f.parse("0 @ n=12")):
+        assert type(x) is Fraction
+    # the text of a rational value is the one the power basis gave
+    for q, text in [(Fraction(3, 7), "3/7 @ n=12"), (Fraction(-3, 7), "-3/7 @ n=12"),
+                    (Fraction(0), "0 @ n=12"), (5, "5 @ n=12"), (-1, "-1 @ n=12")]:
+        assert f.render(q) == text
+        assert f.parse(text) == q
+    z = cyclo_root_of_unity(12, 1)
+    with pytest.raises(TypeError, match=r"cannot coerce CycloNum\(12, .* into Q"):
+        QQ.coerce(z)
+
+
+@pytest.mark.parametrize("p", [256, 512, 1024])
+def test_rational_cyclo_embed(p):
+    """cyclo_embed takes rationals: 16 guard bits as for any element,
+    and the value QQ.embed gives once rounded to the asked precision."""
+    q = Fraction(3, 7)
+    got = cyclo_embed(q, p)
+    with mpmath.workprec(p + 16):
+        assert got == mpmath.mpc(mpmath.mpf(3) / mpmath.mpf(7))
+    assert got.real._mpf_[1].bit_length() > p
+    assert cyclo_embed(3, p) == QQ.embed(3, p)
+    assert CycloField(12).embed(q, p) == got
+    with mpmath.workprec(p):
+        assert +got == QQ.embed(q, p)
 
 
 def test_parse_checks_the_conductor_first():
@@ -250,12 +289,15 @@ def _upoly_results(a, b):
 
 def test_upoly_helpers_keep_cyclotomic_scalars():
     z = cyclo_root_of_unity(12, 1)
-    assert [type(c) for c in upoly_mul([0, z], [z, 1])] == [CycloNum] * 3
-    assert [type(c) for c in upoly_sub([z], [z, 1])] == [CycloNum] * 2
+    assert [type(c) for c in upoly_mul([0, z], [z, 1])] == [Fraction, CycloNum, CycloNum]
+    assert [type(c) for c in upoly_sub([z], [z, 1])] == [Fraction, Fraction]
     for a, b in [([0, z], [z, 1]), ([1, 0, z], [z, 1]), ([3, 1], [z, 0, 1])]:
         results = _upoly_results(a, b)
         assert all(results[:3])
-        assert all(type(c) is CycloNum for r in results for c in r)
+        coeffs = [c for r in results for c in r]
+        assert any(type(c) is CycloNum for c in coeffs)
+        for c in coeffs:
+            lift(12, c)
 
 
 def test_upoly_helpers_give_fractions_over_q():
@@ -305,6 +347,17 @@ def check_canonical(x):
     assert y == x and hash(y) == hash(x)
 
 
+def lift(n, x):
+    """The power basis coefficients of a scalar of Q(zeta_n). A CycloNum
+    must be canonical and irrational, and a rational value a Fraction."""
+    if isinstance(x, CycloNum):
+        assert x.n == n and any(x.num[1:])
+        check_canonical(x)
+        return x.coeffs
+    assert type(x) is Fraction
+    return (x,) + (Fraction(0),) * (brute_phi(n) - 1)
+
+
 CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 36)
 
 
@@ -325,7 +378,7 @@ def cyclo_pairs(draw):
 def test_arithmetic_matches_fraction_reference(case, k):
     n, a, b = case
     x, y = CycloNum(n, a), CycloNum(n, b)
-    assert x.coeffs == a and y.coeffs == b
+    assert lift(n, x) == a and lift(n, y) == b
     for got, want in [
         (x + y, tuple(p + q for p, q in zip(a, b))),
         (x - y, tuple(p - q for p, q in zip(a, b))),
@@ -334,24 +387,29 @@ def test_arithmetic_matches_fraction_reference(case, k):
         (x ** k, ref_pow(n, a, k)),
         (-x, tuple(-c for c in a)),
     ]:
-        check_canonical(got)
-        assert got.coeffs == want
-    if not x.is_zero():
-        inv = x.inverse()
-        check_canonical(inv)
-        assert ref_mul(n, inv.coeffs, a) == ref_reduce(n, [1])
-        assert (y / x).coeffs == ref_mul(n, b, inv.coeffs)
-        assert (x ** -2).coeffs == ref_pow(n, inv.coeffs, 2)
+        assert lift(n, got) == want
+    if x:
+        inv = 1 / x
+        if isinstance(x, CycloNum):
+            assert x.inverse() == inv
+        assert ref_mul(n, lift(n, inv), a) == ref_reduce(n, [1])
+        assert lift(n, y / x) == ref_mul(n, b, lift(n, inv))
+        assert lift(n, x ** -2) == ref_pow(n, lift(n, inv), 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from(CONDUCTORS), q=rationals, r=rationals)
 def test_rational_elements_act_like_fractions(n, q, r):
-    x = CycloNum.from_rational(n, q)
-    check_canonical(x)
-    assert x == q and hash(x) == hash(q)
-    assert {q: "q"}[x] == "q" and {x: "x"}[q] == "x"
-    assert (x + r).coeffs[0] == q + r and (x * r).coeffs[0] == q * r
-    assert (x - r) == q - r and (r - x) == r - q
+    """A rational value is a Fraction, however it is reached."""
+    x = CycloNum(n, (q,) + (0,) * (brute_phi(n) - 1))
+    assert type(x) is Fraction and x == q
+    z = cyclo_root_of_unity(n, 1)
+    w = z + q
+    assert isinstance(w, CycloNum) == (brute_phi(n) > 1)
+    for got, want in [(w - z, q), (z - w, -q), ((w - r) - z, q - r),
+                      ((r - w) + z, r - q), (z * r / z, r), ((w * r) - z * r, q * r)]:
+        assert type(got) is Fraction and got == want
+        assert hash(got) == hash(want) and {want: "q"}[got] == "q"
     if q:
-        assert x.inverse() == 1 / q and r / x == r / q
+        got = r / (z * q) * z
+        assert type(got) is Fraction and got == r / q

@@ -7,7 +7,9 @@ pipeline. Entries are built from classic textbook ideals plus a few
 randomized-but-seeded variants.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -153,6 +155,21 @@ def test_wh3_grevlex_basis_certified(wh3_grevlex):
     assert is_groebner(gb)
     # the check reduces in a scratch ring and leaves the system's alone
     assert len(system.ring._monos) == n_monos
+
+
+# sha256 of the canonical JSON (sorted keys, two-space indent, trailing
+# newline, as the CLI writes it) of the d=3 grevlex basis, taken while
+# every coefficient of Q(zeta_12) was still stored on the power basis
+WH3_GREVLEX_SHA256 = "a452932e7e8a11aae0c4aa39b601e0c52a42b7cadb2086bac58ca6df31a113ac"
+
+
+def test_wh3_grevlex_basis_pinned(wh3_grevlex):
+    _, gb, _ = wh3_grevlex
+    data = (json.dumps(gb.to_json(), sort_keys=True, indent=2) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == WH3_GREVLEX_SHA256
+    # the basis is rational, and rational scalars are Fractions in every field
+    assert gb.ring.field == CycloField(12)
+    assert all(type(c) is Fraction for p in gb.basis for _, c in p.terms)
 
 
 def _assert_lives_in(ring, basis):

@@ -285,9 +285,14 @@ def test_with_field_round_trip():
     assert up.ring.field == CycloField(12)
     back = up.with_field(QQ)
     assert back == f
-    # a cyclotomic number keeps its conductor, even when it is rational
+    # rational coefficients are Fractions in every field, so they lift
+    assert up.with_field(CycloField(24)).with_field(QQ) == f
+    # an irrational one keeps its conductor and stays out of Q
+    g = up * cyclo_root_of_unity(12, 1)
     with pytest.raises(ValueError, match="conductor mismatch"):
-        up.with_field(CycloField(24))
+        g.with_field(CycloField(24))
+    with pytest.raises(TypeError, match="cannot coerce"):
+        g.with_field(QQ)
 
 
 def test_ring_mismatch_rejected():
