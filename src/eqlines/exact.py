@@ -419,10 +419,9 @@ def cyclo_embed(x, precision=53):
     """
     import mpmath
 
+    if not isinstance(x, CycloNum):
+        return QQ.embed(x, precision + 16)
     with mpmath.workprec(precision + 16):
-        if not isinstance(x, CycloNum):
-            x = Fraction(x)
-            return mpmath.mpc(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
         powers = _zeta_powers(x.n, precision)
         acc = mpmath.mpc(0)
         for c, p in zip(x.coeffs, powers):

@@ -360,7 +360,7 @@ def gen_real_system(d, N, alpha=None, signs=None):
     def u(j, k):
         return Poly.variable(ring, (j - 1) * d + (k - 1))
 
-    alpha_poly = Poly.variable(ring, N * d) if symbolic else None
+    a = Poly.variable(ring, N * d) if symbolic else alpha
     equations = []
     labels = []
     rhs = {}
@@ -371,28 +371,18 @@ def gen_real_system(d, N, alpha=None, signs=None):
                 C = C + u(j, k) * u(l, k)
             label = f"p_{j}_{l}"
             labels.append(label)
-            if signs is None:
-                if j == l:
-                    equations.append(C * C - 1)
-                    rhs[label] = "1"
-                elif symbolic:
-                    equations.append(C * C - alpha_poly * alpha_poly)
-                    rhs[label] = "alpha^2"
-                else:
-                    equations.append(C * C - alpha * alpha)
-                    rhs[label] = str(alpha * alpha)
+            # C*C = alpha^2, or C = s*alpha for the sign s; 1 on the diagonal
+            if j == l:
+                target, text = 1, "1"
+            elif signs is None:
+                target = a * a
+                text = "alpha^2" if symbolic else str(target)
             else:
-                if j == l:
-                    equations.append(C - 1)
-                    rhs[label] = "1"
-                else:
-                    s = signs[j - 1][l - 1]
-                    if symbolic:
-                        equations.append(C - s * alpha_poly)
-                        rhs[label] = f"{s}*alpha"
-                    else:
-                        equations.append(C - s * alpha)
-                        rhs[label] = str(s * alpha)
+                s = signs[j - 1][l - 1]
+                target = s * a
+                text = f"{s}*alpha" if symbolic else str(target)
+            equations.append((C * C if signs is None else C) - target)
+            rhs[label] = text
     extra = {"variant": "squared" if signs is None else "sign_resolved"}
     if not symbolic:
         extra["alpha"] = str(alpha)

@@ -9,15 +9,21 @@ monic x_i^k plus terms of lower x_i-degree in x_i..x_{n-1}; it sits at
 level i and specializes to a monic univariate, so no level ever runs
 out of polynomials. Other elements at a level may vanish at a partial
 point and are then skipped.
-Branches that fail the remaining specialized equations are pruned, and
-every surviving point must reproduce the original system to the
-residual tolerance, so the numeric filtering can only lose solutions,
-never invent them. Basis elements in a single variable are replaced by
-their exact square-free parts first, so root finding, simultaneous
-iteration on all roots (mpmath's polyroots), never meets an exact
-repeated root; a repeated root that only appears after numeric
-specialization makes it fail with a SolverError. Every returned point
-is tagged as coordinate-wise real or not.
+By the Gianni-Kalkbrener theorem (P. Gianni, "Properties of Groebner
+bases under specializations"; M. Kalkbrener, "Solving systems of
+algebraic equations by using Groebner bases"; both EUROCAL '87, LNCS
+378), at a point of the projection the lowest degree nonzero
+specialization is, up to a scalar, the gcd of all specializations at
+its level, so each of its roots is a root of every other and no branch
+needs checking against them. Every candidate point must still
+reproduce the original system to the residual tolerance, so the
+numeric filtering can only lose solutions, never invent them. Basis
+elements in a single variable are replaced by their exact square-free
+parts first, so root finding, simultaneous iteration on all roots
+(mpmath's polyroots), never meets an exact repeated root; a repeated
+root that only appears after numeric specialization makes it fail with
+a SolverError. Every returned point is tagged as coordinate-wise real
+or not.
 
 Classification of fiducial solutions adds sign pairs v/-v with a
 canonical representative, Weyl-Heisenberg orbits up to a global phase,
@@ -214,9 +220,7 @@ def _roots_numeric(coeffs, precision):
             f"at {precision} bits"
         ) from exc
     with mpmath.workprec(precision):
-        roots = [mpmath.mpc(r) for r in roots]
-        roots.sort(key=lambda z: (z.real, z.imag))
-        return roots
+        return [mpmath.mpc(r) for r in roots]
 
 
 def _univ_coeffs(f, i):
@@ -295,8 +299,6 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     qdim = quotient_dimension(gb)
     if qdim == math.inf:
         raise NotZeroDimensionalError("ideal is not zero-dimensional")
-    if qdim == 0:
-        return SolutionSet([], precision, tol)
     cap = max_points if max_points is not None else max(10 * qdim, 16)
     arity = gb.ring.arity
 
@@ -315,7 +317,6 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
         ]
         sys_terms = [_embedded_terms(q, work) for q in system_equations]
         zero_floor = mpmath.mpf(2) ** (-(precision + 16))
-        branch_rel = mpmath.mpf("1e-6")
 
         raw_points = []
 
@@ -350,36 +351,20 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
                     )
                 raw_points.append(tuple(tail))
                 return
-            specs = [
-                trim(specialize(terms, i, tail)) for terms in level_terms[i]
-            ]
             best = None
-            for coeffs in specs:
+            for terms in level_terms[i]:
+                coeffs = trim(specialize(terms, i, tail))
                 if coeffs is None or len(coeffs) < 2:
                     continue
                 if best is None or len(coeffs) < len(best):
                     best = coeffs
             if best is None:
-                # only nonzero constants survive; the monic element rules
-                # this out exactly, so only rounding can get here
+                # the basis is {1} and the variety empty; with the monic
+                # element at this level, only rounding can get here
                 return
             for r in _roots_numeric(best, work):
-                ok = True
-                for coeffs in specs:
-                    if coeffs is None or coeffs is best:
-                        continue
-                    val = mpmath.mpc(0)
-                    scale = mpmath.mpf(0)
-                    for c in coeffs:
-                        val = val * r + c
-                        scale = scale * abs(r) + abs(c)
-                    if abs(val) > branch_rel * (scale + 1):
-                        ok = False
-                        break
-                if ok:
-                    tail[i] = r
-                    descend(i - 1, tail)
-                    tail[i] = mpmath.mpc(0)
+                tail[i] = r
+                descend(i - 1, tail)
 
         descend(arity - 1, [mpmath.mpc(0)] * arity)
 

@@ -42,6 +42,16 @@ def d2_files(tmp_path_factory):
     return sp, _basis_d2(base, sp)
 
 
+@pytest.fixture(scope="module")
+def d2_sols(d2_files):
+    """The solutions file of d2_files, shared by read-only tests."""
+    sp, bp = d2_files
+    out = bp.parent / "sols.json"
+    assert main(["solve", "--in", str(bp), "--system", str(sp),
+                 "--out", str(out)]) == 0
+    return out
+
+
 def _t8_signs():
     # 28 lines in R^7: pairs of points of K8, sign +1 when two pairs share
     # a point
@@ -262,6 +272,7 @@ def _pinned_runs(base):
         ("sys3.json", ["gen", "--kind", "wh", "--d", "3", "--no-phase-fix"]),
         ("real.json", ["gen", "--kind", "real", "--d", "2", "--n", "3",
                        "--alpha", "1/2", "--preset", "hexagon"]),
+        ("real_sq.json", ["gen", "--kind", "real", "--d", "2", "--n", "3"]),
         ("full.json", ["gen", "--kind", "complex-full", "--d", "2"]),
         ("basis.json", ["groebner", "--in", f("sys.json"), "--order", "lex"]),
         ("basis_gl.json", ["groebner", "--in", f("sys.json"),
@@ -284,6 +295,7 @@ PINNED_SHA256 = {
     "sys.json": "93975085e23402f2986a5aedc463dfd7eb1b2023930c7c792600000d155ddf30",
     "sys3.json": "84da0579d3064698816434456d65958b5c0d436b7c415a1e43be9c78bf69515b",
     "real.json": "69532ed7c0ae09edbdd06b5bb6d53ac95a8ea1977fe3745fa18f71f36c03a987",
+    "real_sq.json": "51e9aa5b02ab229a9a24ecf3425246b19d0e60ef65e338441a52eb4ea646789e",
     "full.json": "4424b3ad45e6eb271ef7dc8c97e90d5d6f127e774f53f2f996e38d22d4351589",
     "basis.json": "3e933cd2c8f133f89231080ce145a0235ac229ffbf9b6e96c5b65505618727c8",
     "basis_gl.json": "3e933cd2c8f133f89231080ce145a0235ac229ffbf9b6e96c5b65505618727c8",
@@ -349,6 +361,60 @@ def test_verify_exit_code_on_failure(tmp_path):
     rc = main(["verify", "--in", str(bad), "--force",
                "--out", str(tmp_path / "rep.json")])
     assert rc == 4
+
+
+def _other_system(tmp_path):
+    # a d=2 system whose bytes, and so its hash, differ from d2_files'
+    out = tmp_path / "other.json"
+    assert main(["gen", "--kind", "wh", "--d", "2", "--no-phase-fix",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_verify_system_mismatch_rejected(d2_sols, tmp_path, capsys):
+    other = _other_system(tmp_path)
+    capsys.readouterr()
+    rc = main(["verify", "--in", str(d2_sols), "--system", str(other),
+               "--out", str(tmp_path / "rep.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: system file does not match the hash recorded upstream; "
+        "rerun the producing command or pass --force\n"
+    )
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_verify_system_mismatch_forced(d2_sols, tmp_path, capsys):
+    other = _other_system(tmp_path)
+    capsys.readouterr()
+    rc = main(["verify", "--in", str(d2_sols), "--system", str(other),
+               "--force", "--out", str(tmp_path / "rep.json")])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "warning: system file hash mismatch ignored by --force\n"
+    )
+    assert _read(tmp_path / "rep.json")["all_ok"] is True
+
+
+def test_overlaps_index_out_of_range(d2_sols, tmp_path, capsys):
+    capsys.readouterr()
+    rc = main(["overlaps", "--in", str(d2_sols), "--index", "99",
+               "--out", str(tmp_path / "ov.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --index out of range\n"
+
+
+def test_solutions_file_without_dimension_rejected(d2_sols, tmp_path, capsys):
+    doc = _read(d2_sols)
+    del doc["d"]
+    bad = tmp_path / "no_d.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["verify", "--in", str(bad), "--out", str(tmp_path / "rep.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "solutions file does not record the dimension" in err
+    assert "Traceback" not in err
 
 
 def test_overlaps_zauner_ok(tmp_path):

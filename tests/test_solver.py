@@ -1,6 +1,7 @@
 """Numeric solver: root contracts, back-substitution, classification."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +26,7 @@ from eqlines.solver import (
 
 R1 = Ring(("t",), QQ)
 R2 = Ring(("x", "y"), QQ)
+R3 = Ring(("x", "y", "z"), QQ)
 
 
 def _t():
@@ -218,15 +220,49 @@ def test_empty_variety():
 
 def test_vanishing_and_linear_specializations():
     """Lex basis {x^2 - y, xy - x, y^2 - y}: at y = 1 the element xy - x
-    vanishes and is skipped, at y = 0 it leaves -x, the lowest degree."""
+    vanishes and is skipped, at y = 0 it leaves -x, the lowest degree.
+    Every root of -x is a root of x^2 (Gianni-Kalkbrener), so the descent
+    makes one candidate per point and max_points=3 suffices."""
     x, y = _xy()
     gens = [x * (y - 1), y * (y - 1), x ** 2 - y]
     gb = buchberger(gens, "lex")
     assert set(gb.basis) == {x ** 2 - y, x * y - x, y ** 2 - y}
-    sols = solve_triangular(gb, gens, precision=128)
+    sols = solve_triangular(gb, gens, precision=128, max_points=3)
     got = [tuple(complex(c) for c in p.coords) for p in sols.points]
     assert got == [(-1, 1), (0, 0), (1, 1)]
     assert all(p.tags["real"] for p in sols.points)
+
+
+def _point_ideal(points):
+    """Reduced lex basis of the ideal of distinct points of Q^3: the
+    product of comaximal ideals is their intersection."""
+    gb = None
+    for p in points:
+        m = [Poly.variable(R3, i) - c for i, c in enumerate(p)]
+        gens = m if gb is None else [g * h for g in gb.basis for h in m]
+        gb = buchberger(gens, "lex")
+    return gb
+
+
+def test_point_ideals_one_candidate_per_point():
+    # coordinates from {-1, 0, 1} repeat, so the bases are not in shape
+    # position and levels hold several elements
+    rng = random.Random(22)
+    crowded = 0
+    for _ in range(20):
+        pts = set()
+        n = rng.randint(3, 7)
+        while len(pts) < n:
+            pts.add(tuple(rng.randint(-1, 1) for _ in range(3)))
+        gb = _point_ideal(pts)
+        crowded += sum(1 for p in gb.basis if min(p.support()) == 0) > 1
+        sols = solve_triangular(gb, list(gb.basis), precision=128,
+                                max_points=n)
+        got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+        assert len(got) == n
+        for g, want in zip(got, sorted(pts)):
+            assert max(abs(a - b) for a, b in zip(g, want)) < 1e-30
+    assert crowded >= 10
 
 
 def test_d2_solution_set_structure(d2_pipeline):
