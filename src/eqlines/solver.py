@@ -13,17 +13,20 @@ By the Gianni-Kalkbrener theorem (P. Gianni, "Properties of Groebner
 bases under specializations"; M. Kalkbrener, "Solving systems of
 algebraic equations by using Groebner bases"; both EUROCAL '87, LNCS
 378), at a point of the projection the lowest degree nonzero
-specialization is, up to a scalar, the gcd of all specializations at
-its level, so each of its roots is a root of every other and no branch
-needs checking against them. Every candidate point must still
-reproduce the original system to the residual tolerance, so the
-numeric filtering can only lose solutions, never invent them. Basis
+specialization of the basis elements at a level is, up to a scalar,
+their gcd, so each of its roots is a root of every other. Basis
 elements in a single variable are replaced by their exact square-free
 parts first, so root finding, simultaneous iteration on all roots
 (mpmath's polyroots), never meets an exact repeated root; a repeated
 root that only appears after numeric specialization makes it fail with
-a SolverError. Every returned point is tagged as coordinate-wise real
-or not.
+a SolverError. A replaced element voids the theorem at its level, since
+its square-free part may have lower degree than the gcd there, so a
+root spawns a branch only if every other specialization at its level
+vanishes at it too. A reduced basis of a radical ideal has no element
+to replace. Every candidate point must still reproduce the original
+system to the residual tolerance, so the numeric filtering can only
+lose solutions, never invent them. Every returned point is tagged as
+coordinate-wise real or not.
 
 Classification of fiducial solutions adds sign pairs v/-v with a
 canonical representative, Weyl-Heisenberg orbits up to a global phase,
@@ -317,6 +320,7 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
         ]
         sys_terms = [_embedded_terms(q, work) for q in system_equations]
         zero_floor = mpmath.mpf(2) ** (-(precision + 16))
+        branch_rel = mpmath.mpf("1e-6")
 
         raw_points = []
 
@@ -351,9 +355,11 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
                     )
                 raw_points.append(tuple(tail))
                 return
+            specs = [
+                trim(specialize(terms, i, tail)) for terms in level_terms[i]
+            ]
             best = None
-            for terms in level_terms[i]:
-                coeffs = trim(specialize(terms, i, tail))
+            for coeffs in specs:
                 if coeffs is None or len(coeffs) < 2:
                     continue
                 if best is None or len(coeffs) < len(best):
@@ -363,8 +369,21 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
                 # element at this level, only rounding can get here
                 return
             for r in _roots_numeric(best, work):
-                tail[i] = r
-                descend(i - 1, tail)
+                ok = True
+                for coeffs in specs:
+                    if coeffs is None or coeffs is best:
+                        continue
+                    val = mpmath.mpc(0)
+                    scale = mpmath.mpf(0)
+                    for c in coeffs:
+                        val = val * r + c
+                        scale = scale * abs(r) + abs(c)
+                    if abs(val) > branch_rel * (scale + 1):
+                        ok = False
+                        break
+                if ok:
+                    tail[i] = r
+                    descend(i - 1, tail)
 
         descend(arity - 1, [mpmath.mpc(0)] * arity)
 

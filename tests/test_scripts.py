@@ -39,29 +39,6 @@ def test_run_d4_table1_budget_fallback():
                    for line in lines), proc.stdout
 
 
-def test_unreached_lists_statements_never_run():
-    node = (f"{ROOT / 'tests' / 'test_solver.py'}"
-            "::test_vanishing_and_linear_specializations")
-    proc = _run("unreached.py", "-q", "-p", "no:cacheprovider", node)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-1].endswith(" statements never ran"), proc.stdout
-    listed = set()
-    (report,) = [l for l in lines if l.startswith("src/eqlines/solver.py: ")]
-    for part in report.split(": ", 1)[1].split(", "):
-        first, _, last = part.partition("-")
-        listed.update(range(int(first), int(last or first) + 1))
-    source = (ROOT / "src" / "eqlines" / "solver.py").read_text().splitlines()
-
-    def line_of(text):
-        return next(i for i, l in enumerate(source, 1) if l.strip() == text)
-
-    # a two-variable radical ideal: the descent ran, no error was raised
-    assert line_of("best = None") not in listed
-    assert line_of('raise NotZeroDimensionalError("ideal is not '
-                   'zero-dimensional")') in listed
-
-
 def _warm_spec(workload):
     """The literal ``WARM`` of a benchmark workload, read without importing
     the workload (which loads numpy and the reference checks)."""

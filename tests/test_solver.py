@@ -27,6 +27,7 @@ from eqlines.solver import (
 R1 = Ring(("t",), QQ)
 R2 = Ring(("x", "y"), QQ)
 R3 = Ring(("x", "y", "z"), QQ)
+R3z = Ring(("z", "x", "y"), QQ)
 
 
 def _t():
@@ -231,6 +232,33 @@ def test_vanishing_and_linear_specializations():
     got = [tuple(complex(c) for c in p.coords) for p in sols.points]
     assert got == [(-1, 1), (0, 0), (1, 1)]
     assert all(p.tags["real"] for p in sols.points)
+
+
+def test_square_free_level_checks_other_specializations():
+    """At y = 1 the level-x specializations are x^2 - x, the square-free
+    part of x^4 - x^3, and x^3: the root x = 1 of the lower degree one is
+    no root of their gcd x^3, so it spawns no branch."""
+    x, y = _xy()
+    gens = [x ** 4 - x ** 3, x ** 3 * y, y ** 2 - y]
+    gb = buchberger(gens, "lex")
+    assert set(gb.basis) == set(gens)
+    sols = solve_triangular(gb, gens, precision=128, max_points=3)
+    got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+    assert got == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_square_free_level_spawns_no_false_branch():
+    # the false branch x = y = 1 would specialize z^3 + x*y - 1 to z^3,
+    # a triple root that polyroots cannot resolve
+    z, x, y = (Poly.variable(R3z, i) for i in range(3))
+    gens = [x ** 4 - x ** 3, x ** 3 * y, y ** 2 - y, z ** 3 + x * y - 1]
+    gb = buchberger(gens, "lex")
+    assert set(gb.basis) == set(gens)
+    sols = solve_triangular(gb, gens, precision=128)
+    got = {(round(p.coords[1].real), round(p.coords[2].real))
+           for p in sols.points}
+    assert len(sols.points) == 9
+    assert got == {(0, 0), (0, 1), (1, 0)}
 
 
 def _point_ideal(points):
