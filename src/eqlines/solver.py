@@ -3,7 +3,11 @@
 ``solve_triangular`` walks a reduced lex basis from the last variable
 forward: at each level every basis element that only involves the
 remaining variables is specialized at the partial point, the lowest
-degree nonzero univariate is solved, and every root spawns a branch.
+degree nonzero univariate is solved, and every root spawns a branch;
+roots within tol.cluster of a root already taken at their level are
+copies of one multiple root and spawn none. Two branches thus differ
+by more than tol.cluster in the coordinate of the level where they
+part, so no solution is returned twice.
 A reduced zero-dimensional lex basis holds, for each variable x_i, a
 monic x_i^k plus terms of lower x_i-degree in x_i..x_{n-1}; it sits at
 level i and specializes to a monic univariate, so no level ever runs
@@ -15,18 +19,20 @@ algebraic equations by using Groebner bases"; both EUROCAL '87, LNCS
 378), at a point of the projection the lowest degree nonzero
 specialization of the basis elements at a level is, up to a scalar,
 their gcd, so each of its roots is a root of every other. Basis
-elements in a single variable are replaced by their exact square-free
-parts first, so root finding, simultaneous iteration on all roots
-(mpmath's polyroots), never meets an exact repeated root; a repeated
-root that only appears after numeric specialization makes it fail with
-a SolverError. A replaced element voids the theorem at its level, since
-its square-free part may have lower degree than the gcd there, so a
-root spawns a branch only if every other specialization at its level
-vanishes at it too. A reduced basis of a radical ideal has no element
-to replace. Every candidate point must still reproduce the original
-system to the residual tolerance, so the numeric filtering can only
-lose solutions, never invent them. Every returned point is tagged as
-coordinate-wise real or not.
+elements f in a single variable are replaced by their exact
+square-free parts f / gcd(f, f') first, so root finding, simultaneous
+iteration on all roots (mpmath's polyroots), never meets an exact
+repeated root. A repeated root that only appears after numeric
+specialization either makes it fail with a SolverError or comes back
+as copies that the merge above folds into one branch. A replaced
+element voids the theorem at its level, since its square-free part may
+have lower degree than the gcd there, so a root spawns a branch only
+if every other specialization at its level vanishes at it too. A
+reduced basis of a radical ideal has no element to replace. Every
+candidate point must still reproduce the original system to the
+residual tolerance, so the numeric filtering can only lose solutions,
+never invent them. Every returned point is tagged as coordinate-wise
+real or not.
 
 Classification of fiducial solutions adds sign pairs v/-v with a
 canonical representative, Weyl-Heisenberg orbits up to a global phase,
@@ -42,7 +48,7 @@ import operator
 
 import mpmath
 
-from .exact import upoly_mul, upoly_squarefree
+from .exact import _upoly_exquo, upoly_deriv, upoly_gcd, upoly_squarefree
 from .groebner import quotient_dimension
 from .polyring import Poly
 from .sicgen import apply_weyl, fiducial_from_coords
@@ -77,7 +83,9 @@ class BranchCapExceeded(SolverError):
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric thresholds; residual and cluster are absolute, realness
-    is relative per coordinate, match bounds phase-aligned distances."""
+    is relative per coordinate, match bounds phase-aligned distances.
+    cluster bounds the distance between two roots at one level of the
+    descent that are taken as copies of one multiple root."""
 
     residual: float = 1e-10
     cluster: float = 1e-25
@@ -208,10 +216,9 @@ def eval_embedded(terms, point):
 
 
 def _roots_numeric(coeffs, precision):
-    """All roots of a numeric coefficient list (leading first)."""
+    """All roots of a numeric coefficient list (leading first) of
+    degree at least 1."""
     deg = len(coeffs) - 1
-    if deg < 1:
-        return []
     try:
         with mpmath.workprec(precision + 32):
             roots = mpmath.polyroots(
@@ -258,17 +265,16 @@ def univariate_roots(f, precision=256):
 
 def _squarefree_part(p):
     """p itself, or, when p lies in one variable and has a repeated
-    factor, the product of its square-free factors."""
+    factor, its monic square-free part p / gcd(p, p')."""
     sup = p.support()
     if len(sup) != 1:
         return p
     (i,) = sup
-    factors = upoly_squarefree(_univ_coeffs(p, i))
-    if all(mult == 1 for _, mult in factors):
+    f = _univ_coeffs(p, i)
+    g = upoly_gcd(f, upoly_deriv(f))
+    if len(g) == 1:
         return p
-    part = [p.ring.field.one()]
-    for g, _ in factors:
-        part = upoly_mul(part, g)
+    part = _upoly_exquo(f, g)
     zero = (0,) * p.ring.arity
     return Poly(p.ring, [(zero[:i] + (k,) + zero[i + 1:], c)
                          for k, c in enumerate(part)])
@@ -358,17 +364,18 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
             specs = [
                 trim(specialize(terms, i, tail)) for terms in level_terms[i]
             ]
-            best = None
-            for coeffs in specs:
-                if coeffs is None or len(coeffs) < 2:
-                    continue
-                if best is None or len(coeffs) < len(best):
-                    best = coeffs
+            best = min((c for c in specs if c is not None and len(c) > 1),
+                       key=len, default=None)
             if best is None:
                 # the basis is {1} and the variety empty; with the monic
                 # element at this level, only rounding can get here
                 return
+            taken = []
             for r in _roots_numeric(best, work):
+                # copies of a multiple root make one branch
+                if any(abs(r - t) <= tol.cluster for t in taken):
+                    continue
+                taken.append(r)
                 ok = True
                 for coeffs in specs:
                     if coeffs is None or coeffs is best:
@@ -396,23 +403,14 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
             if res <= tol.residual:
                 survivors.append(SolutionPoint(pt, res))
 
-        # cluster within tol.cluster and order deterministically
+        # order deterministically
         survivors.sort(
             key=lambda p: tuple(x for c in p.coords for x in (c.real, c.imag))
         )
-        clustered = []
-        for p in survivors:
-            if clustered and _point_dist(clustered[-1].coords, p.coords) <= tol.cluster:
-                continue
-            clustered.append(p)
     with mpmath.workprec(precision):
-        for p in clustered:
+        for p in survivors:
             p.tags["real"] = _is_real_point(p.coords, tol.realness)
-    return SolutionSet(clustered, precision, tol)
-
-
-def _point_dist(a, b):
-    return max(abs(x - y) for x, y in zip(a, b))
+    return SolutionSet(survivors, precision, tol)
 
 
 # ---------------------------------------------------------------------------

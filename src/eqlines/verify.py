@@ -208,9 +208,7 @@ def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
     det_poly = Poly.from_dict(ring, {(k,): c for k, c in enumerate(det)})
 
     need = n - d
-    admissible = []
-    multiplicities = []
-    flags = []
+    rows = []  # (alpha, multiplicity, odd integer flag)
     with mpmath.workprec(precision):
         eps = mpmath.mpf(10) ** (-_dps(precision) // 2)
         for factor, mult in upoly_squarefree(det):
@@ -223,22 +221,18 @@ def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
                 a = r.real
                 if a <= eps or a >= 1 - eps:
                     continue
-                admissible.append(a)
-                multiplicities.append(mult)
+                flag = None
                 if n > 2 * d:
                     inv = 1 / a
                     near = mpmath.nint(inv)
-                    flags.append(
-                        bool(abs(inv - near) <= tol and int(near) % 2 == 1)
-                    )
-                else:
-                    flags.append(None)
-        order = sorted(range(len(admissible)), key=lambda i: admissible[i])
+                    flag = bool(abs(inv - near) <= tol and int(near) % 2 == 1)
+                rows.append((a, mult, flag))
+        rows.sort(key=lambda row: row[0])
     return {
         "det_poly": det_poly,
-        "admissible_alphas": [admissible[i] for i in order],
-        "multiplicities": [multiplicities[i] for i in order],
-        "odd_integer_flags": [flags[i] for i in order],
+        "admissible_alphas": [a for a, _, _ in rows],
+        "multiplicities": [m for _, m, _ in rows],
+        "odd_integer_flags": [f for _, _, f in rows],
     }
 
 

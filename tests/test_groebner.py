@@ -516,6 +516,20 @@ def test_empty_and_zero_generators_rejected():
         buchberger([Poly.zero(R2)], "lex")
 
 
+def test_generators_from_two_rings_rejected():
+    x, _ = _vars(R2)
+    u, _ = _vars(Ring(("u", "v"), QQ))
+    with pytest.raises(ValueError, match="different rings"):
+        buchberger([x, u], "lex")
+
+
+def test_quotient_dimension_needs_reduced_basis():
+    x, y = _vars(R2)
+    gb = GroebnerBasis(R2, "lex", (x + y, y), False)
+    with pytest.raises(ValueError, match="needs a reduced basis"):
+        quotient_dimension(gb)
+
+
 # certificate checker --------------------------------------------------------
 
 def test_certificate_identity_with_square():
@@ -561,3 +575,8 @@ def test_certificate_validation_errors():
         )
     with pytest.raises(ValueError):
         check_certificate(Certificate(f_list=(x,), g_list=()), "one")
+    t = Poly.variable(Ring(("t",), QQ), 0)
+    with pytest.raises(ValueError, match="different rings"):
+        check_certificate(
+            Certificate(f_list=(x, t - 1), g_list=(Poly.one(R1),) * 2), "one"
+        )

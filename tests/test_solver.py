@@ -293,6 +293,78 @@ def test_point_ideals_one_candidate_per_point():
     assert crowded >= 10
 
 
+def _ideal_product(a, b):
+    return buchberger([g * h for g in a for h in b], "lex").basis
+
+
+def _maximal_ideal(point, power, ring=R2):
+    m = [Poly.variable(ring, i) - c for i, c in enumerate(point)]
+    return m if power == 1 else _ideal_product(m, m)
+
+
+def test_double_root_copies_make_one_point():
+    """(x+1, y)(x+1, y-1)^2(x-1, y)^2: at y = 1 the level-x polynomial
+    has the double root x = -1, which polyroots returns as two copies
+    that sort on either side of (-1, 0)."""
+    gens = _maximal_ideal((-1, 0), 1)
+    for p in ((-1, 1), (1, 0)):
+        gens = _ideal_product(gens, _maximal_ideal(p, 2))
+    gb = buchberger(gens, "lex")
+    sols = solve_triangular(gb, list(gb.basis), precision=128)
+    got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+    assert len(got) == 3
+    assert {tuple(round(c.real) for c in g) for g in got} == {
+        (-1, 1), (-1, 0), (1, 0)}
+    for g in got:
+        assert max(abs(c - round(c.real)) for c in g) < 1e-30
+
+
+def test_non_radical_products_return_each_point_once():
+    # products of the 1st-2nd powers of 2-3 maximal ideals at points of
+    # {-1, 0, 1}^2; in five of these forty, polyroots returns a double
+    # root as two copies whose points sort apart
+    rng = random.Random(1)
+    grid = list(itertools.product((-1, 0, 1), repeat=2))
+    solved = 0
+    for _ in range(40):
+        pts = rng.sample(grid, rng.randint(2, 3))
+        gens = None
+        for p in pts:
+            m = _maximal_ideal(p, rng.randint(1, 2))
+            gens = m if gens is None else _ideal_product(gens, m)
+        gb = buchberger(gens, "lex")
+        try:
+            sols = solve_triangular(gb, list(gb.basis), precision=128)
+        except SolverError:
+            continue
+        solved += 1
+        got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+        near = [tuple(round(c.real) for c in g) for g in got]
+        assert len(got) == len(pts) and set(near) == set(pts)
+        for g, want in zip(got, near):
+            assert max(abs(a - b) for a, b in zip(g, want)) < 1e-30
+    assert solved >= 30
+
+
+def test_vanishing_leading_coefficient_is_trimmed():
+    """In the lex basis of (x+1, y+1, z+1)(x+1, y+1, z)^2(x+1, y, z+1)^2
+    (x-1, y+1, z)^2 the element (y+1)x^2 + 2z^2 x - y + 2z^2 - 1 loses
+    its leading coefficient at (y, z) = (-1, -1) but not its other
+    terms: it specializes to 2x + 2, whose root is the only one there."""
+    gens = _maximal_ideal((-1, -1, -1), 1, R3)
+    for p in ((-1, -1, 0), (-1, 0, -1), (1, -1, 0)):
+        gens = _ideal_product(gens, _maximal_ideal(p, 2, R3))
+    gb = buchberger(gens, "lex")
+    x, y, z = (Poly.variable(R3, i) for i in range(3))
+    assert (y + 1) * x ** 2 + 2 * z ** 2 * x - y + 2 * z ** 2 - 1 in gb.basis
+    sols = solve_triangular(gb, list(gb.basis), precision=128, max_points=4)
+    got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+    assert {tuple(round(c.real) for c in g) for g in got} == {
+        (-1, -1, -1), (-1, -1, 0), (-1, 0, -1), (1, -1, 0)}
+    for g in got:
+        assert max(abs(c - round(c.real)) for c in g) < 1e-30
+
+
 def test_d2_solution_set_structure(d2_pipeline):
     system, gb, sols = d2_pipeline
     assert len(sols.points) == 32

@@ -142,6 +142,14 @@ def test_unit_certify_needs_rational_coefficients():
         unit_certify(x ** 2 + 1)
 
 
+def test_unit_certify_rejects_non_univariate_input():
+    r2 = Ring(("x", "y"), QQ)
+    with pytest.raises(VerificationError, match="univariate polynomial"):
+        unit_certify(Poly.variable(r2, 0) + Poly.variable(r2, 1))
+    with pytest.raises(VerificationError, match="zero polynomial"):
+        unit_certify(Poly.zero(RA))
+
+
 # -- squarefree decomposition ------------------------------------------------
 
 def test_squarefree_known():
@@ -345,6 +353,15 @@ def test_spectral_ragged_gram():
         spectral_reconstruct([[1.0, 0.5], [0.5]], 2)
 
 
+@pytest.mark.parametrize("gram,message", [
+    ([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], "square"),
+    ([[1.0, 0.5], [-0.5, 1.0]], "symmetric"),
+], ids=["non_square", "non_symmetric"])
+def test_spectral_rejects_malformed_gram(gram, message):
+    with pytest.raises(VerificationError, match=message):
+        spectral_reconstruct(gram, 2)
+
+
 def test_spectral_checks_one_entry_per_alpha():
     """The hexagon embeds in R^2 at alpha 1/2 only; at 1/4 its Gram
     matrix has rank 3, and the entry records the error instead."""
@@ -385,8 +402,9 @@ def test_real_standard_basis_alpha_zero():
     ([[1, 0], [math.nan, 1]], "non-finite"),
     ([[1, 0], [0, math.inf]], "non-finite"),
     ([[1, 0], [0, 1, 0]], "same dimension"),
+    ([[1, 0]], "at least two vectors"),
     ([[1e300, -1e300], [1e300, 1e300]], "overflows"),
-], ids=["nan", "inf", "ragged", "overflow"])
+], ids=["nan", "inf", "ragged", "one_vector", "overflow"])
 def test_real_rejects_bad_vectors(vectors, message):
     with pytest.raises(VerificationError, match=message):
         verify_equiangular_real(vectors)
