@@ -10,12 +10,11 @@ sign pattern S. The determinant comes from the characteristic polynomial
 of S, so root multiplicities come from exact gcd computations, not
 numerics; numerics enter only when locating the real roots of each
 squarefree factor. Spectral reconstruction then rebuilds explicit unit
-vectors from a numeric Gram matrix and confirms the round trip;
-spectral_checks runs it on I + alpha*S for each admissible alpha.
+vectors from a float Gram matrix by pivoted Cholesky factorization and
+confirms the round trip; spectral_checks runs it on I + alpha*S for
+each admissible alpha.
 
-Everything here is pure Python on mpmath and the standard library except
-spectral_reconstruct, which imports numpy when called for its LAPACK
-eigensolver; importing this module does not load numpy.
+Everything here is pure Python on mpmath and the standard library.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import operator
 import statistics
 
 import mpmath
@@ -239,39 +239,63 @@ def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
 def spectral_reconstruct(gram, d, tol=DEFAULT_TOL):
     """Rebuild N unit vectors in R^d from an N x N Gram matrix.
 
-    Eigendecomposes, keeps the top d eigenpairs, and returns the
-    columns of sqrt(Lambda) Q^T. Fails if the matrix has a negative
-    eigenvalue below -tol or numeric rank above d.
+    Factors G = L L^T by Cholesky with diagonal pivoting (N. J. Higham,
+    Analysis of the Cholesky decomposition of a semi-definite matrix,
+    1990): each step pivots on the largest diagonal entry left in the
+    Schur complement, and the factorization stops once that entry is at
+    most tol. The number of steps is the numeric rank, and vector i is
+    row i of L padded with zeros to length d. recon_error is the largest
+    entry of |V V^T - G| over the returned vectors. Fails on an entry
+    that is not finite, on asymmetry above tol, if a diagonal entry left
+    over lies below -tol (not positive semi-definite), if the rank
+    exceeds d, or if recon_error exceeds tol. O(N^2 d) float operations
+    once the rank is at most d.
     """
-    import numpy as np
-
     try:
-        g = np.asarray(gram, dtype=float)
-    except ValueError:
+        g = [[float(x) for x in row] for row in gram]
+        if len({len(row) for row in g}) > 1:
+            raise ValueError
+    except (TypeError, ValueError):
         raise VerificationError(
             "gram matrix must be a rectangular array of numbers"
         ) from None
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    n = len(g)
+    if not n or len(g[0]) != n:
         raise VerificationError("gram matrix must be square")
-    if not np.allclose(g, g.T, atol=tol):
+    if not all(math.isfinite(x) for row in g for x in row):
+        raise VerificationError("gram matrix has a non-finite entry")
+    # entries are finite, so no difference is NaN
+    if any(abs(g[i][j] - g[j][i]) > tol for i in range(n) for j in range(i)):
         raise VerificationError("gram matrix must be symmetric")
-    n = g.shape[0]
-    evals, evecs = np.linalg.eigh(g)
-    if evals[0] < -tol:
-        raise SpectralError(f"not positive semi-definite: {evals[0]:.3e}")
-    rank = int(np.sum(evals > tol))
+    rows = [[] for _ in range(n)]  # row i of L, without its trailing zeros
+    diag = [g[i][i] for i in range(n)]  # diagonal of the Schur complement
+    rest = list(range(n))  # indices not yet pivoted on
+    while rest:
+        p = max(rest, key=diag.__getitem__)
+        if not diag[p] > tol:  # a NaN pivot stops too
+            break
+        rest.remove(p)
+        lp, s = rows[p], math.sqrt(diag[p])
+        for i in rest:
+            x = (g[i][p] - sum(map(operator.mul, rows[i], lp))) / s
+            rows[i].append(x)
+            diag[i] -= x * x
+        lp.append(s)
+    worst = min((diag[i] for i in rest), default=0.0)
+    if not worst >= -tol:
+        raise SpectralError(f"not positive semi-definite: {worst:.3e}")
+    rank = n - len(rest)
     if rank > d:
         raise SpectralError(f"numeric rank {rank} exceeds dimension {d}")
-    top = evals[-d:]
-    q = evecs[:, -d:]
-    v = np.sqrt(np.clip(top, 0, None))[:, None] * q.T
-    recon = v.T @ v
-    recon_error = float(np.max(np.abs(recon - g)))
-    if recon_error > tol:
+    # zip stops at the shorter row, and the rows are zero past their ends
+    errs = [abs(sum(map(operator.mul, u, w)) - x)
+            for u, grow in zip(rows, g) for w, x in zip(rows, grow)]
+    recon_error = math.nan if any(map(math.isnan, errs)) else max(errs)
+    if not recon_error <= tol:
         raise SpectralError(
             f"reconstruction error {recon_error:.3e} exceeds tolerance"
         )
-    return {"vectors": [v[:, j].copy() for j in range(n)],
+    return {"vectors": [row + [0.0] * (d - len(row)) for row in rows],
             "recon_error": recon_error}
 
 
@@ -280,7 +304,7 @@ def spectral_checks(spec, alphas, d, tol=DEFAULT_TOL):
     the sign pattern ``spec`` for each alpha.
 
     ``tol`` also bounds the high-precision root analysis, so it is
-    floored at 1e-9 here, where the eigensolver works in doubles.
+    floored at 1e-9 here, where the factorization works in doubles.
     Returns one report entry per alpha: {"ok": True, "recon_error":
     repr of the error} or {"ok": False, "error": message}.
     """

@@ -9,6 +9,7 @@ import io
 import json
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,19 @@ def test_gen_real_loads_no_numeric_layer(source, tmp_path):
     assert "eqlines.sicgen" in loaded
     assert not loaded & {"mpmath", "numpy", "eqlines.solver",
                          "eqlines.verify", "eqlines.groebner"}
+
+
+def test_gram_loads_no_numpy(tmp_path):
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from eqlines.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['gram', '--preset', 'hexagon', '--d', '2',\n"
+        "                 '--out', 'g.json']) == 0",
+        tmp_path,
+    )
+    assert {"eqlines.verify", "mpmath"} <= loaded
+    assert not {m for m in loaded if m.split(".")[0] == "numpy"}
 
 
 def test_d2_chain_loads_no_openssl(tmp_path):
@@ -248,6 +262,33 @@ def _absolute_imports(path):
         elif isinstance(node, ast.Import):
             found.update(a.name.split(".")[0] for a in node.names)
     return found
+
+
+# CPython's builtin SHA-256 module, named _sha256 before 3.12 and _sha2
+# since; sys.stdlib_module_names lists only the running version's name
+_BUILTIN_SHA = {"_sha2", "_sha256"}
+
+
+def _dependencies():
+    """Top-level module names of the pyproject.toml dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+            for dep in deps}
+
+
+def test_imports_are_stdlib_eqlines_or_dependencies():
+    """Every import under src/eqlines, function-local ones included,
+    names the standard library, eqlines itself or a declared
+    dependency: a test-only package such as numpy cannot creep back."""
+    allowed = (set(sys.stdlib_module_names) | _BUILTIN_SHA | {"eqlines"}
+               | _dependencies())
+    pkg = Path(eqlines.__file__).resolve().parent
+    stray = sorted((path.name, name) for path in pkg.glob("*.py")
+                   for name in _absolute_imports(path) - allowed)
+    assert stray == []
+    assert "numpy" not in _dependencies()
 
 
 def test_field_descriptors_own_the_scalars():

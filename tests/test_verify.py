@@ -356,7 +356,12 @@ def test_spectral_ragged_gram():
 @pytest.mark.parametrize("gram,message", [
     ([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], "square"),
     ([[1.0, 0.5], [-0.5, 1.0]], "symmetric"),
-], ids=["non_square", "non_symmetric"])
+    ([[math.inf, 0.0], [0.0, 1.0]], "non-finite"),
+    ([[1.0, 0.0], [0.0, -math.inf]], "non-finite"),
+    ([[1.0, math.nan], [math.nan, 1.0]], "non-finite"),
+    ([[math.nan, 0.0], [0.0, 1.0]], "non-finite"),
+], ids=["non_square", "non_symmetric", "inf", "minus_inf", "nan_pair",
+        "nan_diagonal"])
 def test_spectral_rejects_malformed_gram(gram, message):
     with pytest.raises(VerificationError, match=message):
         spectral_reconstruct(gram, 2)
@@ -369,6 +374,130 @@ def test_spectral_checks_one_entry_per_alpha():
     assert [e["ok"] for e in out] == [True, False]
     assert float(out[0]["recon_error"]) <= 1e-9
     assert out[1]["error"] == "numeric rank 3 exceeds dimension 2"
+
+
+def test_spectral_vectors_have_length_d():
+    out = spectral_reconstruct([[1.0, 0.0], [0.0, 1.0]], 3)
+    assert [len(v) for v in out["vectors"]] == [3, 3]
+    vecs = np.array(out["vectors"])
+    assert np.max(np.abs(vecs @ vecs.T - np.eye(2))) <= 1e-15
+
+
+def test_spectral_small_pivot_counts_toward_rank():
+    """A pivot of 1e-6 lies above tol, so it is a dimension of its own."""
+    g = [[1.0, 0.0], [0.0, 1e-6]]
+    assert spectral_reconstruct(g, 2)["recon_error"] <= 1e-16
+    with pytest.raises(SpectralError, match="numeric rank 2 exceeds dimension 1"):
+        spectral_reconstruct(g, 1)
+
+
+def test_spectral_not_psd_at_a_later_pivot():
+    """The leading 2 x 2 block is positive definite, so the first two
+    pivots pass; the third Schur complement entry is about -15.2."""
+    g = [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]
+    assert spectral_reconstruct([row[:2] for row in g[:2]], 2)
+    with pytest.raises(SpectralError, match="not positive semi-definite"):
+        spectral_reconstruct(g, 3)
+    assert _eigh_reconstruct(g, 3, 1e-10) is None
+
+
+def _eigh_reconstruct(g, d, tol):
+    """numpy's eigendecomposition route to the same decision: the
+    numeric rank (eigenvalues above tol) when g is positive
+    semi-definite to within tol, has rank at most d and its top d
+    eigenpairs rebuild it to within tol; None otherwise."""
+    g = np.asarray(g, dtype=float)
+    evals, evecs = np.linalg.eigh(g)
+    if evals[0] < -tol:
+        return None
+    rank = int(np.sum(evals > tol))
+    if rank > d:
+        return None
+    v = np.sqrt(np.clip(evals[-d:], 0, None))[:, None] * evecs[:, -d:].T
+    return rank if np.max(np.abs(v.T @ v - g)) <= tol else None
+
+
+def _switched_pattern(signs, rng):
+    """The sign pattern of the same lines with random signs and order."""
+    order = rng.sample(range(len(signs)), len(signs))
+    flip = [rng.choice((-1, 1)) for _ in signs]
+    return [[flip[i] * flip[j] * signs[i][j] for j in order] for i in order]
+
+
+def test_spectral_matches_eigh_reference():
+    """Seeded patterns with N = 6..22: lines drawn from T(8) or the
+    icosahedron, so that admissible angles exist, and uniform random
+    signs. At each admissible alpha and at random rationals, in R^d and
+    in R^N, both routes accept or both reject, and when they accept the
+    ranks agree and the vectors rebuild the Gram matrix to within tol."""
+    rng = random.Random(2024)
+    tol = 1e-10
+    t8 = _t8_signs()
+    accepted = rejected = admissible = 0
+    for n in range(6, 23):
+        if n == 6:
+            planted, d = seidel_icosahedron().signs, 3
+        else:
+            d = 7 if n > 7 else 5
+            pick = rng.sample(range(28), n)
+            planted = [[t8[i][j] for j in pick] for i in pick]
+        uniform = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            uniform[i][j] = uniform[j][i] = rng.choice((-1, 1))
+        for signs in (_switched_pattern(planted, rng), uniform):
+            alphas = gram_analysis(SeidelSpec(signs), d)["admissible_alphas"]
+            admissible += len(alphas)
+            alphas += [Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 30))
+                       for _ in range(3)]
+            for a, dim in itertools.product(alphas, (d, n)):
+                g = np.eye(n) + float(a) * np.array(signs, dtype=float)
+                want = _eigh_reconstruct(g, dim, tol)
+                try:
+                    out = spectral_reconstruct(g, dim, tol=tol)
+                except SpectralError:
+                    assert want is None, (n, a, dim)
+                    rejected += 1
+                    continue
+                assert want is not None, (n, a, dim)
+                vecs = np.array(out["vectors"])
+                assert vecs.shape == (n, dim)
+                assert np.linalg.matrix_rank(vecs) == want, (n, a, dim)
+                assert np.max(np.abs(vecs @ vecs.T - g)) <= tol
+                accepted += 1
+    assert admissible >= 15 and accepted >= 40 and rejected >= 40, (
+        admissible, accepted, rejected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+               min_size=1, max_size=6),
+    d=st.integers(1, 4),
+    poke=st.none() | st.tuples(
+        st.integers(0, 5), st.integers(0, 5),
+        st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300,
+                         1e-300, 0.5, -0.5]),
+    ),
+)
+def test_spectral_accepts_only_a_true_round_trip(b, d, poke):
+    """G = B B^T for an integer B, with one symmetric pair of entries
+    perhaps overwritten by an extreme value. Either a VerificationError,
+    or length-d finite vectors that rebuild G to within tol; untouched,
+    G is accepted exactly when B has rank at most d."""
+    n = len(b)
+    g = [[float(sum(x * y for x, y in zip(u, w))) for w in b] for u in b]
+    if poke is not None:
+        i, j, x = poke[0] % n, poke[1] % n, poke[2]
+        g[i][j] = g[j][i] = x
+    try:
+        out = spectral_reconstruct(g, d)
+    except VerificationError:
+        assert poke is not None or np.linalg.matrix_rank(np.array(b)) > d
+        return
+    assert poke is not None or np.linalg.matrix_rank(np.array(b)) <= d
+    vecs = np.array(out["vectors"])
+    assert vecs.shape == (n, d) and np.all(np.isfinite(vecs))
+    assert np.max(np.abs(vecs @ vecs.T - np.array(g))) <= 1e-10
 
 
 # -- real equiangular sets ----------------------------------------------------
