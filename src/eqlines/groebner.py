@@ -25,6 +25,7 @@ shared monomials and one coefficient instance per value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 from .polyring import (
@@ -91,7 +92,8 @@ class GroebnerBasis:
     @classmethod
     def from_json(cls, obj):
         """Read a basis file; ValueError for any other format, a zero basis
-        element, or a basis claimed reduced that is not."""
+        element, a negative pair count, or a basis claimed reduced that
+        is not."""
         if obj.get("format") != "basis":
             raise ValueError("not a basis file")
         ring = Ring.from_json(obj)
@@ -106,7 +108,10 @@ class GroebnerBasis:
                 raise ValueError(f"basis element {i} is not monic")
             if reduced and reduce_poly(p, basis[:i] + basis[i + 1:], order) is not p:
                 raise ValueError(f"basis element {i} is reducible by the others")
-        gb = cls(ring, order, basis, reduced, obj["pair_count"])
+        pair_count = operator.index(obj["pair_count"])
+        if pair_count < 0:
+            raise ValueError(f"pair count {pair_count} is negative")
+        gb = cls(ring, order, basis, reduced, pair_count)
         if reduced and not is_groebner(gb):
             raise ValueError("basis is not a Groebner basis")
         return gb

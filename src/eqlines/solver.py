@@ -18,21 +18,21 @@ bases under specializations"; M. Kalkbrener, "Solving systems of
 algebraic equations by using Groebner bases"; both EUROCAL '87, LNCS
 378), at a point of the projection the lowest degree nonzero
 specialization of the basis elements at a level is, up to a scalar,
-their gcd, so each of its roots is a root of every other. Basis
-elements f in a single variable are replaced by their exact
-square-free parts f / gcd(f, f') first, so root finding, simultaneous
-iteration on all roots (mpmath's polyroots), never meets an exact
-repeated root. A repeated root that only appears after numeric
-specialization either makes it fail with a SolverError or comes back
-as copies that the merge above folds into one branch. A replaced
-element voids the theorem at its level, since its square-free part may
-have lower degree than the gcd there, so a root spawns a branch only
-if every other specialization at its level vanishes at it too. A
-reduced basis of a radical ideal has no element to replace. Every
-candidate point must still reproduce the original system to the
-residual tolerance, so the numeric filtering can only lose solutions,
-never invent them. Every returned point is tagged as coordinate-wise
-real or not.
+their gcd, so each of its roots is a root of every other and spawns a
+branch. While a basis element f in a single variable has a repeated
+factor, its exact square-free part f / gcd(f, f') is added to the
+ideal and the lex basis recomputed. That keeps the zeros, and the part
+lies outside the ideal, so the loop ends; a reduced basis of a radical
+ideal has no such element and is solved as it is. At a level with an
+element in one variable, the gcd then divides a square-free polynomial,
+so root finding, simultaneous iteration on all roots (mpmath's
+polyroots), meets no repeated root there. A repeated root that only
+appears after numeric specialization either makes it fail with a
+SolverError or comes back as copies that the merge above folds into
+one branch. Every candidate point must still reproduce the original
+system to the residual tolerance, so the numeric filtering can only
+lose solutions, never invent them. Every returned point is tagged as
+coordinate-wise real or not.
 
 Classification of fiducial solutions adds sign pairs v/-v with a
 canonical representative, Weyl-Heisenberg orbits up to a global phase,
@@ -49,7 +49,7 @@ import operator
 import mpmath
 
 from .exact import _upoly_exquo, upoly_deriv, upoly_gcd, upoly_squarefree
-from .groebner import quotient_dimension
+from .groebner import buchberger, quotient_dimension
 from .polyring import Poly
 from .sicgen import apply_weyl, fiducial_from_coords
 
@@ -264,16 +264,16 @@ def univariate_roots(f, precision=256):
 
 
 def _squarefree_part(p):
-    """p itself, or, when p lies in one variable and has a repeated
-    factor, its monic square-free part p / gcd(p, p')."""
+    """None, unless p lies in one variable and has a repeated factor:
+    then its monic square-free part p / gcd(p, p')."""
     sup = p.support()
     if len(sup) != 1:
-        return p
+        return None
     (i,) = sup
     f = _univ_coeffs(p, i)
     g = upoly_gcd(f, upoly_deriv(f))
     if len(g) == 1:
-        return p
+        return None
     part = _upoly_exquo(f, g)
     zero = (0,) * p.ring.arity
     return Poly(p.ring, [(zero[:i] + (k,) + zero[i + 1:], c)
@@ -311,13 +311,19 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     cap = max_points if max_points is not None else max(10 * qdim, 16)
     arity = gb.ring.arity
 
-    # an element in one variable has the same zeros as its square-free
-    # part, which gives polyroots simple roots only
+    # square-free parts of elements in one variable vanish on the same
+    # points; added to the ideal, they make the Gianni-Kalkbrener gcd at
+    # their level square-free
+    while True:
+        parts = [q for q in map(_squarefree_part, gb.basis) if q is not None]
+        if not parts:
+            break
+        gb = buchberger([*gb.basis, *parts], "lex")
     by_level = [[] for _ in range(arity)]
     for p in gb.basis:
         sup = p.support()
         if sup:
-            by_level[min(sup)].append(_squarefree_part(p))
+            by_level[min(sup)].append(p)
 
     work = precision + 48
     with mpmath.workprec(work):
@@ -326,7 +332,6 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
         ]
         sys_terms = [_embedded_terms(q, work) for q in system_equations]
         zero_floor = mpmath.mpf(2) ** (-(precision + 16))
-        branch_rel = mpmath.mpf("1e-6")
 
         raw_points = []
 
@@ -376,21 +381,8 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
                 if any(abs(r - t) <= tol.cluster for t in taken):
                     continue
                 taken.append(r)
-                ok = True
-                for coeffs in specs:
-                    if coeffs is None or coeffs is best:
-                        continue
-                    val = mpmath.mpc(0)
-                    scale = mpmath.mpf(0)
-                    for c in coeffs:
-                        val = val * r + c
-                        scale = scale * abs(r) + abs(c)
-                    if abs(val) > branch_rel * (scale + 1):
-                        ok = False
-                        break
-                if ok:
-                    tail[i] = r
-                    descend(i - 1, tail)
+                tail[i] = r
+                descend(i - 1, tail)
 
         descend(arity - 1, [mpmath.mpc(0)] * arity)
 

@@ -621,12 +621,12 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
     })
 
 
-def _reduced_basis(*polys):
+def _reduced_basis(*polys, pair_count=0):
     """A lex basis file in x, y over Q that claims to be reduced; each
     polynomial is a list of (coefficient, exponent vector) terms."""
     return json.dumps({
         "format": "basis", "order": "lex", "vars": ["x", "y"], "field": "Q",
-        "reduced": True, "pair_count": 0,
+        "reduced": True, "pair_count": pair_count,
         "basis": [[{"c": c, "e": e} for c, e in p] for p in polys],
     })
 
@@ -701,6 +701,18 @@ _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
     (["solve", "--in", "BAD", "--system", "SYS"],
      _reduced_basis([("1", [1, 0])]).replace("true", "1"),
      "ValueError: reduced flag 1 is not a bool"),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis([("1", [1, 0])], pair_count="many"),
+     "TypeError: "),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis([("1", [1, 0])], pair_count=1.5),
+     "TypeError: "),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis([("1", [1, 0])], pair_count=None),
+     "TypeError: "),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis([("1", [1, 0])], pair_count=-4),
+     "ValueError: pair count -4 is negative"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
@@ -714,7 +726,9 @@ _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
         "groebner-unreduced-power", "groebner-unknown-field",
         "groebner-duplicate-vars", "groebner-not-a-system",
         "solve-basis-unreduced", "solve-basis-not-groebner",
-        "solve-basis-not-monic", "solve-basis-reduced-not-bool"])
+        "solve-basis-not-monic", "solve-basis-reduced-not-bool",
+        "solve-basis-pair-count-str", "solve-basis-pair-count-float",
+        "solve-basis-pair-count-null", "solve-basis-pair-count-negative"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from eqlines import solver
 from eqlines.exact import QQ, CycloField, cyclo_root_of_unity
 from eqlines.groebner import GroebnerBasis, buchberger
 from eqlines.polyring import Poly, Ring
@@ -162,11 +163,33 @@ def test_non_radical_duplicates_not_adjacent():
     assert all(abs(p[0] - 2) < 1e-30 for p in pts)
 
 
+def test_repeated_roots_in_one_variable_are_added_square_free(monkeypatch):
+    """(y - 1)^2 in the lex basis of (x-y)^3, (y-1)^2 adds y - 1, which
+    leaves (x - 1)^3 in the basis; that adds x - 1. Two rounds, and the
+    triple root x = 1 never reaches root finding."""
+    x, y = _xy()
+    rounds = []
+
+    def counted(*args):
+        rounds.append(args)
+        return buchberger(*args)
+
+    gens = [(x - y) ** 3, (y - 1) ** 2]
+    gb = buchberger(gens, "lex")
+    monkeypatch.setattr(solver, "buchberger", counted)
+    sols = solve_triangular(gb, gens, precision=128)
+    pts = [tuple(complex(c) for c in p.coords) for p in sols.points]
+    assert len(rounds) == 2
+    assert len(pts) == 1
+    assert max(abs(a - 1) for a in pts[0]) < 1e-30
+
+
 def test_repeated_root_after_specialization_fails_fast():
-    # (x - 1)^3 appears only once y = 1 is substituted
+    # y^2 - y is square-free, and (x - 1)^3 appears only once y = 1 is
+    # substituted
     x, y = _xy()
     with pytest.raises(SolverError, match="degree 3"):
-        _solve_points([(x - y) ** 3, (y - 1) ** 2])
+        _solve_points([(x - y) ** 3, y ** 2 - y])
 
 
 def test_not_zero_dimensional():
@@ -235,9 +258,11 @@ def test_vanishing_and_linear_specializations():
 
 
 def test_square_free_level_checks_other_specializations():
-    """At y = 1 the level-x specializations are x^2 - x, the square-free
-    part of x^4 - x^3, and x^3: the root x = 1 of the lower degree one is
-    no root of their gcd x^3, so it spawns no branch."""
+    """x^4 - x^3 has a repeated factor, so the solver adds its
+    square-free part x^2 - x and solves the basis {x^2 - x, xy, y^2 - y}
+    of the same zeros. At y = 1 the level-x specializations are x^2 - x
+    and x: the root x = 1 of x^2 - x is no root of their gcd x, and the
+    descent, which solves only x, never meets it."""
     x, y = _xy()
     gens = [x ** 4 - x ** 3, x ** 3 * y, y ** 2 - y]
     gb = buchberger(gens, "lex")
@@ -249,7 +274,9 @@ def test_square_free_level_checks_other_specializations():
 
 def test_square_free_level_spawns_no_false_branch():
     # the false branch x = y = 1 would specialize z^3 + x*y - 1 to z^3,
-    # a triple root that polyroots cannot resolve
+    # a triple root that polyroots cannot resolve; with x^2 - x added,
+    # the basis holds xy and z^3 - 1, so at y = 1 the level-x gcd is x
+    # and that branch never starts
     z, x, y = (Poly.variable(R3z, i) for i in range(3))
     gens = [x ** 4 - x ** 3, x ** 3 * y, y ** 2 - y, z ** 3 + x * y - 1]
     gb = buchberger(gens, "lex")
@@ -291,6 +318,21 @@ def test_point_ideals_one_candidate_per_point():
         for g, want in zip(got, sorted(pts)):
             assert max(abs(a - b) for a, b in zip(g, want)) < 1e-30
     assert crowded >= 10
+
+
+def test_radical_bases_never_enlarge(d2_pipeline, monkeypatch):
+    """A reduced basis of a radical ideal has no element in one variable
+    with a repeated factor, so the solver takes it as it is."""
+    system, gb, sols = d2_pipeline
+
+    def refuse(*args):
+        raise AssertionError("a radical basis was enlarged")
+
+    monkeypatch.setattr(solver, "buchberger", refuse)
+    again = solve_triangular(gb, list(system.equations), precision=256)
+    assert len(again.points) == 32
+    assert [p.coords for p in again.points] == [p.coords for p in sols.points]
+    test_point_ideals_one_candidate_per_point()
 
 
 def _ideal_product(a, b):
@@ -350,7 +392,9 @@ def test_vanishing_leading_coefficient_is_trimmed():
     """In the lex basis of (x+1, y+1, z+1)(x+1, y+1, z)^2(x+1, y, z+1)^2
     (x-1, y+1, z)^2 the element (y+1)x^2 + 2z^2 x - y + 2z^2 - 1 loses
     its leading coefficient at (y, z) = (-1, -1) but not its other
-    terms: it specializes to 2x + 2, whose root is the only one there."""
+    terms. The basis also holds (x^2 - 1)^2 and z^2(z + 1)^2, so the
+    solver first adds x^2 - 1 and z^2 + z and solves a basis without
+    that element; the radical case below reaches the trimming."""
     gens = _maximal_ideal((-1, -1, -1), 1, R3)
     for p in ((-1, -1, 0), (-1, 0, -1), (1, -1, 0)):
         gens = _ideal_product(gens, _maximal_ideal(p, 2, R3))
@@ -363,6 +407,24 @@ def test_vanishing_leading_coefficient_is_trimmed():
         (-1, -1, -1), (-1, -1, 0), (-1, 0, -1), (1, -1, 0)}
     for g in got:
         assert max(abs(c - round(c.real)) for c in g) < 1e-30
+
+
+def test_vanishing_leading_coefficient_of_a_radical_basis_is_trimmed():
+    """The lex basis of these eight points holds
+    (z-1)x^2 + (z-y-2)x + 3yz - 2y + z, whose leading coefficient
+    vanishes at (y, z) = (0, 1) but not its other terms: it specializes
+    to 1 - x, whose root is the only one there."""
+    pts = {(-2, -1, 0), (-2, -1, 1), (-2, 0, 0), (-1, -1, 1), (0, 0, 0),
+           (1, -1, 0), (1, 0, 1), (2, -1, 1)}
+    gb = _point_ideal(pts)
+    x, y, z = (Poly.variable(R3, i) for i in range(3))
+    assert ((z - 1) * x ** 2 + (z - y - 2) * x + 3 * y * z - 2 * y + z
+            in gb.basis)
+    sols = solve_triangular(gb, list(gb.basis), precision=128, max_points=8)
+    got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+    assert len(got) == 8
+    for g, want in zip(got, sorted(pts)):
+        assert max(abs(a - b) for a, b in zip(g, want)) < 1e-30
 
 
 def test_d2_solution_set_structure(d2_pipeline):
