@@ -562,21 +562,13 @@ _DISPATCH = {
 }
 
 
-def _validation_errors():
-    """The exceptions that exit 2: ValueError (ConfigError and
-    VerificationError among them), ArithmeticError, and SolverError. A
-    SolverError can only have been raised once the solver is loaded, so
-    it is looked up there instead of importing the solver to name it."""
-    solver = sys.modules.get(f"{__package__}.solver")
-    return (ValueError, ArithmeticError) + ((solver.SolverError,) if solver else ())
-
-
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         _check_args(args)
         return _DISPATCH[args.command](args)
-    except _validation_errors() as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ConfigError, VerificationError and SolverError among them
         causes = []
         cause = exc.__cause__
         while cause is not None:

@@ -41,6 +41,8 @@ __all__ = [
     "upoly_gcd",
     "upoly_monic",
     "upoly_squarefree",
+    "power",
+    "signed_sum",
 ]
 
 
@@ -157,19 +159,28 @@ def upoly_squarefree(f):
 
 
 def _upoly_ext_gcd(a, b):
-    # returns (g, u, v) with u*a + v*b = g, g monic
+    # returns (g, u) with u*a = g mod b, g monic; a must be nonzero
     r0, r1 = upoly_trim(a), upoly_trim(b)
     s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
     while r1:
         q, r = upoly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, upoly_sub(s0, upoly_mul(q, s1))
-        t0, t1 = t1, upoly_sub(t0, upoly_mul(q, t1))
-    if not r0:
-        return [], s0, t0
     inv = Fraction(1) / r0[-1]
-    return ([c * inv for c in r0], [c * inv for c in s0], [c * inv for c in t0])
+    return [c * inv for c in r0], [c * inv for c in s0]
+
+
+def power(x, k, one):
+    """x ** k for an int k >= 0 by repeated squaring; ``one`` is the
+    product of no factors."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +362,7 @@ class CycloNum:
 
     def inverse(self):
         minpoly = cyclotomic_poly(self.n)
-        g, u, _ = _upoly_ext_gcd(list(self.num), list(minpoly))
+        g, u = _upoly_ext_gcd(list(self.num), list(minpoly))
         # Phi_n is irreducible over Q, so the gcd with any nonzero
         # reduced element is 1
         if g != [1]:
@@ -376,16 +387,7 @@ class CycloNum:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Fraction(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self.inverse() if k < 0 else self, abs(k), Fraction(1))
 
     # -- comparisons ---------------------------------------------------------
 
@@ -434,6 +436,15 @@ def cyclo_embed(x, precision=53):
 # canonical text form
 # ---------------------------------------------------------------------------
 
+def signed_sum(parts):
+    """Join (negative, text) pairs into ``a - b + c``: the first sign is
+    a bare "-" or nothing, each later one " - " or " + "; "0" for none."""
+    s = "".join((" - " if neg else " + ") + text for neg, text in parts)
+    if not s:
+        return "0"
+    return s[3:] if s.startswith(" + ") else "-" + s[3:]
+
+
 def cyclo_to_str(x):
     """Render a CycloNum like ``(1/2)*z^2 - 1 @ n=12``; parsed back by
     cyclo_from_str."""
@@ -443,19 +454,14 @@ def cyclo_to_str(x):
         c = coeffs[k]
         if c == 0:
             continue
-        neg = c < 0
-        mag = -c if neg else c
+        mag = abs(c)
         if k == 0:
             body = str(mag)
         else:
             zpow = "z" if k == 1 else f"z^{k}"
             body = zpow if mag == 1 else f"({mag})*{zpow}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    poly = "".join(parts)
-    return f"{poly} @ n={x.n}"
+        parts.append((c < 0, body))
+    return f"{signed_sum(parts)} @ n={x.n}"
 
 
 def _split_conductor(s):

@@ -65,9 +65,6 @@ class GroebnerBasis:
     reduced: bool
     pair_count: int = 0
 
-    def __iter__(self):
-        return iter(self.basis)
-
     def __len__(self):
         return len(self.basis)
 
@@ -224,8 +221,6 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
             raise ValueError("zero generator")
     work = Ring(ring.vars, ring.field)  # interns what the run throws away
     f = _interreduce(rehome(generators, work), order)
-    if not f:
-        raise ValueError("generators reduce to nothing")
 
     G, B = _gm_pairs(f, order)
     reducers = _reducers(f, G, order)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator
 from bisect import insort
 
-from .exact import field_from_json
+from .exact import field_from_json, power, signed_sum
 
 __all__ = [
     "monomial_key",
@@ -45,6 +45,7 @@ __all__ = [
     "mono_degree",
     "Ring",
     "Poly",
+    "eval_terms",
     "reduce_poly",
     "s_polynomial",
     "rehome",
@@ -328,15 +329,7 @@ class Poly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers need a non-negative int")
-        result = Poly.one(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, Poly.one(self.ring))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -344,14 +337,7 @@ class Poly:
         """Exact evaluation; point entries may live in a larger field."""
         if len(point) != self.ring.arity:
             raise ValueError("point arity mismatch")
-        total = self.ring.field.zero()
-        for m, c in self.terms:
-            acc = c
-            for i, e in enumerate(m):
-                if e:
-                    acc = acc * point[i] ** e
-            total = total + acc
-        return total
+        return eval_terms(self.terms, point, self.ring.field.zero())
 
     # -- comparisons and hashing ----------------------------------------------
 
@@ -369,8 +355,6 @@ class Poly:
     # -- rendering --------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         field = self.ring.field
         parts = []
         for m, c in self.terms:
@@ -382,21 +366,16 @@ class Poly:
                     factors.append(f"{self.ring.vars[i]}^{e}")
             body = "*".join(factors)
             cs = field.render(c)
-            neg = cs.startswith("-")
+            # a sign in front of a sum belongs to its first term only
+            neg = cs.startswith("-") and " + " not in cs and " - " not in cs
             if neg:
                 cs = cs[1:]
             if body:
-                if cs == "1" and "@" not in cs:
-                    text = body
-                else:
-                    text = f"({cs})*{body}"
+                text = body if cs == "1" else f"({cs})*{body}"
             else:
                 text = cs if ("/" not in cs and "@" not in cs) else f"({cs})"
-            if not parts:
-                parts.append(("-" if neg else "") + text)
-            else:
-                parts.append((" - " if neg else " + ") + text)
-        return "".join(parts)
+            parts.append((neg, text))
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -418,6 +397,19 @@ class Poly:
     def with_field(self, field):
         """Coerce every coefficient into another coefficient field."""
         return next(rehome([self], Ring(self.ring.vars, field)))
+
+
+def eval_terms(terms, point, start):
+    """start plus the sum of c * prod(point[i] ** m[i]) over the (m, c)
+    pairs of terms: exact coefficients in Poly.eval_exact, embedded ones
+    in the solver's residual check."""
+    total = start
+    for m, c in terms:
+        for x, e in zip(point, m):
+            if e:
+                c = c * x ** e
+        total = total + c
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ import mpmath
 
 from .exact import _upoly_exquo, upoly_deriv, upoly_gcd, upoly_squarefree
 from .groebner import buchberger, quotient_dimension
-from .polyring import Poly
+from .polyring import Poly, eval_terms
 from .sicgen import apply_weyl, fiducial_from_coords
 
 __all__ = [
@@ -68,8 +68,8 @@ __all__ = [
 ]
 
 
-class SolverError(RuntimeError):
-    pass
+class SolverError(ValueError):
+    """The solver cannot solve its input; the CLI exits 2 on it."""
 
 
 class NotZeroDimensionalError(SolverError):
@@ -202,17 +202,6 @@ def _dps(prec):
 def _embedded_terms(poly, precision):
     embed = poly.ring.field.embed
     return [(m, embed(c, precision)) for m, c in poly.terms]
-
-
-def eval_embedded(terms, point):
-    total = mpmath.mpc(0)
-    for m, c in terms:
-        acc = c
-        for i, e in enumerate(m):
-            if e:
-                acc = acc * point[i] ** e
-        total += acc
-    return total
 
 
 def _roots_numeric(coeffs, precision):
@@ -391,7 +380,7 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
         for pt in raw_points:
             res = mpmath.mpf(0)
             for terms in sys_terms:
-                res = max(res, abs(eval_embedded(terms, pt)))
+                res = max(res, abs(eval_terms(terms, pt, mpmath.mpc(0))))
             if res <= tol.residual:
                 survivors.append(SolutionPoint(pt, res))
 

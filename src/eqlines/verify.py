@@ -131,15 +131,6 @@ def verify_fiducial(v, tol=DEFAULT_TOL, precision=128):
         return {"ok": max_dev <= tol, "max_dev": max_dev, "report": report}
 
 
-def _univariate_coeffs(f):
-    """Little-endian Fraction coefficients of a one-variable Poly."""
-    if f.ring.arity != 1:
-        raise VerificationError("univariate polynomial required")
-    if f.is_zero():
-        raise VerificationError("zero polynomial")
-    return _univ_coeffs(f, 0)
-
-
 def unit_certify(f):
     """Certify that a unit-circle root of f is an algebraic unit.
 
@@ -149,7 +140,11 @@ def unit_certify(f):
     """
     if f.ring.field != QQ:
         raise VerificationError("unit certification needs a polynomial over Q")
-    cs = _univariate_coeffs(f)
+    if f.ring.arity != 1:
+        raise VerificationError("univariate polynomial required")
+    if f.is_zero():
+        raise VerificationError("zero polynomial")
+    cs = _univ_coeffs(f, 0)
     reasons = []
     if cs[-1] != 1:
         reasons.append("not monic")

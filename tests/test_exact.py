@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic against independent numeric oracles."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -251,6 +252,23 @@ def test_parse_checks_the_conductor_first():
     assert cyclotomic_poly.cache_info().currsize == before
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: upoly_divmod([1], []), ZeroDivisionError,
+     "univariate division by zero polynomial"),
+    (lambda: cyclotomic_poly(0), ValueError, "cyclotomic_poly needs n >= 1"),
+    (lambda: CycloField(0), ValueError, "conductor must be >= 1"),
+    (lambda: CycloNum(12, [1, 2, 3]), ValueError,
+     "Q(zeta_12) elements need 4 coefficients, got 3"),
+    (lambda: cyclo_root_of_unity(12, 1) + cyclo_root_of_unity(20, 1),
+     ValueError, "conductor mismatch: 12 vs 20"),
+    (lambda: CycloField(12).coerce("1"), TypeError,
+     "cannot coerce '1' into Q(zeta_12)"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
+
+
 def test_upoly_division_invariant():
     a = [Fraction(2), Fraction(0), Fraction(-3), Fraction(1)]
     b = [Fraction(-1), Fraction(1)]
@@ -264,7 +282,7 @@ def test_upoly_division_invariant():
 
 
 def test_upoly_ext_gcd_exact_on_int_lists():
-    # u*a + v*b = g holds exactly and every coefficient is a Fraction,
+    # u*a = g (mod b) holds exactly and every coefficient is a Fraction,
     # also when the last nonzero remainder is one of the int inputs
     for a, b, want in [
         ([3, 1, -2, 5], list(cyclotomic_poly(12)), [1]),
@@ -272,10 +290,10 @@ def test_upoly_ext_gcd_exact_on_int_lists():
         # (3x - 6)(3x^2 + 1) and 3x - 6: the gcd is x - 2
         ([-6, 3, -18, 9], [-6, 3], [-2, 1]),
     ]:
-        g, u, v = _upoly_ext_gcd(a, b)
+        g, u = _upoly_ext_gcd(a, b)
         assert g == want
-        assert all(type(c) is Fraction for c in g + u + v)
-        assert upoly_sub(upoly_mul(u, a), upoly_sub(g, upoly_mul(v, b))) == []
+        assert all(type(c) is Fraction for c in g + u)
+        assert upoly_divmod(upoly_sub(upoly_mul(u, a), g), b)[1] == []
 
 
 def _upoly_results(a, b):

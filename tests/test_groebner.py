@@ -484,6 +484,11 @@ def test_reduce_basis_idempotent():
     assert again.basis == gb.basis
 
 
+def test_reduce_basis_rejects_an_empty_basis():
+    with pytest.raises(ValueError, match="cannot reduce an empty basis"):
+        reduce_basis(GroebnerBasis(R2, "lex", (), False))
+
+
 def test_reduce_basis_keeps_the_ideal():
     """(x^2 - y, x^2) is no Groebner basis; interreduction keeps the
     generator y that dropping the covered leading monomial x^2 loses."""

@@ -7,13 +7,14 @@ arithmetic.
 
 from fractions import Fraction
 import json
+import re
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlines import polyring
-from eqlines.exact import CycloField, QQ, cyclo_embed, cyclo_root_of_unity
+from eqlines.exact import CycloField, QQ, cyclo_embed, cyclo_from_str, cyclo_root_of_unity
 from eqlines.polyring import (
     Poly,
     Ring,
@@ -26,6 +27,7 @@ from eqlines.polyring import (
     mono_mul,
     monomial_key,
     reduce_poly,
+    rehome,
     s_polynomial,
 )
 from eqlines.sicgen import gen_wh_system
@@ -122,6 +124,24 @@ def test_pow_and_scalar_ops():
     assert f == x ** 2 + 2 * x * y + y ** 2
     assert (f * Fraction(1, 2)) * 2 == f
     assert (f + 1) - 1 == f
+
+
+def test_str_renders_each_term_with_its_sign():
+    x, y = Poly.variable(R2, 0), Poly.variable(R2, 1)
+    assert str(x + 1) == "x + 1"
+    assert str(-x * y + 2 * y - 1) == "-x*y + (2)*y - 1"
+    assert str(x ** 2 * y - Fraction(1, 2)) == "x^2*y - (1/2)"
+    assert str(Poly.zero(R2)) == "0"
+
+
+def test_str_keeps_a_cyclotomic_sum_whole():
+    w = cyclo_root_of_unity(12, 1)
+    z = -Fraction(1, 2) * w ** 3 + w - Fraction(3, 4)
+    assert str(z) == "-(1/2)*z^3 + z - 3/4 @ n=12"
+    assert cyclo_from_str(str(z)) == z
+    x = Poly.variable(Ring(("x",), CycloField(12)), 0)
+    # the leading minus belongs to the first term of z, not to the term z*x
+    assert str(z * x - Fraction(3, 4)) == "(-(1/2)*z^3 + z - 3/4 @ n=12)*x - (3/4 @ n=12)"
 
 
 def test_poly_equals_only_polys():
@@ -408,6 +428,28 @@ def test_ring_shares_one_tuple_per_monomial():
     assert h.terms[0][0] == f.terms[0][0]
     assert h.terms[0][0] is not f.terms[0][0]
     assert f - h == Poly.zero(ring)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: mono_div((1, 0), (0, 1)), ArithmeticError,
+     "monomial (0, 1) does not divide (1, 0)"),
+    (lambda: monomial_key("deglex"), ValueError, "unknown order 'deglex'"),
+    (lambda: Poly.zero(R2).leading_term(), ValueError,
+     "zero polynomial has no leading term"),
+    (lambda: Poly.variable(R2, 0) ** -1, ValueError,
+     "polynomial powers need a non-negative int"),
+    (lambda: Poly.variable(R2, 0).eval_exact((1,)), ValueError,
+     "point arity mismatch"),
+    (lambda: s_polynomial(Poly.variable(R2, 0), Poly.variable(R3, 0)),
+     ValueError, "ring mismatch in s_polynomial"),
+    (lambda: s_polynomial(Poly.variable(R2, 0), Poly.zero(R2)), ValueError,
+     "s_polynomial of a zero polynomial"),
+    (lambda: next(rehome([Poly.variable(R2, 0)], Ring(("a", "b"), QQ))),
+     ValueError, "variable mismatch"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("mono", [(1,), (0, -1, 0), (1, 0, 0, 0)])

@@ -18,7 +18,7 @@ import mpmath
 import pytest
 
 from eqlines.exact import CycloField, CycloNum, QQ, cyclo_embed
-from eqlines.polyring import Poly
+from eqlines.polyring import Poly, Ring
 from eqlines.sicgen import (
     PolySystem,
     apply_weyl,
@@ -259,7 +259,7 @@ def test_complex_full_shapes():
 
 def test_complex_full_oracle_on_wh_orbit():
     """A numeric SIC family satisfies the full-system equations."""
-    from eqlines.solver import eval_embedded
+    from eqlines.polyring import eval_terms
 
     s2 = gen_complex_full(2)
     rhs = {lab: Fraction(r) for lab, r in s2.rhs.items()}
@@ -278,7 +278,7 @@ def test_complex_full_oracle_on_wh_orbit():
             pt.extend([x.imag for x in u])
         for lab, eq in zip(s2.labels, s2.equations):
             terms = [(m, eq.ring.field.embed(c, 128)) for m, c in eq.terms]
-            val = eval_embedded(terms, pt) + mpmath.mpf(rhs[lab].numerator) / rhs[lab].denominator
+            val = eval_terms(terms, pt, mpmath.mpc(0)) + mpmath.mpf(rhs[lab].numerator) / rhs[lab].denominator
             want = 1 if lab.split("_")[1] == lab.split("_")[2] else mpmath.mpf(1) / 3
             assert abs(val - want) < mpmath.mpf(2) ** -100, lab
 
@@ -291,7 +291,7 @@ def test_real_system_squared_variant():
 
 
 def test_real_system_sign_variant_hexagon():
-    from eqlines.solver import eval_embedded
+    from eqlines.polyring import eval_terms
     from eqlines.sicgen import seidel_hexagon
     from eqlines.verify import hexagon_lines
 
@@ -307,11 +307,11 @@ def test_real_system_sign_variant_hexagon():
         pt.append(mpmath.mpf(1) / 2)
         for eq in s.equations:
             terms = [(m, eq.ring.field.embed(c, 64)) for m, c in eq.terms]
-            assert abs(eval_embedded(terms, pt)) < mpmath.mpf(1e-14)
+            assert abs(eval_terms(terms, pt, mpmath.mpc(0))) < mpmath.mpf(1e-14)
 
 
 def test_real_system_sign_variant_icosahedron():
-    from eqlines.solver import eval_embedded
+    from eqlines.polyring import eval_terms
     from eqlines.sicgen import seidel_icosahedron
     from eqlines.verify import icosahedron_lines
 
@@ -324,7 +324,7 @@ def test_real_system_sign_variant_icosahedron():
         pt.append(1 / mpmath.sqrt(5))
         for eq in s.equations:
             terms = [(m, eq.ring.field.embed(c, 64)) for m, c in eq.terms]
-            assert abs(eval_embedded(terms, pt)) < mpmath.mpf(1e-13)
+            assert abs(eval_terms(terms, pt, mpmath.mpc(0))) < mpmath.mpf(1e-13)
 
 
 def test_real_system_validation():
@@ -332,6 +332,22 @@ def test_real_system_validation():
         gen_real_system(2, 3, signs=[[0, 1], [1, 0], [0, 0]])
     with pytest.raises(ValueError):
         gen_real_system(2, 3, signs=[[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_complex_full(0), "d must be positive"),
+    (lambda: gen_wh_system(0), "d must be positive"),
+    (lambda: gen_real_system(0, 3), "d and N must be positive"),
+    (lambda: gen_real_system(2, 3, signs=[[0, 1], [1, 0]]),
+     "sign matrix must be N x N"),
+    (lambda: fiducial_from_coords([1, 2, 3]),
+     "need an even number of coordinates"),
+    (lambda: PolySystem("wh", 2, 4, Ring(("x",), QQ), (), ("a",), {}),
+     "labels and equations must align"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_polysystem_json_round_trip():
