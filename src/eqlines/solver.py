@@ -7,7 +7,11 @@ degree nonzero univariate is solved, and every root spawns a branch;
 roots within tol.cluster of a root already taken at their level are
 copies of one multiple root and spawn none. Two branches thus differ
 by more than tol.cluster in the coordinate of the level where they
-part, so no solution is returned twice.
+part, so no solution is returned twice. The descent is a loop over an
+explicit stack of (level, partial point) pairs; each level pushes its
+kept roots in reverse, so branches run depth first, first root first. It
+builds no closure and no reference cycle: reference counting frees all
+a solve allocates when it returns, and nothing of it outlives the call.
 A reduced zero-dimensional lex basis holds, for each variable x_i, a
 monic x_i^k plus terms of lower x_i-degree in x_i..x_{n-1}; it sits at
 level i and specializes to a monic univariate, so no level ever runs
@@ -66,6 +70,12 @@ __all__ = [
     "match_zauner",
     "zauner_vectors",
 ]
+
+
+# the fewest bits a solve runs at and a solutions file records; at 16
+# bits or fewer the trim cut reaches the largest coefficient of every
+# specialization, and the descent finds no point
+_MIN_PRECISION = 53
 
 
 class SolverError(ValueError):
@@ -174,8 +184,10 @@ class SolutionSet:
         if obj.get("format") != "solutions":
             raise ValueError("not a solutions file")
         precision = operator.index(obj["precision"])
-        if precision < 53:
-            raise ValueError(f"recorded precision {precision} is below 53 bits")
+        if precision < _MIN_PRECISION:
+            raise ValueError(
+                f"recorded precision {precision} is below {_MIN_PRECISION} bits"
+            )
         with mpmath.workprec(precision):
             points = []
             for p in obj["points"]:
@@ -273,6 +285,33 @@ def _squarefree_part(p):
 # triangular back-substitution
 # ---------------------------------------------------------------------------
 
+def _specialize(terms, i, tail):
+    """Coefficient list, leading first, of the univariate in x_i that
+    the embedded terms become at the partial point tail = x_{i+1}.."""
+    deg = max(m[i] for m, _ in terms)
+    coeffs = [mpmath.mpc(0)] * (deg + 1)
+    for m, c in terms:
+        acc = c
+        for e, x in zip(m[i + 1:], tail):
+            if e:
+                acc = acc * x ** e
+        coeffs[deg - m[i]] += acc
+    return coeffs
+
+
+def _trim(coeffs, precision):
+    """coeffs without the leading entries lost in rounding next to the
+    largest one, or None when all of them are."""
+    mx = max(abs(c) for c in coeffs)
+    if mx <= mpmath.ldexp(1, -(precision + 16)):
+        return None
+    cut = mpmath.ldexp(mx, -(precision - 16))
+    k = 0
+    while k < len(coeffs) - 1 and abs(coeffs[k]) <= cut:
+        k += 1
+    return coeffs[k:]
+
+
 def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=None):
     """Numerically solve a zero-dimensional reduced lex basis.
 
@@ -281,9 +320,13 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     not just against the basis, and tagged ``real`` when every
     coordinate is real to tol.realness. Any other basis, the unreduced
     partial basis of an exhausted pair budget among them, raises
-    ValueError.
+    ValueError, and so does a precision below 53 bits.
     """
     tol = tol or Tolerances()
+    if precision < _MIN_PRECISION:
+        raise ValueError(
+            f"precision {precision} is below {_MIN_PRECISION} bits"
+        )
     if gb.order != "lex" or not gb.reduced:
         raise ValueError("solve_triangular needs a reduced lex basis")
     if any(q.ring.arity != gb.ring.arity for q in system_equations):
@@ -320,60 +363,36 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
             [_embedded_terms(p, work) for p in polys] for polys in by_level
         ]
         sys_terms = [_embedded_terms(q, work) for q in system_equations]
-        zero_floor = mpmath.mpf(2) ** (-(precision + 16))
 
         raw_points = []
-
-        def specialize(terms, i, tail):
-            # coefficient list of the univariate in x_i, leading first
-            deg = max(m[i] for m, _ in terms)
-            coeffs = [mpmath.mpc(0)] * (deg + 1)
-            for m, c in terms:
-                acc = c
-                for j in range(i + 1, arity):
-                    e = m[j]
-                    if e:
-                        acc = acc * tail[j] ** e
-                coeffs[deg - m[i]] += acc
-            return coeffs
-
-        def trim(coeffs):
-            mx = max(abs(c) for c in coeffs)
-            if mx <= zero_floor:
-                return None
-            cut = mx * mpmath.mpf(2) ** (-(precision - 16))
-            k = 0
-            while k < len(coeffs) - 1 and abs(coeffs[k]) <= cut:
-                k += 1
-            return coeffs[k:]
-
-        def descend(i, tail):
+        # depth first, first root first: each level's kept roots are
+        # pushed in reverse; a partial point holds x_{i+1}..x_{n-1}
+        stack = [(arity - 1, ())]
+        while stack:
+            i, tail = stack.pop()
             if i < 0:
                 if len(raw_points) >= cap:
                     raise BranchCapExceeded(
                         f"more than {cap} candidate points"
                     )
-                raw_points.append(tuple(tail))
-                return
+                raw_points.append(tail)
+                continue
             specs = [
-                trim(specialize(terms, i, tail)) for terms in level_terms[i]
+                _trim(_specialize(terms, i, tail), precision)
+                for terms in level_terms[i]
             ]
             best = min((c for c in specs if c is not None and len(c) > 1),
                        key=len, default=None)
             if best is None:
                 # the basis is {1} and the variety empty; with the monic
                 # element at this level, only rounding can get here
-                return
+                continue
             taken = []
             for r in _roots_numeric(best, work):
                 # copies of a multiple root make one branch
-                if any(abs(r - t) <= tol.cluster for t in taken):
-                    continue
-                taken.append(r)
-                tail[i] = r
-                descend(i - 1, tail)
-
-        descend(arity - 1, [mpmath.mpc(0)] * arity)
+                if not any(abs(r - t) <= tol.cluster for t in taken):
+                    taken.append(r)
+            stack.extend((i - 1, (r, *tail)) for r in reversed(taken))
 
         # residuals against the original system
         survivors = []

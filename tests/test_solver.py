@@ -1,5 +1,6 @@
 """Numeric solver: root contracts, back-substitution, classification."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -425,6 +426,69 @@ def test_vanishing_leading_coefficient_of_a_radical_basis_is_trimmed():
     assert len(got) == 8
     for g, want in zip(got, sorted(pts)):
         assert max(abs(a - b) for a, b in zip(g, want)) < 1e-30
+
+
+def test_branches_walk_depth_first_first_root_first(monkeypatch):
+    """Root finding runs, by the roots each call returns, on z; on y at
+    z = 0; on x at (y, z) = (0, 0), then (1, 0); on y at z = 1; on x at
+    (-1, 1), then (2, 1). Two levels cannot tell depth first from
+    breadth first, so the points lie in three variables."""
+    pts = {(1, 0, 0), (2, 1, 0), (3, 1, 0), (-1, -1, 1), (0, 2, 1),
+           (2, 2, 1)}
+    gb = _point_ideal(pts)
+    calls = []
+    roots_numeric = solver._roots_numeric
+
+    def spy(coeffs, precision):
+        roots = roots_numeric(coeffs, precision)
+        calls.append([round(float(r.real)) for r in roots])
+        return roots
+
+    monkeypatch.setattr(solver, "_roots_numeric", spy)
+    sols = solve_triangular(gb, list(gb.basis), precision=128)
+    assert len(sols.points) == 6
+    assert calls == [[0, 1], [0, 1], [1], [2, 3], [-1, 2], [-1], [0, 2]]
+
+
+def _cyclic_garbage(call):
+    """Objects in reference cycles that call() leaves behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_a_solve_leaves_no_cyclic_garbage(d2_pipeline):
+    # reference counting frees all a solve allocates when it returns
+    system, gb, _ = d2_pipeline
+    eqs = list(system.equations)
+    assert _cyclic_garbage(
+        lambda: solve_triangular(gb, eqs, precision=256)) == 0
+    x, y = _xy()
+    grid = [x * (x - 1) * (x + 1), y * (y - 2)]
+    gb2 = buchberger(grid, "lex")
+    assert _cyclic_garbage(
+        lambda: solve_triangular(gb2, grid, precision=128)) == 0
+
+
+@pytest.mark.parametrize("precision", [8, 16, 20, 52])
+def test_precision_below_53_bits_rejected(d2_pipeline, precision):
+    """At 8 and 16 bits the trim cut would swallow every coefficient and
+    the d=2 solve return no point; at 20 bits it would return all 32 in
+    a set whose own file SolutionSet.from_json refuses."""
+    system, gb, _ = d2_pipeline
+    with pytest.raises(ValueError, match="below 53 bits"):
+        solve_triangular(gb, list(system.equations), precision=precision)
+
+
+def test_precision_53_bits_solves_and_round_trips(d2_pipeline):
+    system, gb, _ = d2_pipeline
+    sols = solve_triangular(gb, list(system.equations), precision=53)
+    assert len(sols.points) == 32
+    assert len(SolutionSet.from_json(sols.to_json()).points) == 32
 
 
 def test_d2_solution_set_structure(d2_pipeline):
