@@ -24,6 +24,7 @@ wh`` and ``groebner`` never load mpmath, the solver or the verifier.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -325,34 +326,25 @@ def cmd_verify(args):
         )
     per_point = []
     worst = mpmath.mpf(0)
-    all_ok = True
     with mpmath.workprec(args.precision):
         for i, p in enumerate(sols.points):
-            if not p.tags.get("real"):
-                per_point.append(
-                    {"index": i, "checked": False, "ok": None,
-                     "max_dev": None}
-                )
-                continue
-            res = verify_fiducial(fiducial_from_coords(p.coords), tol=tol,
-                                  precision=args.precision)
-            worst = max(worst, res["max_dev"])
-            all_ok = all_ok and res["ok"]
-            per_point.append(
-                {
-                    "index": i,
-                    "checked": True,
-                    "ok": res["ok"],
-                    "max_dev": mpmath.nstr(res["max_dev"], 8),
-                }
-            )
-    n_checked = sum(1 for e in per_point if e["checked"])
+            entry = {"index": i, "checked": bool(p.tags.get("real")),
+                     "ok": None, "max_dev": None}
+            if entry["checked"]:
+                res = verify_fiducial(fiducial_from_coords(p.coords),
+                                      tol=tol, precision=args.precision)
+                worst = max(worst, res["max_dev"])
+                entry["ok"] = res["ok"]
+                entry["max_dev"] = mpmath.nstr(res["max_dev"], 8)
+            per_point.append(entry)
+    checked = [e for e in per_point if e["checked"]]
+    all_ok = all(e["ok"] for e in checked)
     doc = {
         "format": "verify_report",
         "input_hash": sol_hash,
         "tolerance": repr(tol),
         "n_points": len(sols.points),
-        "n_checked": n_checked,
+        "n_checked": len(checked),
         "all_ok": all_ok,
         "worst_max_dev": mpmath.nstr(worst, 8),
         "per_point": per_point,
@@ -360,7 +352,7 @@ def cmd_verify(args):
     out = args.out or "verify_report.json"
     write_canonical(out, doc)
     _summary(args, [
-        ("checked", n_checked),
+        ("checked", len(checked)),
         ("ok", all_ok),
         ("worst_max_dev", mpmath.nstr(worst, 8)),
         ("out", out),
@@ -468,14 +460,18 @@ def cmd_gram(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once; each subcommand's ``run`` default
+    is the command that ``main`` dispatches to."""
     ap = argparse.ArgumentParser(
         prog="eqlines",
         description="Generate, solve and verify equiangular-line systems.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, force=False, precision=False):
+    def common(p, run, force=False, precision=False):
+        p.set_defaults(run=run)
         p.add_argument("--out", default="", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="console summary style")
@@ -500,14 +496,14 @@ def _build_parser():
                    help="sign matrix JSON for the real kind")
     p.add_argument("--no-phase-fix", dest="phase_fix", action="store_false",
                    help="omit the linear phase-fixing equation (wh kind)")
-    common(p)
+    common(p, cmd_gen)
 
     p = sub.add_parser("groebner", help="compute a reduced lex basis")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--order", choices=("lex", "grevlex_then_lex"),
                    default="lex")
     p.add_argument("--pair-budget", type=int, default=argparse.SUPPRESS)
-    common(p)
+    common(p, cmd_groebner)
 
     p = sub.add_parser("solve", help="solve a zero-dimensional basis")
     p.add_argument("--in", dest="inp", required=True, help="basis file")
@@ -520,14 +516,14 @@ def _build_parser():
     p.add_argument("--max-points", type=int, default=0,
                    help="branch cap; 0 means ten times the quotient "
                    "dimension, at least 16")
-    common(p, force=True, precision=True)
+    common(p, cmd_solve, force=True, precision=True)
 
     p = sub.add_parser("verify", help="verify solutions as fiducials")
     p.add_argument("--in", dest="inp", required=True, help="solutions file")
     p.add_argument("--system", default="",
                    help="system file to revalidate the chain")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common(p, force=True, precision=True)
+    common(p, cmd_verify, force=True, precision=True)
 
     p = sub.add_parser("overlaps", help="normalized overlap report")
     p.add_argument("--in", dest="inp", default="", help="solutions file")
@@ -538,7 +534,7 @@ def _build_parser():
     p.add_argument("--zauner", dest="zauner_k", type=int, default=0,
                    help="use the closed-form d=4 fiducial k in {1,3,5,7}")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common(p, precision=True)
+    common(p, cmd_overlaps, precision=True)
 
     p = sub.add_parser("gram", help="symbolic Gram analysis of a sign pattern")
     p.add_argument("--preset", default="",
@@ -547,26 +543,16 @@ def _build_parser():
                    help="JSON file with a signs matrix")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common(p, precision=True)
+    common(p, cmd_gram, precision=True)
 
     return ap
-
-
-_DISPATCH = {
-    "gen": cmd_gen,
-    "groebner": cmd_groebner,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "overlaps": cmd_overlaps,
-    "gram": cmd_gram,
-}
 
 
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         _check_args(args)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError) as exc:
         # ConfigError, VerificationError and SolverError among them
         causes = []

@@ -121,6 +121,17 @@ class PolySystem:
         )
 
 
+def _pair_system(kind, d, n, ring, equation, extra):
+    """The system of one equation per pair j <= l of n lines, labelled
+    p_j_l, where equation(j, l) gives the polynomial and its rhs text."""
+    pairs = [(j, l) for j in range(1, n + 1) for l in range(j, n + 1)]
+    labels = tuple(f"p_{j}_{l}" for j, l in pairs)
+    equations, texts = zip(*(equation(j, l) for j, l in pairs))
+    return PolySystem(kind=kind, d=d, n_lines=n, ring=ring,
+                      equations=equations, labels=labels,
+                      rhs=dict(zip(labels, texts)), extra=extra)
+
+
 # ---------------------------------------------------------------------------
 # complex, all lines at once
 # ---------------------------------------------------------------------------
@@ -140,35 +151,17 @@ def gen_complex_full(d):
     def B(j, k):
         return Poly.variable(ring, nvec * d + (j - 1) * d + (k - 1))
 
-    equations = []
-    labels = []
-    rhs = {}
     offdiag = Fraction(1, d + 1)
-    for j in range(1, nvec + 1):
-        for l in range(j, nvec + 1):
-            C = Poly.zero(ring)
-            D = Poly.zero(ring)
-            for k in range(1, d + 1):
-                C = C + A(j, k) * A(l, k) + B(j, k) * B(l, k)
-                D = D + B(j, k) * A(l, k) - A(j, k) * B(l, k)
-            p = C * C + D * D
-            label = f"p_{j}_{l}"
-            if j == l:
-                equations.append(p - 1)
-                rhs[label] = "1"
-            else:
-                equations.append(p - offdiag)
-                rhs[label] = str(offdiag)
-            labels.append(label)
-    return PolySystem(
-        kind="complex_full",
-        d=d,
-        n_lines=nvec,
-        ring=ring,
-        equations=tuple(equations),
-        labels=tuple(labels),
-        rhs=rhs,
-    )
+
+    def equation(j, l):
+        C = D = Poly.zero(ring)
+        for k in range(1, d + 1):
+            C = C + A(j, k) * A(l, k) + B(j, k) * B(l, k)
+            D = D + B(j, k) * A(l, k) - A(j, k) * B(l, k)
+        target = 1 if j == l else offdiag
+        return C * C + D * D - target, str(target)
+
+    return _pair_system("complex_full", d, nvec, ring, equation, {})
 
 
 # ---------------------------------------------------------------------------
@@ -361,38 +354,24 @@ def gen_real_system(d, N, alpha=None, signs=None):
         return Poly.variable(ring, (j - 1) * d + (k - 1))
 
     a = Poly.variable(ring, N * d) if symbolic else alpha
-    equations = []
-    labels = []
-    rhs = {}
-    for j in range(1, N + 1):
-        for l in range(j, N + 1):
-            C = Poly.zero(ring)
-            for k in range(1, d + 1):
-                C = C + u(j, k) * u(l, k)
-            label = f"p_{j}_{l}"
-            labels.append(label)
-            # C*C = alpha^2, or C = s*alpha for the sign s; 1 on the diagonal
-            if j == l:
-                target, text = 1, "1"
-            elif signs is None:
-                target = a * a
-                text = "alpha^2" if symbolic else str(target)
-            else:
-                s = signs[j - 1][l - 1]
-                target = s * a
-                text = f"{s}*alpha" if symbolic else str(target)
-            equations.append((C * C if signs is None else C) - target)
-            rhs[label] = text
+
+    def equation(j, l):
+        C = Poly.zero(ring)
+        for k in range(1, d + 1):
+            C = C + u(j, k) * u(l, k)
+        # C*C = alpha^2, or C = s*alpha for the sign s; 1 on the diagonal
+        if j == l:
+            target, text = 1, "1"
+        elif signs is None:
+            target = a * a
+            text = "alpha^2" if symbolic else str(target)
+        else:
+            s = signs[j - 1][l - 1]
+            target = s * a
+            text = f"{s}*alpha" if symbolic else str(target)
+        return (C * C if signs is None else C) - target, text
+
     extra = {"variant": "squared" if signs is None else "sign_resolved"}
     if not symbolic:
         extra["alpha"] = str(alpha)
-    return PolySystem(
-        kind="real_lines",
-        d=d,
-        n_lines=N,
-        ring=ring,
-        equations=tuple(equations),
-        labels=tuple(labels),
-        rhs=rhs,
-        extra=extra,
-    )
+    return _pair_system("real_lines", d, N, ring, equation, extra)

@@ -312,6 +312,14 @@ def _trim(coeffs, precision):
     return coeffs[k:]
 
 
+def _sort_key(coords, precision):
+    """The real and imaginary part of each coordinate in turn, each
+    rounded to a multiple of 2^-(precision-16), so that rounding noise
+    next to a value cannot decide the order of two points."""
+    return tuple(int(mpmath.nint(mpmath.ldexp(x, precision - 16)))
+                 for c in coords for x in (c.real, c.imag))
+
+
 def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=None):
     """Numerically solve a zero-dimensional reduced lex basis.
 
@@ -403,10 +411,8 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
             if res <= tol.residual:
                 survivors.append(SolutionPoint(pt, res))
 
-        # order deterministically
-        survivors.sort(
-            key=lambda p: tuple(x for c in p.coords for x in (c.real, c.imag))
-        )
+        # order deterministically; ties keep the depth-first order
+        survivors.sort(key=lambda p: _sort_key(p.coords, precision))
     with mpmath.workprec(precision):
         for p in survivors:
             p.tags["real"] = _is_real_point(p.coords, tol.realness)
@@ -464,22 +470,16 @@ def classify(solset, d):
             if not p.tags["real"]:
                 continue
             v = fiducial_from_coords(p.coords)
-            assigned = None
-            for orbit_id, vr in reps:
-                for a in range(d):
-                    if assigned is not None:
-                        break
-                    for b in range(d):
-                        w = apply_weyl(vr, (a, b))
-                        if _phase_distance(v, w) <= tol.match:
-                            assigned = orbit_id
-                            break
-                if assigned is not None:
-                    break
-            if assigned is None:
-                assigned = len(reps)
-                reps.append((assigned, v))
-            p.tags["orbit_id"] = assigned
+            # the first orbit with a displacement of its representative
+            # that is v up to a global phase, or a new orbit
+            orbit = next((
+                k for k, vr in enumerate(reps)
+                if any(_phase_distance(v, apply_weyl(vr, (a, b))) <= tol.match
+                       for a in range(d) for b in range(d))
+            ), len(reps))
+            if orbit == len(reps):
+                reps.append(v)
+            p.tags["orbit_id"] = orbit
     if d == 4:
         match_zauner(solset)
     return solset

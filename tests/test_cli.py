@@ -1,6 +1,7 @@
 """Command line driver: exit codes, hash chaining, determinism."""
 
 import errno
+import gc
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqlines.cli import main
+from eqlines.cli import _build_parser, main
 from eqlines.polyring import Poly, Ring
 from eqlines.exact import QQ
 
@@ -743,3 +744,38 @@ def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
     assert err.startswith(f"error: {bad} is not a valid input file; "
                           f"caused by {cause}")
     assert "Traceback" not in err
+
+
+def test_parser_built_once_and_parsing_leaves_no_cyclic_garbage():
+    assert _build_parser() is _build_parser()
+    argv = ["solve", "--in", "basis.json", "--system", "sys.json"]
+    _build_parser().parse_args(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        args = _build_parser().parse_args(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert args.inp == "basis.json"
+
+
+def test_parser_reuse_keeps_no_option_of_an_earlier_call(d2_files, tmp_path):
+    # one parser serves every call: an option given once must not stick
+    sp, bp = d2_files
+    first, second = tmp_path / "sols1.json", tmp_path / "sols2.json"
+    assert main(["solve", "--in", str(bp), "--system", str(sp),
+                 "--tol-realness", "1e-5", "--out", str(first)]) == 0
+    assert main(["solve", "--in", str(bp), "--system", str(sp),
+                 "--out", str(second)]) == 0
+    assert _read(first)["tolerances"]["realness"] == "1e-05"
+    assert _read(second)["tolerances"]["realness"] == "1e-20"
+
+    (tmp_path / "t8.json").write_text(json.dumps({"signs": _t8_signs()}))
+    hexagon, t8 = tmp_path / "gram_hex.json", tmp_path / "gram_t8.json"
+    assert main(["gram", "--preset", "hexagon", "--d", "2",
+                 "--out", str(hexagon)]) == 0
+    assert main(["gram", "--in", str(tmp_path / "t8.json"), "--d", "7",
+                 "--out", str(t8)]) == 0
+    assert _read(hexagon)["source"] == {"preset": "hexagon"}
+    assert set(_read(t8)["source"]) == {"input_hash"}

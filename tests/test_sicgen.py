@@ -154,6 +154,44 @@ def test_wh_systems_d1_to_d5_pinned():
         "f9846b84add81dac2cb25dccb9af5f0140a29e9be2660d360761b1a40d7fec9f")
 
 
+def _hexagon_signs():
+    from eqlines.sicgen import seidel_hexagon
+    return seidel_hexagon().signs
+
+
+def _icosahedron_signs():
+    from eqlines.sicgen import seidel_icosahedron
+    return seidel_icosahedron().signs
+
+
+# sha256 of the canonical JSON of the generator variants that no pinned
+# CLI file covers: the sign-resolved real systems with a symbolic alpha
+# (rhs "1*alpha" and "-1*alpha"), the squared variant at alpha = 1/2
+# (rhs "1/4") and the complex system of one vector.
+GENERATOR_SHA256 = {
+    "real-hexagon-signs": (
+        lambda: gen_real_system(2, 3, signs=_hexagon_signs()),
+        "34e007473dba8dbcbbc5b553eba3b2616be643c370cad3d0f9304f34cab198c5"),
+    "real-squared-half": (
+        lambda: gen_real_system(2, 3, alpha=Fraction(1, 2)),
+        "2e3a7e7a1c011ea5c35482088ff2a7d369250a1947e055885e17233170a7f332"),
+    "real-icosahedron-signs": (
+        lambda: gen_real_system(3, 6, signs=_icosahedron_signs()),
+        "39a2b6047609aa6777a5c620d02480da9aa4f1f0148b4c29eb0216a29f84153b"),
+    "complex-full-d1": (
+        lambda: gen_complex_full(1),
+        "f60e7229b5ba46885ca95efcceb1aa8f7e7738887b530cad2ae2c879966f37df"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SHA256))
+def test_generator_variant_pinned(name):
+    build, digest = GENERATOR_SHA256[name]
+    doc = build().to_json()
+    data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_wh_generator_peak_memory():
     """The generator holds one overlap product at a time, and the kept
     equations share their coefficients: the d=5 peak of Python

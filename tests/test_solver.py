@@ -656,3 +656,23 @@ def test_tolerances_must_be_positive_and_finite():
                 Tolerances(**{name: value})
             with pytest.raises(ValueError, match=msg):
                 Tolerances.from_json({name: repr(value)})
+
+
+def test_sort_key_ignores_rounding_noise():
+    # P and Q differ in the first coordinate only by noise of size
+    # 2^-(precision+8) in the imaginary part, so the second coordinate
+    # decides: Q first, although P's raw imaginary part is the smaller
+    precision = 256
+    with mpmath.workprec(precision + 48):
+        eps = mpmath.ldexp(1, -(precision + 8))
+        P = (mpmath.mpc(1, -eps), mpmath.mpc(2))
+        Q = (mpmath.mpc(1, eps), mpmath.mpc(1))
+
+        def key(coords):
+            return solver._sort_key(coords, precision)
+
+        assert sorted([P, Q], key=key) == [Q, P]
+        # equal after rounding: the stable sort keeps the given order
+        R = (mpmath.mpc(1, eps), mpmath.mpc(2))
+        assert sorted([P, R], key=key) == [P, R]
+        assert sorted([R, P], key=key) == [R, P]
