@@ -1,6 +1,7 @@
 """Command line pipeline: generate, groebner, solve, verify, overlaps, gram.
 
-Every command reads JSON, writes JSON, and prints a one-line summary.
+Every command reads JSON, writes one JSON file, and prints a one-line
+summary whose ``out`` field names that file; ``_emit`` does both.
 Output files are canonical (sorted keys, two-space indent, trailing
 newline) so identical configurations produce byte-identical files.
 Each file embeds the SHA-256 of the bytes of its upstream input;
@@ -126,11 +127,18 @@ def _check_chain(expected, actual, what, force):
         )
 
 
-def _summary(args, fields):
+def _emit(args, default, doc, fields, ok=True):
+    """Finish a command: write ``doc`` to ``--out`` (``default`` when it
+    is not given), print the summary ``fields`` followed by ``out``, and
+    return EXIT_OK, or EXIT_VERIFY when ``ok`` is false."""
+    out = args.out or default
+    write_canonical(out, doc)
+    fields = [*fields, ("out", out)]
     if args.fmt == "json":
         print(json.dumps(dict(fields), sort_keys=True))
     else:
         print(" ".join(f"{k}={v}" for k, v in fields))
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +159,8 @@ def _seidel_spec(args):
     source for the report; (None, None) when neither is given."""
     from .sicgen import SeidelSpec, seidel_hexagon, seidel_icosahedron
 
+    if args.preset and args.inp:
+        raise ConfigError("give --preset or --in, not both")
     if args.preset:
         presets = {"hexagon": seidel_hexagon, "icosahedron": seidel_icosahedron}
         if args.preset not in presets:
@@ -179,16 +189,13 @@ def cmd_gen(args):
             args.d, args.n, alpha=_parse_alpha(args.alpha),
             signs=spec.signs if spec else None,
         )
-    out = args.out or f"{args.kind.replace('-', '_')}_d{args.d}.json"
-    write_canonical(out, system.to_json())
-    _summary(args, [
+    default = f"{args.kind.replace('-', '_')}_d{args.d}.json"
+    return _emit(args, default, system.to_json(), [
         ("kind", system.kind),
         ("d", system.d),
         ("equations", len(system.equations)),
         ("field", system.ring.field.name),
-        ("out", out),
     ])
-    return EXIT_OK
 
 
 def cmd_groebner(args):
@@ -230,16 +237,13 @@ def cmd_groebner(args):
     elapsed = time.monotonic() - t0
     doc = gb.to_json()
     doc["input_hash"] = input_hash
-    write_canonical(out, doc)
-    _summary(args, [
+    return _emit(args, out, doc, [
         ("basis_size", len(doc["basis"])),
         ("pair_count", doc["pair_count"]),
         ("zero_dimensional", doc["zero_dimensional"]),
         ("quotient_dimension", doc["quotient_dimension"]),
         ("elapsed", f"{elapsed:.2f}s"),
-        ("out", out),
     ])
-    return EXIT_OK
 
 
 def cmd_solve(args):
@@ -279,14 +283,10 @@ def cmd_solve(args):
     doc["system_hash"] = system_hash
     doc["d"] = system.d
     doc["kind"] = system.kind
-    out = args.out or f"solutions_{system.kind}_d{system.d}.json"
-    write_canonical(out, doc)
-    counts = sols.counts()
-    fields = [(k, v) for k, v in counts.items() if v is not None]
-    fields.append(("elapsed", f"{elapsed:.2f}s"))
-    fields.append(("out", out))
-    _summary(args, fields)
-    return EXIT_OK
+    return _emit(args, f"solutions_{system.kind}_d{system.d}.json", doc, [
+        *((k, v) for k, v in sols.counts().items() if v is not None),
+        ("elapsed", f"{elapsed:.2f}s"),
+    ])
 
 
 def _read_solutions(path):
@@ -349,20 +349,18 @@ def cmd_verify(args):
         "worst_max_dev": mpmath.nstr(worst, 8),
         "per_point": per_point,
     }
-    out = args.out or "verify_report.json"
-    write_canonical(out, doc)
-    _summary(args, [
+    return _emit(args, "verify_report.json", doc, [
         ("checked", len(checked)),
         ("ok", all_ok),
         ("worst_max_dev", mpmath.nstr(worst, 8)),
-        ("out", out),
-    ])
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    ], ok=all_ok)
 
 
 def _load_vector(args):
     import mpmath
 
+    if sum(map(bool, (args.zauner_k, args.vector, args.inp))) > 1:
+        raise ConfigError("give one of --in, --vector and --zauner")
     if args.zauner_k:
         from .solver import zauner_vectors
 
@@ -405,19 +403,15 @@ def cmd_overlaps(args):
     }
     if upstream:
         doc["input_hash"] = upstream
-    out = args.out or "overlap_report.json"
-    write_canonical(out, doc)
     worst_mod = max(
         (e["modulus_error"] for e in res["report"].entries.values()),
         default=mpmath.mpf(0),
     )
-    _summary(args, [
+    return _emit(args, "overlap_report.json", doc, [
         ("ok", res["ok"]),
         ("max_dev", mpmath.nstr(res["max_dev"], 8)),
         ("worst_modulus_error", mpmath.nstr(worst_mod, 8)),
-        ("out", out),
-    ])
-    return EXIT_OK if res["ok"] else EXIT_VERIFY
+    ], ok=res["ok"])
 
 
 def cmd_gram(args):
@@ -445,15 +439,11 @@ def cmd_gram(args):
         "odd_integer_flags": res["odd_integer_flags"],
         "spectral": spectral_checks(spec, res["admissible_alphas"], args.d, tol),
     }
-    out = args.out or "gram_report.json"
-    write_canonical(out, doc)
-    _summary(args, [
+    return _emit(args, "gram_report.json", doc, [
         ("N", spec.N),
         ("d", args.d),
         ("admissible", ",".join(mpmath.nstr(a, 8) for a in res["admissible_alphas"]) or "-"),
-        ("out", out),
     ])
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +460,10 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, run, force=False, precision=False):
+    def common(p, run, force=False, precision=False, tol=False):
         p.set_defaults(run=run)
+        if tol:
+            p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
         p.add_argument("--out", default="", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="console summary style")
@@ -509,10 +501,8 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True, help="basis file")
     p.add_argument("--system", required=True,
                    help="originating system file for residual checks")
-    p.add_argument("--tol-residual", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--tol-cluster", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--tol-realness", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--tol-match", type=float, default=argparse.SUPPRESS)
+    for name in ("residual", "cluster", "realness", "match"):
+        p.add_argument(f"--tol-{name}", type=float, default=argparse.SUPPRESS)
     p.add_argument("--max-points", type=int, default=0,
                    help="branch cap; 0 means ten times the quotient "
                    "dimension, at least 16")
@@ -522,8 +512,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", required=True, help="solutions file")
     p.add_argument("--system", default="",
                    help="system file to revalidate the chain")
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common(p, cmd_verify, force=True, precision=True)
+    common(p, cmd_verify, force=True, precision=True, tol=True)
 
     p = sub.add_parser("overlaps", help="normalized overlap report")
     p.add_argument("--in", dest="inp", default="", help="solutions file")
@@ -533,8 +522,7 @@ def _build_parser():
                    help="JSON file with [[re, im], ...] coordinates")
     p.add_argument("--zauner", dest="zauner_k", type=int, default=0,
                    help="use the closed-form d=4 fiducial k in {1,3,5,7}")
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common(p, cmd_overlaps, precision=True)
+    common(p, cmd_overlaps, precision=True, tol=True)
 
     p = sub.add_parser("gram", help="symbolic Gram analysis of a sign pattern")
     p.add_argument("--preset", default="",
@@ -542,8 +530,7 @@ def _build_parser():
     p.add_argument("--in", dest="inp", default="",
                    help="JSON file with a signs matrix")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common(p, cmd_gram, precision=True)
+    common(p, cmd_gram, precision=True, tol=True)
 
     return ap
 

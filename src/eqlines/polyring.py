@@ -31,6 +31,7 @@ lives only inside one ``reduce_poly`` call.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from bisect import insort
 
@@ -107,6 +108,7 @@ def _canonical_terms(ring, acc):
 # rings and polynomials
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True, slots=True)
 class Ring:
     """A named variable list over a coefficient field descriptor.
 
@@ -115,21 +117,19 @@ class Ring:
     gone, to its one shared instance; S-polynomials do not fill it.
     Hence a run keeps its intermediates in a scratch ``Ring(vars,
     field)``. The table is no part of the ring's value: it takes no part
-    in ``==``, ``hash`` or ``to_json``.
+    in ``==``, ``hash``, ``repr`` or ``to_json``.
     """
 
-    __slots__ = ("vars", "field", "_monos")
+    vars: tuple
+    field: object
+    _monos: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def __init__(self, vars, field):
-        vars = tuple(vars)
+    def __post_init__(self):
+        vars = tuple(self.vars)
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable names")
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_monos", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ring is immutable")
 
     @property
     def arity(self):
@@ -137,19 +137,6 @@ class Ring:
 
     def index(self, name):
         return self.vars.index(name)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.vars == other.vars
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.field))
-
-    def __repr__(self):
-        return f"Ring({list(self.vars)}, {self.field!r})"
 
     def to_json(self):
         """The ring header {"vars", "field"} of every file that stores

@@ -108,6 +108,8 @@ class PolySystem:
             k: tuple(tuple(ab) for ab in v)
             for k, v in meta.pop("merged_classes", {}).items()
         }
+        if obj["kind"] not in ("wh_fiducial", "complex_full", "real_lines"):
+            raise ValueError(f"unknown system kind {obj['kind']!r}")
         return cls(
             kind=obj["kind"],
             d=operator.index(obj["d"]),

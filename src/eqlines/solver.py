@@ -168,7 +168,7 @@ class SolutionSet:
                 {
                     "coords": coords,
                     "residual": mpmath.nstr(p.residual, 8),
-                    "tags": dict(sorted(p.tags.items())),
+                    "tags": dict(p.tags),
                 }
             )
         return {

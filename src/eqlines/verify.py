@@ -72,7 +72,7 @@ class OverlapReport:
     def to_json(self):
         dps = 40
         out = {}
-        for (a, b), e in sorted(self.entries.items()):
+        for (a, b), e in self.entries.items():
             out[f"{a},{b}"] = {
                 "overlap": [
                     mpmath.nstr(e["overlap"].real, dps),

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, hash chaining, determinism."""
 
+import argparse
 import errno
 import gc
 import hashlib
@@ -779,3 +780,139 @@ def test_parser_reuse_keeps_no_option_of_an_earlier_call(d2_files, tmp_path):
                  "--out", str(t8)]) == 0
     assert _read(hexagon)["source"] == {"preset": "hexagon"}
     assert set(_read(t8)["source"]) == {"input_hash"}
+
+
+def test_subcommand_options_in_order():
+    # the order is the order of the --help listing
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: [s for a in p._actions for s in a.option_strings]
+            for name, p in sub.choices.items()} == {
+        "gen": ["-h", "--help", "--kind", "--d", "--n", "--alpha", "--preset",
+                "--in", "--no-phase-fix", "--out", "--format"],
+        "groebner": ["-h", "--help", "--in", "--order", "--pair-budget",
+                     "--out", "--format"],
+        "solve": ["-h", "--help", "--in", "--system", "--tol-residual",
+                  "--tol-cluster", "--tol-realness", "--tol-match",
+                  "--max-points", "--out", "--format", "--force",
+                  "--precision"],
+        "verify": ["-h", "--help", "--in", "--system", "--tol", "--out",
+                   "--format", "--force", "--precision"],
+        "overlaps": ["-h", "--help", "--in", "--index", "--vector", "--zauner",
+                     "--tol", "--out", "--format", "--precision"],
+        "gram": ["-h", "--help", "--preset", "--in", "--d", "--tol", "--out",
+                 "--format", "--precision"],
+    }
+
+
+def _summary_out(line, fmt):
+    """The ``out`` field of a one-line summary; in text form it must be
+    the last field (the JSON form sorts its keys)."""
+    if fmt == "json":
+        return json.loads(line)["out"]
+    key, _, value = line.split(" ")[-1].partition("=")
+    assert key == "out"
+    return value
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_every_summary_names_the_file_written(fmt, tmp_path, monkeypatch,
+                                              capsys):
+    # without --out each command writes its default name here
+    monkeypatch.chdir(tmp_path)
+    sols = "solutions_wh_fiducial_d2.json"
+    chain = [
+        (["gen", "--d", "2"], "wh_d2.json"),
+        (["groebner", "--in", "wh_d2.json"], "basis_wh_fiducial_d2.json"),
+        (["solve", "--in", "basis_wh_fiducial_d2.json",
+          "--system", "wh_d2.json"], sols),
+        (["verify", "--in", sols], "verify_report.json"),
+        (["overlaps", "--zauner", "1"], "overlap_report.json"),
+        (["gram", "--preset", "hexagon", "--d", "2"], "gram_report.json"),
+    ]
+    for argv, name in chain:
+        capsys.readouterr()
+        assert main(argv + ["--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert _summary_out(lines[0], fmt) == name
+        assert (tmp_path / name).is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for _, name in chain)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["verify", "overlaps"])
+def test_failed_check_exits_4_after_its_report(command, fmt, d2_sols,
+                                                tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    if command == "verify":
+        doc = _read(d2_sols)
+        real = next(p for p in doc["points"] if p["tags"]["real"])
+        real["coords"][0][0] = "0.9"
+        bad.write_text(json.dumps(doc))
+        argv, ok_key = ["verify", "--in", str(bad)], "all_ok"
+    else:
+        bad.write_text(json.dumps([["1", "0"]] + [["0", "0"]] * 3))
+        argv, ok_key = ["overlaps", "--vector", str(bad)], "ok"
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), "--format", fmt]) == 4
+    line = capsys.readouterr().out.strip()
+    assert _summary_out(line, fmt) == str(out)
+    if fmt == "json":
+        assert json.loads(line)["ok"] is False
+    else:
+        assert "ok=False" in line.split(" ")
+    assert _read(out)[ok_key] is False
+
+
+@pytest.mark.parametrize("command", ["groebner", "solve"])
+def test_system_kind_cannot_name_a_path(command, d2_files, tmp_path,
+                                        monkeypatch, capsys):
+    # the default output name is built from the kind, so a kind that
+    # climbs the tree would write outside the working directory
+    sp, bp = d2_files
+    doc = _read(sp)
+    doc["kind"] = "x/../../../escaped"
+    work = tmp_path / "a" / "b" / "work"
+    work.mkdir(parents=True)
+    evil = work / "evil.json"
+    evil.write_text(json.dumps(doc))
+    monkeypatch.chdir(work)
+    argv = {"groebner": ["groebner", "--in", "evil.json"],
+            "solve": ["solve", "--in", str(bp), "--system", "evil.json",
+                      "--force"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(
+        "caused by ValueError: unknown system kind 'x/../../../escaped'\n")
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == [evil]
+    assert list(work.iterdir()) == [evil]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gram", "--preset", "hexagon", "--in", "SIGNS", "--d", "2"],
+     "give --preset or --in, not both"),
+    (["gen", "--kind", "real", "--d", "2", "--n", "3", "--preset", "hexagon",
+      "--in", "SIGNS"], "give --preset or --in, not both"),
+    (["overlaps", "--zauner", "1", "--vector", "MISSING"],
+     "give one of --in, --vector and --zauner"),
+    (["overlaps", "--zauner", "1", "--in", "SOLS", "--index", "0"],
+     "give one of --in, --vector and --zauner"),
+    (["overlaps", "--vector", "MISSING", "--in", "SOLS", "--index", "0"],
+     "give one of --in, --vector and --zauner"),
+], ids=["gram", "gen-real", "overlaps-zauner-vector", "overlaps-zauner-in",
+        "overlaps-vector-in"])
+def test_conflicting_sources_rejected(argv, message, d2_sols, tmp_path,
+                                      capsys):
+    signs = tmp_path / "signs.json"
+    signs.write_text(json.dumps({"signs": [[0, 1], [1, 0]]}))
+    paths = {"SIGNS": str(signs), "SOLS": str(d2_sols),
+             "MISSING": str(tmp_path / "missing.json")}
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    rc = main([paths.get(a, a) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

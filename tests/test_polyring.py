@@ -430,6 +430,30 @@ def test_ring_shares_one_tuple_per_monomial():
     assert f - h == Poly.zero(ring)
 
 
+def test_ring_value_ignores_its_monomial_table():
+    ring, other = Ring(["x", "y"], QQ), Ring(("x", "y"), QQ)
+    Poly.from_dict(ring, {(3, 1): 1, (0, 2): 5})
+    assert ring._monos and not other._monos
+    assert ring == other and hash(ring) == hash(other)
+    assert ring != Ring(("y", "x"), QQ)
+    assert ring != Ring(("x", "y"), CycloField(12))
+    assert repr(ring) == repr(other) and "_monos" not in repr(ring)
+    assert ring.to_json() == {"vars": ["x", "y"], "field": "Q"}
+
+
+@pytest.mark.parametrize("value, name", [
+    (Ring(("x", "y"), QQ), "vars"),
+    (Ring(("x", "y"), QQ), "_monos"),
+    (Poly.variable(Ring(("x", "y"), QQ), 0), "terms"),
+    (cyclo_root_of_unity(12, 1), "num"),
+], ids=["ring-vars", "ring-monos", "poly", "cyclonum"])
+def test_immutable_values_refuse_assignment(value, name):
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    assert getattr(value, name) is before
+
+
 @pytest.mark.parametrize("call, exc, message", [
     (lambda: mono_div((1, 0), (0, 1)), ArithmeticError,
      "monomial (0, 1) does not divide (1, 0)"),
