@@ -46,7 +46,6 @@ _LAYERS = {
         "classify",
         "match_zauner",
         "solve_triangular",
-        "univariate_roots",
         "zauner_vectors",
     ),
     "verify": (

@@ -1,7 +1,8 @@
 """Command line pipeline: generate, groebner, solve, verify, overlaps, gram.
 
 Every command reads JSON, writes one JSON file, and prints a one-line
-summary whose ``out`` field names that file; ``_emit`` does both.
+summary whose ``out`` field names that file, also when it exits 3 or 4;
+``_emit`` does both and is the only code that writes a file.
 Output files are canonical (sorted keys, two-space indent, trailing
 newline) so identical configurations produce byte-identical files.
 Each file embeds the SHA-256 of the bytes of its upstream input;
@@ -81,18 +82,6 @@ def _check_args(args):
 # file plumbing
 # ---------------------------------------------------------------------------
 
-def write_canonical(path, obj):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    try:
-        Path(path).write_bytes(
-            (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
-        )
-    except OSError as exc:
-        # a write that fails after the open (a full disk) names no file
-        exc.filename = exc.filename or str(path)
-        raise
-
-
 def read_json(path, parse=None):
     """Return the JSON document in ``path`` and the sha256 of its bytes.
 
@@ -127,18 +116,26 @@ def _check_chain(expected, actual, what, force):
         )
 
 
-def _emit(args, default, doc, fields, ok=True):
-    """Finish a command: write ``doc`` to ``--out`` (``default`` when it
-    is not given), print the summary ``fields`` followed by ``out``, and
-    return EXIT_OK, or EXIT_VERIFY when ``ok`` is false."""
+def _emit(args, default, doc, fields, code=EXIT_OK):
+    """Finish a command: write ``doc`` as canonical JSON to ``--out``
+    (``default`` when it is not given), print the summary ``fields``
+    followed by ``out``, and return the exit ``code``."""
     out = args.out or default
-    write_canonical(out, doc)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    try:
+        Path(out).write_bytes(
+            (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        )
+    except OSError as exc:
+        # a write that fails after the open (a full disk) names no file
+        exc.filename = exc.filename or out
+        raise
     fields = [*fields, ("out", out)]
     if args.fmt == "json":
         print(json.dumps(dict(fields), sort_keys=True))
     else:
         print(" ".join(f"{k}={v}" for k, v in fields))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +174,13 @@ def _seidel_spec(args):
 def cmd_gen(args):
     from .sicgen import gen_complex_full, gen_real_system, gen_wh_system
 
+    given = {"--n": args.n, "--alpha": args.alpha, "--preset": args.preset,
+             "--in": args.inp, "--no-phase-fix": not args.phase_fix}
+    reads = {"wh": ("--no-phase-fix",),
+             "real": ("--n", "--alpha", "--preset", "--in")}.get(args.kind, ())
+    unread = [opt for opt, value in given.items() if value and opt not in reads]
+    if unread:
+        raise ConfigError(f"--kind {args.kind} does not read {', '.join(unread)}")
     if args.kind == "wh":
         system = gen_wh_system(args.d, phase_fix=args.phase_fix)
     elif args.kind == "complex-full":
@@ -209,7 +213,7 @@ def cmd_groebner(args):
 
     budget = getattr(args, "pair_budget", DEFAULT_PAIR_BUDGET)
     system, input_hash = read_json(args.inp, PolySystem.from_json)
-    out = args.out or f"basis_{system.kind}_d{system.d}.json"
+    default = f"basis_{system.kind}_d{system.d}.json"
     t0 = time.monotonic()
     try:
         if args.order == "grevlex_then_lex":
@@ -217,27 +221,23 @@ def cmd_groebner(args):
         else:  # "lex"; argparse admits no other order
             gb = buchberger(list(system.equations), "lex", pair_budget=budget)
     except PairBudgetExceeded as exc:
-        write_canonical(out, {
+        elapsed = time.monotonic() - t0
+        return _emit(args, default, {
             "format": "basis_partial",
             "input_hash": input_hash,
             "order": args.order,
             "pair_budget": budget,
             "pairs_processed": exc.pairs_processed,
             "partial_size": len(exc.partial),
-        })
-        elapsed = time.monotonic() - t0
-        print(
-            f"pair budget {budget} exhausted after "
-            f"{exc.pairs_processed} pairs ({elapsed:.1f}s); "
-            f"partial basis of {len(exc.partial)} elements not usable "
-            f"downstream; report written to {out}",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
+        }, [
+            ("pairs_processed", exc.pairs_processed),
+            ("partial_size", len(exc.partial)),
+            ("elapsed", f"{elapsed:.2f}s"),
+        ], EXIT_BUDGET)
     elapsed = time.monotonic() - t0
     doc = gb.to_json()
     doc["input_hash"] = input_hash
-    return _emit(args, out, doc, [
+    return _emit(args, default, doc, [
         ("basis_size", len(doc["basis"])),
         ("pair_count", doc["pair_count"]),
         ("zero_dimensional", doc["zero_dimensional"]),
@@ -353,7 +353,7 @@ def cmd_verify(args):
         ("checked", len(checked)),
         ("ok", all_ok),
         ("worst_max_dev", mpmath.nstr(worst, 8)),
-    ], ok=all_ok)
+    ], EXIT_OK if all_ok else EXIT_VERIFY)
 
 
 def _load_vector(args):
@@ -361,6 +361,8 @@ def _load_vector(args):
 
     if sum(map(bool, (args.zauner_k, args.vector, args.inp))) > 1:
         raise ConfigError("give one of --in, --vector and --zauner")
+    if args.index != -1 and not args.inp:
+        raise ConfigError("--index is read only with --in")
     if args.zauner_k:
         from .solver import zauner_vectors
 
@@ -411,7 +413,7 @@ def cmd_overlaps(args):
         ("ok", res["ok"]),
         ("max_dev", mpmath.nstr(res["max_dev"], 8)),
         ("worst_modulus_error", mpmath.nstr(worst_mod, 8)),
-    ], ok=res["ok"])
+    ], EXIT_OK if res["ok"] else EXIT_VERIFY)
 
 
 def cmd_gram(args):

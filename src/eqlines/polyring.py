@@ -148,16 +148,19 @@ class Ring:
         return cls(tuple(obj["vars"]), field_from_json(obj["field"]))
 
 
+@dataclasses.dataclass(frozen=True, slots=True, init=False, repr=False)
 class Poly:
-    """Immutable multivariate polynomial with canonical lex term order."""
+    """Immutable multivariate polynomial with canonical lex term order.
 
-    __slots__ = ("ring", "terms", "_lt_cache")
+    Its value is its ring and term tuple; the grevlex leading term is
+    cached on first use and takes no part in ``==`` or ``hash``."""
+
+    ring: Ring
+    terms: tuple
+    _grevlex_lt: tuple = dataclasses.field(compare=False)
 
     def __init__(self, ring, terms, _canonical=False):
-        object.__setattr__(self, "ring", ring)
-        if _canonical:
-            object.__setattr__(self, "terms", terms)
-        else:
+        if not _canonical:
             acc = {}
             for mono, coeff in terms:
                 mono = tuple(map(operator.index, mono))
@@ -165,11 +168,10 @@ class Poly:
                     raise ValueError(f"bad exponent vector {mono}")
                 c = ring.field.coerce(coeff)
                 acc[mono] = acc[mono] + c if mono in acc else c
-            object.__setattr__(self, "terms", _canonical_terms(ring, acc))
-        object.__setattr__(self, "_lt_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+            terms = _canonical_terms(ring, acc)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_grevlex_lt", None)
 
     # -- constructors --------------------------------------------------------
 
@@ -232,15 +234,13 @@ class Poly:
     def leading_term(self, order="lex"):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        cached = self._lt_cache.get(order)
-        if cached is None:
-            if order == "lex":
-                cached = self.terms[0]
-            else:
-                key = monomial_key(order)
-                cached = max(self.terms, key=lambda t: key(t[0]))
-            self._lt_cache[order] = cached
-        return cached
+        if order == "lex":
+            return self.terms[0]
+        key = monomial_key(order)  # grevlex, or a ValueError
+        if self._grevlex_lt is None:
+            lt = max(self.terms, key=lambda t: key(t[0]))
+            object.__setattr__(self, "_grevlex_lt", lt)
+        return self._grevlex_lt
 
     def leading_monomial(self, order="lex"):
         return self.leading_term(order)[0]
@@ -326,18 +326,8 @@ class Poly:
             raise ValueError("point arity mismatch")
         return eval_terms(self.terms, point, self.ring.field.zero())
 
-    # -- comparisons and hashing ----------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.ring, self.terms))
 
     # -- rendering --------------------------------------------------------------
 

@@ -108,12 +108,28 @@ class PolySystem:
             k: tuple(tuple(ab) for ab in v)
             for k, v in meta.pop("merged_classes", {}).items()
         }
-        if obj["kind"] not in ("wh_fiducial", "complex_full", "real_lines"):
-            raise ValueError(f"unknown system kind {obj['kind']!r}")
+        kind = obj["kind"]
+        d, n = operator.index(obj["d"]), operator.index(obj["n_lines"])
+        if d < 1 or n < 1:
+            raise ValueError("d and n_lines must be positive")
+        # (variables, lines) of each kind; a symbolic alpha is the last
+        # variable of a real system
+        shapes = {
+            "wh_fiducial": (2 * d, d * d),
+            "complex_full": (2 * d ** 3, d * d),
+            "real_lines": (n * d + (ring.vars[-1:] == ("alpha",)), n),
+        }
+        if kind not in shapes:
+            raise ValueError(f"unknown system kind {kind!r}")
+        if (ring.arity, n) != shapes[kind]:
+            raise ValueError(
+                f"a {kind} system in d={d} has {shapes[kind][0]} variables "
+                f"and {shapes[kind][1]} lines, not {ring.arity} and {n}"
+            )
         return cls(
-            kind=obj["kind"],
-            d=operator.index(obj["d"]),
-            n_lines=operator.index(obj["n_lines"]),
+            kind=kind,
+            d=d,
+            n_lines=n,
             ring=ring,
             equations=eqs,
             labels=tuple(obj["labels"]),

@@ -52,7 +52,7 @@ import operator
 
 import mpmath
 
-from .exact import _upoly_exquo, upoly_deriv, upoly_gcd, upoly_squarefree
+from .exact import _upoly_exquo, upoly_deriv, upoly_gcd
 from .groebner import buchberger, quotient_dimension
 from .polyring import Poly, eval_terms
 from .sicgen import apply_weyl, fiducial_from_coords
@@ -64,7 +64,6 @@ __all__ = [
     "SolverError",
     "NotZeroDimensionalError",
     "BranchCapExceeded",
-    "univariate_roots",
     "solve_triangular",
     "classify",
     "match_zauner",
@@ -240,28 +239,6 @@ def _univ_coeffs(f, i):
     for m, c in f.terms:
         cs[m[i]] = c
     return cs
-
-
-def univariate_roots(f, precision=256):
-    """All complex roots of a univariate exact polynomial, with
-    multiplicity, sorted by real part then imaginary part.
-
-    Multiple roots are pulled out by exact squarefree decomposition so
-    the numeric iteration only ever sees simple roots."""
-    if f.ring.arity != 1:
-        raise ValueError("univariate_roots needs a one-variable polynomial")
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    embed = f.ring.field.embed
-    roots = []
-    for g, mult in upoly_squarefree(_univ_coeffs(f, 0)):
-        with mpmath.workprec(precision + 32):
-            coeffs = [embed(c, precision + 32) for c in reversed(g)]
-        for r in _roots_numeric(coeffs, precision):
-            roots.extend([r] * mult)
-    with mpmath.workprec(precision):
-        roots.sort(key=lambda z: (z.real, z.imag))
-    return roots
 
 
 def _squarefree_part(p):

@@ -147,6 +147,32 @@ def test_groebner_budget_exhaustion(tmp_path):
     assert doc["partial_size"] >= 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_budget_exit_prints_its_summary(fmt, d2_files, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["groebner", "--in", str(d2_files[0]), "--pair-budget", "2",
+                 "--format", fmt]) == 3
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    (line,) = printed.out.splitlines()
+    name = _summary_out(line, fmt)
+    assert name == "basis_wh_fiducial_d2.json"
+    doc = _read(tmp_path / name)
+    assert sorted(doc) == ["format", "input_hash", "order", "pair_budget",
+                           "pairs_processed", "partial_size"]
+    assert doc["format"] == "basis_partial"
+    if fmt == "json":
+        fields = json.loads(line)
+    else:
+        fields = dict(f.split("=", 1) for f in line.split(" "))
+    assert sorted(fields) == ["elapsed", "out", "pairs_processed",
+                              "partial_size"]
+    for key in ("pairs_processed", "partial_size"):
+        assert str(fields[key]) == str(doc[key])
+
+
 def test_solve_rejects_partial(tmp_path, capsys):
     sp = _gen_d2(tmp_path)
     out = tmp_path / "partial.json"
@@ -889,6 +915,60 @@ def test_system_kind_cannot_name_a_path(command, d2_files, tmp_path,
         "caused by ValueError: unknown system kind 'x/../../../escaped'\n")
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == [evil]
     assert list(work.iterdir()) == [evil]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["overlaps", "--zauner", "1", "--index", "5"],
+     "--index is read only with --in"),
+    (["gen", "--kind", "wh", "--d", "2", "--preset", "hexagon",
+      "--alpha", "1/3", "--n", "7"],
+     "--kind wh does not read --n, --alpha, --preset"),
+    (["gen", "--kind", "complex-full", "--d", "1", "--no-phase-fix"],
+     "--kind complex-full does not read --no-phase-fix"),
+    (["gen", "--kind", "real", "--d", "2", "--n", "3", "--no-phase-fix"],
+     "--kind real does not read --no-phase-fix"),
+], ids=["overlaps-zauner-index", "gen-wh-real-options",
+        "gen-complex-full-phase-fix", "gen-real-phase-fix"])
+def test_option_the_source_does_not_read_rejected(argv, message, tmp_path,
+                                                  capsys):
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["groebner", "solve"])
+@pytest.mark.parametrize("change, cause", [
+    ({"d": 0}, "d and n_lines must be positive"),
+    ({"d": -2}, "d and n_lines must be positive"),
+    ({"d": 3}, "a wh_fiducial system in d=3 has 6 variables and 9 lines, "
+     "not 4 and 4"),
+    ({"n_lines": 5}, "a wh_fiducial system in d=2 has 4 variables and "
+     "4 lines, not 4 and 5"),
+    ({"kind": "complex_full"}, "a complex_full system in d=2 has "
+     "16 variables and 4 lines, not 4 and 4"),
+    ({"kind": "real_lines"}, "a real_lines system in d=2 has 8 variables "
+     "and 4 lines, not 4 and 4"),
+], ids=["d-zero", "d-negative", "d-three", "n-lines", "complex-full",
+        "real-lines"])
+def test_system_shape_must_match_its_kind(command, change, cause, d2_files,
+                                          tmp_path, monkeypatch, capsys):
+    sp, bp = d2_files
+    doc = _read(sp)
+    doc.update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    argv = {"groebner": ["groebner", "--in", str(bad)],
+            "solve": ["solve", "--in", str(bp), "--system", str(bad),
+                      "--force"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad} is not a valid input file; "
+        f"caused by ValueError: {cause}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -325,6 +325,13 @@ def test_upoly_helpers_give_fractions_over_q():
         assert all(type(c) is Fraction for r in results for c in r)
 
 
+def test_squarefree_multiplicities_over_cyclotomic_field():
+    # (t - zeta_4)^2 (t + 1) over Q(zeta_4), factors little-endian
+    i = cyclo_root_of_unity(4, 1)
+    f = upoly_mul(upoly_mul([-i, 1], [-i, 1]), [1, 1])
+    assert upoly_squarefree(f) == [([1, 1], 1), ([-i, 1], 2)]
+
+
 # ---------------------------------------------------------------------------
 # reference arithmetic: power basis coefficient tuples of Fractions, a full
 # convolution, then reduction mod Phi_n by long division over Q

@@ -390,7 +390,8 @@ def test_input_checks(call, message):
 
 def test_polysystem_json_round_trip():
     for system in (gen_wh_system(2), gen_wh_system(3), gen_complex_full(2),
-                   gen_real_system(2, 3, alpha=Fraction(1, 2))):
+                   gen_real_system(2, 3, alpha=Fraction(1, 2)),
+                   gen_real_system(2, 3)):
         doc = system.to_json()
         back = PolySystem.from_json(doc)
         assert back.kind == system.kind

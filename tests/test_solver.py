@@ -3,13 +3,12 @@
 import gc
 import itertools
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
 
 from eqlines import solver
-from eqlines.exact import QQ, CycloField, cyclo_root_of_unity
+from eqlines.exact import QQ
 from eqlines.groebner import GroebnerBasis, buchberger
 from eqlines.polyring import Poly, Ring
 from eqlines.solver import (
@@ -22,7 +21,6 @@ from eqlines.solver import (
     classify,
     match_zauner,
     solve_triangular,
-    univariate_roots,
     zauner_vectors,
 )
 
@@ -38,70 +36,6 @@ def _t():
 
 def _xy():
     return Poly.variable(R2, 0), Poly.variable(R2, 1)
-
-
-def test_univariate_roots_trivial():
-    t = _t()
-    r = univariate_roots(t ** 2 - 1, 128)
-    assert len(r) == 2
-    with mpmath.workprec(128):
-        assert abs(r[0] + 1) < mpmath.mpf(2) ** -100
-        assert abs(r[1] - 1) < mpmath.mpf(2) ** -100
-    ri = univariate_roots(t ** 2 + 1, 128)
-    with mpmath.workprec(128):
-        assert abs(ri[0] + mpmath.mpc(0, 1)) < mpmath.mpf(2) ** -100
-        assert abs(ri[1] - mpmath.mpc(0, 1)) < mpmath.mpf(2) ** -100
-
-
-def test_univariate_roots_vieta():
-    t = _t()
-    roots = univariate_roots(t ** 3 - 2, 192)
-    assert len(roots) == 3
-    with mpmath.workprec(192):
-        prod = roots[0] * roots[1] * roots[2]
-        assert abs(prod - 2) < mpmath.mpf(1e-12)
-
-
-def test_univariate_roots_multiplicity():
-    t = _t()
-    roots = univariate_roots((t - 1) ** 3, 160)
-    assert len(roots) == 3
-    with mpmath.workprec(160):
-        for r in roots:
-            assert abs(r - 1) < mpmath.mpf(1e-10)
-
-
-def test_univariate_roots_cyclotomic_multiplicity():
-    # (t - i)^2 (t + 1) over Q(zeta_4)
-    ring = Ring(("t",), CycloField(4))
-    t = Poly.variable(ring, 0)
-    i = Poly.constant(ring, cyclo_root_of_unity(4, 1))
-    roots = univariate_roots((t - i) ** 2 * (t + 1), 160)
-    assert len(roots) == 3
-    with mpmath.workprec(160):
-        eps = mpmath.mpf(2) ** -120
-        assert abs(roots[0] + 1) < eps
-        assert all(abs(r - mpmath.mpc(0, 1)) < eps for r in roots[1:])
-
-
-def test_univariate_roots_ordering_deterministic():
-    t = _t()
-    f = t ** 5 - t ** 3 + 2 * t - 1
-    a = univariate_roots(f, 128)
-    b = univariate_roots(f, 128)
-    assert a == b
-    keys = [(z.real, z.imag) for z in a]
-    assert keys == sorted(keys)
-
-
-def test_univariate_roots_errors():
-    t = _t()
-    with pytest.raises(ValueError):
-        univariate_roots(Poly.zero(R1), 128)
-    x, _ = _xy()
-    with pytest.raises(ValueError):
-        univariate_roots(x, 128)
-    assert univariate_roots(Poly.constant(R1, Fraction(3)), 128) == []
 
 
 def test_solve_spec_examples():
