@@ -74,8 +74,6 @@ def _check_args(args):
         raise ConfigError("tolerances must be finite")
     if opts.get("pair_budget", 1) < 1:
         raise ConfigError("pair budget must be positive")
-    if opts.get("max_points", 0) < 0:
-        raise ConfigError("max points must not be negative")
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def _emit(args, default, doc, fields, code=EXIT_OK):
 # ---------------------------------------------------------------------------
 
 def _parse_alpha(text):
-    if not text:
+    if text is None:
         return None
     try:
         return Fraction(text)
@@ -156,16 +154,16 @@ def _seidel_spec(args):
     source for the report; (None, None) when neither is given."""
     from .sicgen import SeidelSpec, seidel_hexagon, seidel_icosahedron
 
-    if args.preset and args.inp:
+    if args.preset is not None and args.inp is not None:
         raise ConfigError("give --preset or --in, not both")
-    if args.preset:
+    if args.preset is not None:
         presets = {"hexagon": seidel_hexagon, "icosahedron": seidel_icosahedron}
         if args.preset not in presets:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; choose from {sorted(presets)}"
             )
         return presets[args.preset](), {"preset": args.preset}
-    if args.inp:
+    if args.inp is not None:
         spec, h = read_json(args.inp, SeidelSpec.from_json)
         return spec, {"input_hash": h}
     return None, None
@@ -175,10 +173,10 @@ def cmd_gen(args):
     from .sicgen import gen_complex_full, gen_real_system, gen_wh_system
 
     given = {"--n": args.n, "--alpha": args.alpha, "--preset": args.preset,
-             "--in": args.inp, "--no-phase-fix": not args.phase_fix}
+             "--in": args.inp, "--no-phase-fix": None if args.phase_fix else True}
     reads = {"wh": ("--no-phase-fix",),
              "real": ("--n", "--alpha", "--preset", "--in")}.get(args.kind, ())
-    unread = [opt for opt, value in given.items() if value and opt not in reads]
+    unread = [o for o, v in given.items() if v is not None and o not in reads]
     if unread:
         raise ConfigError(f"--kind {args.kind} does not read {', '.join(unread)}")
     if args.kind == "wh":
@@ -186,7 +184,7 @@ def cmd_gen(args):
     elif args.kind == "complex-full":
         system = gen_complex_full(args.d)
     else:  # "real"; argparse admits no other kind
-        if args.n < 2:
+        if args.n is None or args.n < 2:
             raise ConfigError("real systems need --n of at least 2")
         spec, _ = _seidel_spec(args)
         system = gen_real_system(
@@ -273,7 +271,6 @@ def cmd_solve(args):
         list(system.equations),
         precision=args.precision,
         tol=tol,
-        max_points=args.max_points or None,
     )
     if system.kind == "wh_fiducial":
         classify(sols, system.d)
@@ -359,24 +356,24 @@ def cmd_verify(args):
 def _load_vector(args):
     import mpmath
 
-    if sum(map(bool, (args.zauner_k, args.vector, args.inp))) > 1:
+    if sum(v is not None for v in (args.zauner_k, args.vector, args.inp)) > 1:
         raise ConfigError("give one of --in, --vector and --zauner")
-    if args.index != -1 and not args.inp:
+    if args.index is not None and args.inp is None:
         raise ConfigError("--index is read only with --in")
-    if args.zauner_k:
+    if args.zauner_k is not None:
         from .solver import zauner_vectors
 
         if args.zauner_k not in (1, 3, 5, 7):
             raise ConfigError("--zauner takes 1, 3, 5 or 7")
         vecs = dict(zip((1, 3, 5, 7), zauner_vectors(args.precision)))
         return vecs[args.zauner_k], {"zauner_k": args.zauner_k}, None
-    if args.vector:
+    if args.vector is not None:
         with mpmath.workprec(args.precision):
             v, _ = read_json(args.vector, lambda o: [
                 mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)) for re, im in o
             ])
         return v, {"vector_file": os.path.basename(args.vector)}, None
-    if args.inp:
+    if args.inp is not None and args.index is not None:
         from .sicgen import fiducial_from_coords
 
         (_, sols), sol_hash = _read_solutions(args.inp)
@@ -480,13 +477,11 @@ def _build_parser():
     p.add_argument("--kind", choices=("complex-full", "wh", "real"),
                    default="wh")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=0,
-                   help="number of lines (real kind)")
-    p.add_argument("--alpha", default="",
+    p.add_argument("--n", type=int, help="number of lines (real kind)")
+    p.add_argument("--alpha",
                    help="rational angle value for the real kind, e.g. 1/2")
-    p.add_argument("--preset", default="",
-                   help="sign preset for the real kind")
-    p.add_argument("--in", dest="inp", default="",
+    p.add_argument("--preset", help="sign preset for the real kind")
+    p.add_argument("--in", dest="inp",
                    help="sign matrix JSON for the real kind")
     p.add_argument("--no-phase-fix", dest="phase_fix", action="store_false",
                    help="omit the linear phase-fixing equation (wh kind)")
@@ -505,9 +500,6 @@ def _build_parser():
                    help="originating system file for residual checks")
     for name in ("residual", "cluster", "realness", "match"):
         p.add_argument(f"--tol-{name}", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-points", type=int, default=0,
-                   help="branch cap; 0 means ten times the quotient "
-                   "dimension, at least 16")
     common(p, cmd_solve, force=True, precision=True)
 
     p = sub.add_parser("verify", help="verify solutions as fiducials")
@@ -517,20 +509,17 @@ def _build_parser():
     common(p, cmd_verify, force=True, precision=True, tol=True)
 
     p = sub.add_parser("overlaps", help="normalized overlap report")
-    p.add_argument("--in", dest="inp", default="", help="solutions file")
-    p.add_argument("--index", type=int, default=-1,
-                   help="solution index within --in")
-    p.add_argument("--vector", default="",
+    p.add_argument("--in", dest="inp", help="solutions file")
+    p.add_argument("--index", type=int, help="solution index within --in")
+    p.add_argument("--vector",
                    help="JSON file with [[re, im], ...] coordinates")
-    p.add_argument("--zauner", dest="zauner_k", type=int, default=0,
+    p.add_argument("--zauner", dest="zauner_k", type=int,
                    help="use the closed-form d=4 fiducial k in {1,3,5,7}")
     common(p, cmd_overlaps, precision=True, tol=True)
 
     p = sub.add_parser("gram", help="symbolic Gram analysis of a sign pattern")
-    p.add_argument("--preset", default="",
-                   help="hexagon or icosahedron")
-    p.add_argument("--in", dest="inp", default="",
-                   help="JSON file with a signs matrix")
+    p.add_argument("--preset", help="hexagon or icosahedron")
+    p.add_argument("--in", dest="inp", help="JSON file with a signs matrix")
     p.add_argument("--d", type=int, required=True)
     common(p, cmd_gram, precision=True, tol=True)
 

@@ -1,42 +1,40 @@
 """Numeric solving of zero-dimensional lex systems at high precision.
 
-``solve_triangular`` walks a reduced lex basis from the last variable
-forward: at each level every basis element that only involves the
-remaining variables is specialized at the partial point, the lowest
-degree nonzero univariate is solved, and every root spawns a branch;
-roots within tol.cluster of a root already taken at their level are
-copies of one multiple root and spawn none. Two branches thus differ
-by more than tol.cluster in the coordinate of the level where they
-part, so no solution is returned twice. The descent is a loop over an
-explicit stack of (level, partial point) pairs; each level pushes its
-kept roots in reverse, so branches run depth first, first root first. It
-builds no closure and no reference cycle: reference counting frees all
-a solve allocates when it returns, and nothing of it outlives the call.
-A reduced zero-dimensional lex basis holds, for each variable x_i, a
-monic x_i^k plus terms of lower x_i-degree in x_i..x_{n-1}; it sits at
-level i and specializes to a monic univariate, so no level ever runs
-out of polynomials. Other elements at a level may vanish at a partial
-point and are then skipped.
+``solve_triangular`` first takes the radical of the ideal of a reduced
+lex basis, once. When the basis element in x_{n-1} alone has a
+square-free part of degree qdim, the ideal has qdim points and is
+radical. Otherwise the minimal polynomial of each x_i modulo the ideal
+comes from eliminating the normal forms of 1, x_i, x_i^2, ... over the
+field, and the square-free parts of those with a repeated factor join
+the ideal in one Buchberger run; by Seidenberg's lemma (A. Seidenberg,
+"Constructions in algebra", Trans. AMS 197, 1974; Kreuzer and
+Robbiano, Computational Commutative Algebra 1, Cor. 3.7.16) the result
+is radical, with the same zeros.
+
+The descent then walks the basis from the last variable forward. At
+each level every element that only involves the remaining variables is
+specialized at the partial point, and each root of the lowest degree
+nonzero univariate spawns a branch. For each x_i the basis holds a
+monic x_i^k plus terms of lower x_i-degree in x_i..x_{n-1}, so no level
+runs out of polynomials; elements that vanish at a point are skipped.
 By the Gianni-Kalkbrener theorem (P. Gianni, "Properties of Groebner
 bases under specializations"; M. Kalkbrener, "Solving systems of
 algebraic equations by using Groebner bases"; both EUROCAL '87, LNCS
-378), at a point of the projection the lowest degree nonzero
-specialization of the basis elements at a level is, up to a scalar,
-their gcd, so each of its roots is a root of every other and spawns a
-branch. While a basis element f in a single variable has a repeated
-factor, its exact square-free part f / gcd(f, f') is added to the
-ideal and the lex basis recomputed. That keeps the zeros, and the part
-lies outside the ideal, so the loop ends; a reduced basis of a radical
-ideal has no such element and is solved as it is. At a level with an
-element in one variable, the gcd then divides a square-free polynomial,
-so root finding, simultaneous iteration on all roots (mpmath's
-polyroots), meets no repeated root there. A repeated root that only
-appears after numeric specialization either makes it fail with a
-SolverError or comes back as copies that the merge above folds into
-one branch. Every candidate point must still reproduce the original
-system to the residual tolerance, so the numeric filtering can only
-lose solutions, never invent them. Every returned point is tagged as
-coordinate-wise real or not.
+378) that univariate is, up to a scalar, the gcd of the level's
+specializations, and it is square-free, since every fibre of a radical
+ideal is radical. So root finding (mpmath's polyroots) meets no
+multiple root on exact input and the descent makes one candidate per
+point; a root within tol.cluster of one already taken at its level,
+which only rounding can make, spawns no branch, and root finding that
+does not converge raises a SolverError naming degree and precision.
+The descent is a loop over an explicit stack of (level, partial point)
+pairs, each level pushing its kept roots in reverse, so branches run
+depth first, first root first; it builds no reference cycle, so
+reference counting frees all a solve allocates when it returns. Every
+candidate must reproduce the original system to the residual
+tolerance, so the numeric filtering can only lose solutions, never
+invent them; every returned point is tagged coordinate-wise real or
+not.
 
 Classification of fiducial solutions adds sign pairs v/-v with a
 canonical representative, Weyl-Heisenberg orbits up to a global phase,
@@ -52,9 +50,9 @@ import operator
 
 import mpmath
 
-from .exact import _upoly_exquo, upoly_deriv, upoly_gcd
+from .exact import _upoly_exquo, upoly_deriv, upoly_gcd, upoly_sub
 from .groebner import buchberger, quotient_dimension
-from .polyring import Poly, eval_terms
+from .polyring import Poly, eval_terms, reduce_poly
 from .sicgen import apply_weyl, fiducial_from_coords
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "SolutionSet",
     "SolverError",
     "NotZeroDimensionalError",
-    "BranchCapExceeded",
     "solve_triangular",
     "classify",
     "match_zauner",
@@ -82,10 +79,6 @@ class SolverError(ValueError):
 
 
 class NotZeroDimensionalError(SolverError):
-    pass
-
-
-class BranchCapExceeded(SolverError):
     pass
 
 
@@ -241,21 +234,49 @@ def _univ_coeffs(f, i):
     return cs
 
 
-def _squarefree_part(p):
-    """None, unless p lies in one variable and has a repeated factor:
-    then its monic square-free part p / gcd(p, p')."""
-    sup = p.support()
-    if len(sup) != 1:
-        return None
-    (i,) = sup
-    f = _univ_coeffs(p, i)
-    g = upoly_gcd(f, upoly_deriv(f))
-    if len(g) == 1:
-        return None
-    part = _upoly_exquo(f, g)
-    zero = (0,) * p.ring.arity
-    return Poly(p.ring, [(zero[:i] + (k,) + zero[i + 1:], c)
-                         for k, c in enumerate(part)])
+def _squarefree(f):
+    """The monic square-free part f / gcd(f, f') of a nonzero
+    little-endian coefficient list."""
+    return _upoly_exquo(f, upoly_gcd(f, upoly_deriv(f)))
+
+
+def _minimal_polynomial(gb, i):
+    """Little-endian monic minimal polynomial of x_i modulo the ideal of
+    gb: the normal forms of 1, x_i, x_i^2, ... are eliminated over the
+    field, in order, until one is a combination of those before it."""
+    x = Poly.variable(gb.ring, i)
+    rows = []  # (pivot monomial, eliminated monic normal form, combination)
+    nf = reduce_poly(Poly.one(gb.ring), gb.basis, "lex")
+    while True:
+        vec, comb = nf, [0] * len(rows) + [1]
+        for pivot, row, rcomb in rows:
+            c = dict(vec.terms).get(pivot)
+            if c:
+                vec = vec - c * row
+                comb = upoly_sub(comb, [c * r for r in rcomb])
+        if not vec:
+            return comb
+        inv = 1 / vec.terms[0][1]
+        rows.append((vec.terms[0][0], inv * vec, [inv * r for r in comb]))
+        nf = reduce_poly(nf * x, gb.basis, "lex")
+
+
+def _radical(gb, qdim):
+    """The reduced lex basis of the radical of gb's ideal, gb itself when
+    that ideal is radical; see the module docstring."""
+    n = gb.ring.arity
+    # the element with the least leading monomial lies in x_{n-1} alone
+    last = _univ_coeffs(min(gb.basis, key=lambda p: p.terms[0][0]), n - 1)
+    if len(_squarefree(last)) - 1 == qdim:
+        return gb
+    parts = []
+    for i in range(n):
+        f = last if i == n - 1 else _minimal_polynomial(gb, i)
+        part = _squarefree(f)
+        if len(part) < len(f):
+            x = Poly.variable(gb.ring, i)
+            parts.append(sum(c * x ** k for k, c in enumerate(part)))
+    return buchberger([*gb.basis, *parts], "lex") if parts else gb
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +318,15 @@ def _sort_key(coords, precision):
                  for c in coords for x in (c.real, c.imag))
 
 
-def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=None):
+def solve_triangular(gb, system_equations, precision=256, tol=None):
     """Numerically solve a zero-dimensional reduced lex basis.
 
     system_equations is the original generating system, with at least
     one nonzero equation; every returned point is validated against it,
     not just against the basis, and tagged ``real`` when every
-    coordinate is real to tol.realness. Any other basis, the unreduced
+    coordinate is real to tol.realness. The descent runs on the basis
+    of the radical of gb's ideal, so each point comes back once, and at
+    most one Buchberger run builds it. Any other basis, the unreduced
     partial basis of an exhausted pair budget among them, raises
     ValueError, and so does a precision below 53 bits.
     """
@@ -325,17 +348,8 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
     qdim = quotient_dimension(gb)
     if qdim == math.inf:
         raise NotZeroDimensionalError("ideal is not zero-dimensional")
-    cap = max_points if max_points is not None else max(10 * qdim, 16)
+    gb = _radical(gb, qdim)
     arity = gb.ring.arity
-
-    # square-free parts of elements in one variable vanish on the same
-    # points; added to the ideal, they make the Gianni-Kalkbrener gcd at
-    # their level square-free
-    while True:
-        parts = [q for q in map(_squarefree_part, gb.basis) if q is not None]
-        if not parts:
-            break
-        gb = buchberger([*gb.basis, *parts], "lex")
     by_level = [[] for _ in range(arity)]
     for p in gb.basis:
         sup = p.support()
@@ -356,10 +370,6 @@ def solve_triangular(gb, system_equations, precision=256, tol=None, max_points=N
         while stack:
             i, tail = stack.pop()
             if i < 0:
-                if len(raw_points) >= cap:
-                    raise BranchCapExceeded(
-                        f"more than {cap} candidate points"
-                    )
                 raw_points.append(tail)
                 continue
             specs = [

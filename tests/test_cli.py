@@ -213,13 +213,6 @@ def test_full_d2_pipeline(tmp_path, capsys):
     assert vdoc["n_checked"] == 16
 
 
-def test_solve_max_points_cap(d2_files, tmp_path):
-    sp, bp = d2_files
-    rc = main(["solve", "--in", str(bp), "--system", str(sp),
-               "--max-points", "1", "--out", str(tmp_path / "sols.json")])
-    assert rc == 2
-
-
 def test_solve_empty_system_rejected(d2_files, tmp_path, capsys):
     # forced past the hash check, a system with no equations cannot
     # validate the points
@@ -577,8 +570,8 @@ def test_alpha_zero_denominator(tmp_path, capsys):
     (["solve", "--in", "BASIS", "--system", "SYS", "--tol-residual", "nan"],
      "tolerances must be positive"),
     (["verify", "--in", "SOLS", "--tol", "inf"], "tolerances must be finite"),
-    (["solve", "--in", "BASIS", "--system", "SYS", "--max-points", "-5"],
-     "max points must not be negative"),
+    (["solve", "--in", "BASIS", "--system", "SYS", "--precision", "52"],
+     "precision must be at least 53 bits"),
     (["overlaps", "--zauner", "2"], "--zauner takes 1, 3, 5 or 7"),
     (["overlaps"], "overlaps needs --in with --index, --vector or --zauner"),
     (["gram", "--d", "2"], "gram needs --preset or --in"),
@@ -820,8 +813,7 @@ def test_subcommand_options_in_order():
                      "--out", "--format"],
         "solve": ["-h", "--help", "--in", "--system", "--tol-residual",
                   "--tol-cluster", "--tol-realness", "--tol-match",
-                  "--max-points", "--out", "--format", "--force",
-                  "--precision"],
+                  "--out", "--format", "--force", "--precision"],
         "verify": ["-h", "--help", "--in", "--system", "--tol", "--out",
                    "--format", "--force", "--precision"],
         "overlaps": ["-h", "--help", "--in", "--index", "--vector", "--zauner",
@@ -927,8 +919,17 @@ def test_system_kind_cannot_name_a_path(command, d2_files, tmp_path,
      "--kind complex-full does not read --no-phase-fix"),
     (["gen", "--kind", "real", "--d", "2", "--n", "3", "--no-phase-fix"],
      "--kind real does not read --no-phase-fix"),
+    # an option given at its old default value is given all the same
+    (["gen", "--kind", "wh", "--d", "2", "--n", "0", "--alpha", ""],
+     "--kind wh does not read --n, --alpha"),
+    (["gen", "--kind", "complex-full", "--d", "2", "--preset", "",
+      "--in", ""], "--kind complex-full does not read --preset, --in"),
+    (["overlaps", "--zauner", "1", "--index", "-1"],
+     "--index is read only with --in"),
 ], ids=["overlaps-zauner-index", "gen-wh-real-options",
-        "gen-complex-full-phase-fix", "gen-real-phase-fix"])
+        "gen-complex-full-phase-fix", "gen-real-phase-fix",
+        "gen-wh-default-values", "gen-complex-full-default-values",
+        "overlaps-zauner-default-index"])
 def test_option_the_source_does_not_read_rejected(argv, message, tmp_path,
                                                   capsys):
     out = tmp_path / "out.json"
@@ -982,8 +983,18 @@ def test_system_shape_must_match_its_kind(command, change, cause, d2_files,
      "give one of --in, --vector and --zauner"),
     (["overlaps", "--vector", "MISSING", "--in", "SOLS", "--index", "0"],
      "give one of --in, --vector and --zauner"),
+    # an empty path or a zero is a source given all the same
+    (["gram", "--d", "2", "--preset", "hexagon", "--in", ""],
+     "give --preset or --in, not both"),
+    (["gen", "--kind", "real", "--d", "2", "--n", "3", "--preset", "",
+      "--in", "SIGNS"], "give --preset or --in, not both"),
+    (["overlaps", "--zauner", "0", "--vector", "MISSING"],
+     "give one of --in, --vector and --zauner"),
+    (["overlaps", "--zauner", "1", "--in", "", "--index", "0"],
+     "give one of --in, --vector and --zauner"),
 ], ids=["gram", "gen-real", "overlaps-zauner-vector", "overlaps-zauner-in",
-        "overlaps-vector-in"])
+        "overlaps-vector-in", "gram-empty-in", "gen-real-empty-preset",
+        "overlaps-zauner-0-vector", "overlaps-zauner-empty-in"])
 def test_conflicting_sources_rejected(argv, message, d2_sols, tmp_path,
                                       capsys):
     signs = tmp_path / "signs.json"

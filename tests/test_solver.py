@@ -10,9 +10,8 @@ import pytest
 from eqlines import solver
 from eqlines.exact import QQ
 from eqlines.groebner import GroebnerBasis, buchberger
-from eqlines.polyring import Poly, Ring
+from eqlines.polyring import Poly, Ring, eval_terms
 from eqlines.solver import (
-    BranchCapExceeded,
     NotZeroDimensionalError,
     SolutionPoint,
     SolutionSet,
@@ -74,6 +73,19 @@ def test_residuals_against_original_system():
         assert p.residual <= mpmath.mpf(1e-10)
 
 
+def _count_candidates(mp):
+    """Calls of solver.eval_terms, patched through mp: the residual check
+    makes one per candidate point and equation."""
+    calls = []
+
+    def spy(terms, point, start):
+        calls.append(point)
+        return eval_terms(terms, point, start)
+
+    mp.setattr(solver, "eval_terms", spy)
+    return calls
+
+
 def _solve_points(gens):
     gb = buchberger(gens, "lex")
     sols = solve_triangular(gb, gens, precision=128)
@@ -99,9 +111,10 @@ def test_non_radical_duplicates_not_adjacent():
 
 
 def test_repeated_roots_in_one_variable_are_added_square_free(monkeypatch):
-    """(y - 1)^2 in the lex basis of (x-y)^3, (y-1)^2 adds y - 1, which
-    leaves (x - 1)^3 in the basis; that adds x - 1. Two rounds, and the
-    triple root x = 1 never reaches root finding."""
+    """The ideal of (x-y)^3, (y-1)^2 has qdim 6 and one point: the minimal
+    polynomials (x - 1)^3 and (y - 1)^2 add x - 1 and y - 1 in one
+    Buchberger run, and the triple root x = 1 never reaches root
+    finding."""
     x, y = _xy()
     rounds = []
 
@@ -114,17 +127,31 @@ def test_repeated_roots_in_one_variable_are_added_square_free(monkeypatch):
     monkeypatch.setattr(solver, "buchberger", counted)
     sols = solve_triangular(gb, gens, precision=128)
     pts = [tuple(complex(c) for c in p.coords) for p in sols.points]
-    assert len(rounds) == 2
+    assert len(rounds) == 1
     assert len(pts) == 1
     assert max(abs(a - 1) for a in pts[0]) < 1e-30
 
 
-def test_repeated_root_after_specialization_fails_fast():
+def test_repeated_root_after_specialization_solves():
     # y^2 - y is square-free, and (x - 1)^3 appears only once y = 1 is
-    # substituted
+    # substituted; the minimal polynomial of x adds x^2 - x
     x, y = _xy()
-    with pytest.raises(SolverError, match="degree 3"):
-        _solve_points([(x - y) ** 3, y ** 2 - y])
+    assert _solve_points([(x - y) ** 3, y ** 2 - y]) == [(0, 0), (1, 1)]
+
+
+def test_root_finding_that_does_not_converge_fails_with_its_cause(
+        monkeypatch):
+    def stuck(*args, **kwargs):
+        raise mpmath.libmp.libhyper.NoConvergence("stuck")
+
+    monkeypatch.setattr(mpmath, "polyroots", stuck)
+    x, y = _xy()
+    # the descent works 48 bits above the requested precision
+    with pytest.raises(SolverError, match="did not converge on a degree 2 "
+                       "polynomial at 176 bits") as info:
+        _solve_points([x ** 2 - 2, y - x])
+    assert isinstance(info.value.__cause__,
+                      mpmath.libmp.libhyper.NoConvergence)
 
 
 def test_not_zero_dimensional():
@@ -160,14 +187,6 @@ def test_system_without_equations_rejected(zeros):
         solve_triangular(gb, [Poly.zero(x.ring)] * zeros, precision=128)
 
 
-def test_branch_cap():
-    x, y = _xy()
-    gens = [x ** 4 - 1, y ** 4 - 1]
-    gb = buchberger(gens, "lex")
-    with pytest.raises(BranchCapExceeded):
-        solve_triangular(gb, gens, precision=128, max_points=3)
-
-
 def test_empty_variety():
     x, y = _xy()
     gb = buchberger([x, x + 1], "lex")
@@ -177,32 +196,36 @@ def test_empty_variety():
     assert counts["total"] == 0 and counts["orbits"] is None
 
 
-def test_vanishing_and_linear_specializations():
+def test_vanishing_and_linear_specializations(monkeypatch):
     """Lex basis {x^2 - y, xy - x, y^2 - y}: at y = 1 the element xy - x
     vanishes and is skipped, at y = 0 it leaves -x, the lowest degree.
     Every root of -x is a root of x^2 (Gianni-Kalkbrener), so the descent
-    makes one candidate per point and max_points=3 suffices."""
+    makes one candidate per point."""
     x, y = _xy()
     gens = [x * (y - 1), y * (y - 1), x ** 2 - y]
     gb = buchberger(gens, "lex")
     assert set(gb.basis) == {x ** 2 - y, x * y - x, y ** 2 - y}
-    sols = solve_triangular(gb, gens, precision=128, max_points=3)
+    calls = _count_candidates(monkeypatch)
+    sols = solve_triangular(gb, gens, precision=128)
+    assert len(calls) == 3 * len(gens)
     got = [tuple(complex(c) for c in p.coords) for p in sols.points]
     assert got == [(-1, 1), (0, 0), (1, 1)]
     assert all(p.tags["real"] for p in sols.points)
 
 
-def test_square_free_level_checks_other_specializations():
+def test_square_free_level_checks_other_specializations(monkeypatch):
     """x^4 - x^3 has a repeated factor, so the solver adds its
     square-free part x^2 - x and solves the basis {x^2 - x, xy, y^2 - y}
     of the same zeros. At y = 1 the level-x specializations are x^2 - x
     and x: the root x = 1 of x^2 - x is no root of their gcd x, and the
-    descent, which solves only x, never meets it."""
+    descent, which solves only x, makes one candidate per point."""
     x, y = _xy()
     gens = [x ** 4 - x ** 3, x ** 3 * y, y ** 2 - y]
     gb = buchberger(gens, "lex")
     assert set(gb.basis) == set(gens)
-    sols = solve_triangular(gb, gens, precision=128, max_points=3)
+    calls = _count_candidates(monkeypatch)
+    sols = solve_triangular(gb, gens, precision=128)
+    assert len(calls) == 3 * len(gens)
     got = [tuple(complex(c) for c in p.coords) for p in sols.points]
     assert got == [(0, 0), (0, 1), (1, 0)]
 
@@ -246,8 +269,10 @@ def test_point_ideals_one_candidate_per_point():
             pts.add(tuple(rng.randint(-1, 1) for _ in range(3)))
         gb = _point_ideal(pts)
         crowded += sum(1 for p in gb.basis if min(p.support()) == 0) > 1
-        sols = solve_triangular(gb, list(gb.basis), precision=128,
-                                max_points=n)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_candidates(mp)
+            sols = solve_triangular(gb, list(gb.basis), precision=128)
+        assert len(calls) == n * len(gb.basis)
         got = [tuple(complex(c) for c in p.coords) for p in sols.points]
         assert len(got) == n
         for g, want in zip(got, sorted(pts)):
@@ -276,13 +301,41 @@ def _ideal_product(a, b):
 
 def _maximal_ideal(point, power, ring=R2):
     m = [Poly.variable(ring, i) - c for i, c in enumerate(point)]
-    return m if power == 1 else _ideal_product(m, m)
+    gens = m
+    for _ in range(power - 1):
+        gens = _ideal_product(gens, m)
+    return gens
+
+
+def _planted_products(rng, count, ring, most_points, top_power):
+    """count lex bases of products of the 1st to top_power-th powers of 2
+    to most_points maximal ideals at points of {-1, 0, 1}^n, each with
+    its points."""
+    grid = list(itertools.product((-1, 0, 1), repeat=ring.arity))
+    for _ in range(count):
+        pts = rng.sample(grid, rng.randint(2, most_points))
+        gens = None
+        for p in pts:
+            m = _maximal_ideal(p, rng.randint(1, top_power), ring)
+            gens = m if gens is None else _ideal_product(gens, m)
+        yield buchberger(gens, "lex"), pts
+
+
+def _assert_planted(gb, pts):
+    """gb solves to exactly the points pts, each once."""
+    sols = solve_triangular(gb, list(gb.basis), precision=128)
+    got = [tuple(complex(c) for c in p.coords) for p in sols.points]
+    near = [tuple(round(c.real) for c in g) for g in got]
+    assert len(got) == len(pts) and set(near) == set(pts)
+    for g, want in zip(got, near):
+        assert max(abs(a - b) for a, b in zip(g, want)) < 1e-30
 
 
 def test_double_root_copies_make_one_point():
-    """(x+1, y)(x+1, y-1)^2(x-1, y)^2: at y = 1 the level-x polynomial
-    has the double root x = -1, which polyroots returns as two copies
-    that sort on either side of (-1, 0)."""
+    """(x+1, y)(x+1, y-1)^2(x-1, y)^2: in the ideal's own lex basis, at
+    y = 1 the level-x polynomial has the double root x = -1, whose two
+    copies would sort on either side of (-1, 0); the basis of the
+    radical has no multiple root."""
     gens = _maximal_ideal((-1, 0), 1)
     for p in ((-1, 1), (1, 0)):
         gens = _ideal_product(gens, _maximal_ideal(p, 2))
@@ -298,45 +351,59 @@ def test_double_root_copies_make_one_point():
 
 def test_non_radical_products_return_each_point_once():
     # products of the 1st-2nd powers of 2-3 maximal ideals at points of
-    # {-1, 0, 1}^2; in five of these forty, polyroots returns a double
-    # root as two copies whose points sort apart
-    rng = random.Random(1)
-    grid = list(itertools.product((-1, 0, 1), repeat=2))
-    solved = 0
-    for _ in range(40):
-        pts = rng.sample(grid, rng.randint(2, 3))
-        gens = None
-        for p in pts:
-            m = _maximal_ideal(p, rng.randint(1, 2))
-            gens = m if gens is None else _ideal_product(gens, m)
-        gb = buchberger(gens, "lex")
-        try:
-            sols = solve_triangular(gb, list(gb.basis), precision=128)
-        except SolverError:
-            continue
-        solved += 1
-        got = [tuple(complex(c) for c in p.coords) for p in sols.points]
-        near = [tuple(round(c.real) for c in g) for g in got]
-        assert len(got) == len(pts) and set(near) == set(pts)
-        for g, want in zip(got, near):
-            assert max(abs(a - b) for a, b in zip(g, want)) < 1e-30
-    assert solved >= 30
+    # {-1, 0, 1}^2; every one solves to its points
+    for gb, pts in _planted_products(random.Random(1), 40, R2, 3, 2):
+        _assert_planted(gb, pts)
 
 
-def test_vanishing_leading_coefficient_is_trimmed():
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cubed_non_radical_products_return_each_point_once(seed):
+    # 1st-3rd powers of 2-4 maximal ideals; before the solver took the
+    # radical, about half of such ideals raised SolverError
+    for gb, pts in _planted_products(random.Random(seed), 30, R2, 4, 3):
+        _assert_planted(gb, pts)
+
+
+def test_shape_position_skips_the_minimal_polynomials(monkeypatch):
+    """A square-free element in z of degree qdim shows a radical ideal,
+    and no minimal polynomial is computed; without it, each variable but
+    the last gets one, and a radical ideal is still never enlarged."""
+    found = []
+
+    def spy(gb, i):
+        found.append(i)
+        return minimal_polynomial(gb, i)
+
+    def refuse(*args):
+        raise AssertionError("a radical basis was enlarged")
+
+    minimal_polynomial = solver._minimal_polynomial
+    monkeypatch.setattr(solver, "_minimal_polynomial", spy)
+    monkeypatch.setattr(solver, "buchberger", refuse)
+    shape = {(1, 0, -1), (0, 1, 0), (-1, 1, 1), (1, 1, 2)}
+    crowded = {(1, 0, 0), (0, 1, 0), (-1, 1, 1), (1, 1, 1)}
+    for pts, want in ((shape, []), (crowded, [0, 1])):
+        found.clear()
+        _assert_planted(_point_ideal(pts), pts)
+        assert found == want
+
+
+def test_vanishing_leading_coefficient_is_trimmed(monkeypatch):
     """In the lex basis of (x+1, y+1, z+1)(x+1, y+1, z)^2(x+1, y, z+1)^2
     (x-1, y+1, z)^2 the element (y+1)x^2 + 2z^2 x - y + 2z^2 - 1 loses
     its leading coefficient at (y, z) = (-1, -1) but not its other
-    terms. The basis also holds (x^2 - 1)^2 and z^2(z + 1)^2, so the
-    solver first adds x^2 - 1 and z^2 + z and solves a basis without
-    that element; the radical case below reaches the trimming."""
+    terms. The ideal is not radical, so the solver solves the basis of
+    its radical, which lacks that element; the radical case below
+    reaches the trimming."""
     gens = _maximal_ideal((-1, -1, -1), 1, R3)
     for p in ((-1, -1, 0), (-1, 0, -1), (1, -1, 0)):
         gens = _ideal_product(gens, _maximal_ideal(p, 2, R3))
     gb = buchberger(gens, "lex")
     x, y, z = (Poly.variable(R3, i) for i in range(3))
     assert (y + 1) * x ** 2 + 2 * z ** 2 * x - y + 2 * z ** 2 - 1 in gb.basis
-    sols = solve_triangular(gb, list(gb.basis), precision=128, max_points=4)
+    calls = _count_candidates(monkeypatch)
+    sols = solve_triangular(gb, list(gb.basis), precision=128)
+    assert len(calls) == 4 * len(gb.basis)
     got = [tuple(complex(c) for c in p.coords) for p in sols.points]
     assert {tuple(round(c.real) for c in g) for g in got} == {
         (-1, -1, -1), (-1, -1, 0), (-1, 0, -1), (1, -1, 0)}
@@ -344,7 +411,8 @@ def test_vanishing_leading_coefficient_is_trimmed():
         assert max(abs(c - round(c.real)) for c in g) < 1e-30
 
 
-def test_vanishing_leading_coefficient_of_a_radical_basis_is_trimmed():
+def test_vanishing_leading_coefficient_of_a_radical_basis_is_trimmed(
+        monkeypatch):
     """The lex basis of these eight points holds
     (z-1)x^2 + (z-y-2)x + 3yz - 2y + z, whose leading coefficient
     vanishes at (y, z) = (0, 1) but not its other terms: it specializes
@@ -355,7 +423,9 @@ def test_vanishing_leading_coefficient_of_a_radical_basis_is_trimmed():
     x, y, z = (Poly.variable(R3, i) for i in range(3))
     assert ((z - 1) * x ** 2 + (z - y - 2) * x + 3 * y * z - 2 * y + z
             in gb.basis)
-    sols = solve_triangular(gb, list(gb.basis), precision=128, max_points=8)
+    calls = _count_candidates(monkeypatch)
+    sols = solve_triangular(gb, list(gb.basis), precision=128)
+    assert len(calls) == 8 * len(gb.basis)
     got = [tuple(complex(c) for c in p.coords) for p in sols.points]
     assert len(got) == 8
     for g, want in zip(got, sorted(pts)):
