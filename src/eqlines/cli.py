@@ -102,14 +102,14 @@ def read_json(path, parse=None):
     return doc, sha256(data).hexdigest()
 
 
-def _check_chain(expected, actual, what, force):
+def _check_chain(expected, actual, force):
     if expected != actual:
         if force:
-            print(f"warning: {what} hash mismatch ignored by --force",
+            print("warning: system file hash mismatch ignored by --force",
                   file=sys.stderr)
             return
         raise ConfigError(
-            f"{what} does not match the hash recorded upstream; "
+            "system file does not match the hash recorded upstream; "
             "rerun the producing command or pass --force"
         )
 
@@ -118,7 +118,7 @@ def _emit(args, default, doc, fields, code=EXIT_OK):
     """Finish a command: write ``doc`` as canonical JSON to ``--out``
     (``default`` when it is not given), print the summary ``fields``
     followed by ``out``, and return the exit ``code``."""
-    out = args.out or default
+    out = default if args.out is None else args.out
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     try:
         Path(out).write_bytes(
@@ -258,10 +258,7 @@ def cmd_solve(args):
 
     (basis_obj, gb), basis_hash = read_json(args.inp, parse_basis)
     system, system_hash = read_json(args.system, PolySystem.from_json)
-    _check_chain(
-        basis_obj.get("input_hash"), system_hash,
-        "system file", args.force,
-    )
+    _check_chain(basis_obj.get("input_hash"), system_hash, args.force)
     tol = Tolerances(**{
         k[len("tol_"):]: v for k, v in vars(args).items() if k.startswith("tol_")
     })
@@ -315,12 +312,9 @@ def cmd_verify(args):
 
     tol = getattr(args, "tol", DEFAULT_TOL)
     (sol_obj, sols), sol_hash = _read_solutions(args.inp)
-    if args.system:
+    if args.system is not None:
         _, system_hash = read_json(args.system)
-        _check_chain(
-            sol_obj.get("system_hash"), system_hash,
-            "system file", args.force,
-        )
+        _check_chain(sol_obj.get("system_hash"), system_hash, args.force)
     per_point = []
     worst = mpmath.mpf(0)
     with mpmath.workprec(args.precision):
@@ -430,7 +424,7 @@ def cmd_gram(args):
         "source": source,
         "N": spec.N,
         "d": args.d,
-        "signs": [list(r) for r in spec.signs],
+        **spec.to_json(),
         "det_poly": str(res["det_poly"]),
         "det_poly_terms": res["det_poly"].terms_to_json(),
         "admissible_alphas": [mpmath.nstr(a, dps) for a in res["admissible_alphas"]],
@@ -463,7 +457,7 @@ def _build_parser():
         p.set_defaults(run=run)
         if tol:
             p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--out", default="", help="output file path")
+        p.add_argument("--out", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="console summary style")
         if force:
@@ -504,8 +498,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="verify solutions as fiducials")
     p.add_argument("--in", dest="inp", required=True, help="solutions file")
-    p.add_argument("--system", default="",
-                   help="system file to revalidate the chain")
+    p.add_argument("--system", help="system file to revalidate the chain")
     common(p, cmd_verify, force=True, precision=True, tol=True)
 
     p = sub.add_parser("overlaps", help="normalized overlap report")

@@ -212,26 +212,18 @@ def gen_wh_system(d, phase_fix=True):
                 obar = obar + vbar[j] * v[k] * w[-b * j % d]
             yield o * obar - (1 if (a, b) == (0, 0) else offdiag)
 
-    # each product shares its coefficients as soon as it is built, and
-    # only the distinct equations are kept
-    equations = []
-    labels = []
-    rhs = {}
-    merged = {}
-    if phase_fix:
-        equations.append(Poly.variable(ring, d))
-        labels.append("phase")
-        rhs["phase"] = "0"
-    seen = {}
-    for (a, b), eq in zip(pairs, rehome(overlaps(), ring)):
-        label = seen.setdefault(eq, f"p_{a}_{b}")
-        if label in merged:
-            merged[label] += ((a, b),)
-            continue
-        merged[label] = ((a, b),)
-        equations.append(eq)
-        labels.append(label)
-        rhs[label] = "1" if (a, b) == (0, 0) else str(offdiag)
+    # each product shares its coefficients as soon as it is built; each
+    # distinct equation maps to the pairs whose overlap it is, in order,
+    # and is labelled by the first of them
+    classes = {}
+    for ab, eq in zip(pairs, rehome(overlaps(), ring)):
+        classes.setdefault(eq, []).append(ab)
+    merged = {"p_{}_{}".format(*cls[0]): tuple(cls) for cls in classes.values()}
+    rhs = {"phase": "0"} if phase_fix else {}
+    for label, cls in merged.items():
+        rhs[label] = "1" if cls[0] == (0, 0) else str(offdiag)
+    equations = [Poly.variable(ring, d)] if phase_fix else []
+    equations += classes
 
     # a fresh ring, over Q when it can be, whose monomial table holds
     # only the equations' monomials, and one instance per coefficient
@@ -246,7 +238,7 @@ def gen_wh_system(d, phase_fix=True):
         n_lines=d * d,
         ring=out,
         equations=tuple(rehome(equations, out)),
-        labels=tuple(labels),
+        labels=tuple(rhs),
         rhs=rhs,
         merged=merged,
         extra={"phase_fix": bool(phase_fix)},

@@ -26,7 +26,8 @@ ideal is radical. So root finding (mpmath's polyroots) meets no
 multiple root on exact input and the descent makes one candidate per
 point; a root within tol.cluster of one already taken at its level,
 which only rounding can make, spawns no branch, and root finding that
-does not converge raises a SolverError naming degree and precision.
+does not converge raises a SolverError naming the degree and the
+precision asked for.
 The descent is a loop over an explicit stack of (level, partial point)
 pairs, each level pushing its kept roots in reverse, so branches run
 depth first, first root first; it builds no reference cycle, so
@@ -72,6 +73,9 @@ __all__ = [
 # bits or fewer the trim cut reaches the largest coefficient of every
 # specialization, and the descent finds no point
 _MIN_PRECISION = 53
+
+# the bits the descent works above the precision asked for
+_GUARD_BITS = 48
 
 
 class SolverError(ValueError):
@@ -208,21 +212,23 @@ def _embedded_terms(poly, precision):
     return [(m, embed(c, precision)) for m, c in poly.terms]
 
 
-def _roots_numeric(coeffs, precision):
-    """All roots of a numeric coefficient list (leading first) of
-    degree at least 1."""
+def _roots_numeric(coeffs, precision, guard=_GUARD_BITS):
+    """All roots, to precision + guard bits, of a numeric coefficient
+    list (leading first) of degree at least 1; a failure names the
+    precision asked for."""
     deg = len(coeffs) - 1
+    work = precision + guard
     try:
-        with mpmath.workprec(precision + 32):
+        with mpmath.workprec(work + 32):
             roots = mpmath.polyroots(
-                coeffs, maxsteps=100 + precision // 2, extraprec=precision // 2
+                coeffs, maxsteps=100 + work // 2, extraprec=work // 2
             )
     except mpmath.libmp.libhyper.NoConvergence as exc:
         raise SolverError(
             f"root finding did not converge on a degree {deg} polynomial "
             f"at {precision} bits"
         ) from exc
-    with mpmath.workprec(precision):
+    with mpmath.workprec(work):
         return [mpmath.mpc(r) for r in roots]
 
 
@@ -356,7 +362,7 @@ def solve_triangular(gb, system_equations, precision=256, tol=None):
         if sup:
             by_level[min(sup)].append(p)
 
-    work = precision + 48
+    work = precision + _GUARD_BITS
     with mpmath.workprec(work):
         level_terms = [
             [_embedded_terms(p, work) for p in polys] for polys in by_level
@@ -383,7 +389,7 @@ def solve_triangular(gb, system_equations, precision=256, tol=None):
                 # element at this level, only rounding can get here
                 continue
             taken = []
-            for r in _roots_numeric(best, work):
+            for r in _roots_numeric(best, precision):
                 # copies of a multiple root make one branch
                 if not any(abs(r - t) <= tol.cluster for t in taken):
                     taken.append(r)
@@ -444,17 +450,15 @@ def classify(solset, d):
     maps one fiducial vector to the other up to a global phase.
     """
     tol = solset.tolerances
+    reps = []
     with mpmath.workprec(solset.precision):
-        pts = solset.points
-        for p in pts:
-            p.tags["real"] = _is_real_point(p.coords, tol.realness)
+        for p in solset.points:
+            real = _is_real_point(p.coords, tol.realness)
+            p.tags["real"] = real
             p.tags["sign_canonical"] = (
-                _sign_canonical(p.coords, tol.match) if p.tags["real"] else False
-            )
+                real and _sign_canonical(p.coords, tol.match))
             p.tags["orbit_id"] = None
-        reps = []
-        for p in pts:
-            if not p.tags["real"]:
+            if not real:
                 continue
             v = fiducial_from_coords(p.coords)
             # the first orbit with a displacement of its representative

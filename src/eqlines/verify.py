@@ -210,7 +210,7 @@ def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
             if mult < need:
                 continue
             coeffs = [QQ.embed(c, precision) for c in reversed(factor)]
-            for r in _roots_numeric(coeffs, precision):
+            for r in _roots_numeric(coeffs, precision, guard=0):
                 if abs(r.imag) > eps:
                     continue
                 a = r.real

@@ -602,17 +602,26 @@ def test_missing_input_file(tmp_path, capsys):
                  "/dev/full", errno.ENOSPC,
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="no /dev/full")),
-], ids=["groebner-in", "gen-out", "gen-out-full-disk"])
-def test_unopenable_path(argv, culprit, code, tmp_path, capsys):
+    # an empty path is the current directory, not an absent option
+    (["gen", "--kind", "wh", "--d", "2", "--out", ""], ".", errno.EISDIR),
+    (["verify", "--in", "SOLS", "--system", "", "--out", "OUT"], ".",
+     errno.EISDIR),
+], ids=["groebner-in", "gen-out", "gen-out-full-disk", "gen-out-blank",
+        "verify-system-blank"])
+def test_unopenable_path(argv, culprit, code, d2_sols, tmp_path, monkeypatch,
+                         capsys):
     """A path that cannot be read or written exits 2 with a one-line
-    error naming it."""
-    paths = {"DIR": str(tmp_path), "OUT": str(tmp_path / "out.json")}
+    error naming it, and writes no file."""
+    paths = {"DIR": str(tmp_path), "OUT": str(tmp_path / "out.json"),
+             "SOLS": str(d2_sols)}
+    monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     rc = main([paths.get(a, a) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err == (f"error: cannot read or write {paths.get(culprit, culprit)}: "
                    f"{os.strerror(code)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 _NOT_A_SYSTEM = '{"format": "polysystem"}'

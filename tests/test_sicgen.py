@@ -154,6 +154,26 @@ def test_wh_systems_d1_to_d5_pinned():
         "f9846b84add81dac2cb25dccb9af5f0140a29e9be2660d360761b1a40d7fec9f")
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_wh_system_unfixed_classes(d):
+    """Without the phase fix, p_ab = p_(-a)(-b) and no other overlaps
+    coincide: each class is {(a, b), (-a, -b) mod d} in row-major
+    order, labelled by its first pair, with rhs 1 for p_0_0 and
+    1/(d+1) for every other label."""
+    system = gen_wh_system(d, phase_fix=False)
+    classes = {}
+    for a in range(d):
+        for b in range(d):
+            first = min((a, b), (-a % d, -b % d))
+            classes.setdefault(f"p_{first[0]}_{first[1]}", []).append((a, b))
+    assert system.merged == {k: tuple(v) for k, v in classes.items()}
+    assert system.labels == tuple(classes)
+    assert system.rhs == {
+        k: "1" if k == "p_0_0" else f"1/{d + 1}" for k in classes
+    }
+    assert len(system.equations) == len(classes)
+
+
 def _hexagon_signs():
     from eqlines.sicgen import seidel_hexagon
     return seidel_hexagon().signs

@@ -141,17 +141,22 @@ def test_repeated_root_after_specialization_solves():
 
 def test_root_finding_that_does_not_converge_fails_with_its_cause(
         monkeypatch):
+    calls = []
+
     def stuck(*args, **kwargs):
+        calls.append((mpmath.mp.prec, kwargs))
         raise mpmath.libmp.libhyper.NoConvergence("stuck")
 
     monkeypatch.setattr(mpmath, "polyroots", stuck)
     x, y = _xy()
-    # the descent works 48 bits above the requested precision
+    # the descent works 48 bits above the requested 128, and root
+    # finding 32 above that; the error names the 128
     with pytest.raises(SolverError, match="did not converge on a degree 2 "
-                       "polynomial at 176 bits") as info:
+                       "polynomial at 128 bits") as info:
         _solve_points([x ** 2 - 2, y - x])
     assert isinstance(info.value.__cause__,
                       mpmath.libmp.libhyper.NoConvergence)
+    assert calls == [(208, {"maxsteps": 188, "extraprec": 88})]
 
 
 def test_not_zero_dimensional():
