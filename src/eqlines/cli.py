@@ -254,11 +254,11 @@ def cmd_solve(args):
             raise ConfigError(
                 "basis file records a pair-budget failure; nothing to solve"
             )
-        return obj, GroebnerBasis.from_json(obj)
+        return obj.get("input_hash"), GroebnerBasis.from_json(obj)
 
-    (basis_obj, gb), basis_hash = read_json(args.inp, parse_basis)
+    (recorded, gb), basis_hash = read_json(args.inp, parse_basis)
     system, system_hash = read_json(args.system, PolySystem.from_json)
-    _check_chain(basis_obj.get("input_hash"), system_hash, args.force)
+    _check_chain(recorded, system_hash, args.force)
     tol = Tolerances(**{
         k[len("tol_"):]: v for k, v in vars(args).items() if k.startswith("tol_")
     })
@@ -284,9 +284,9 @@ def cmd_solve(args):
 
 
 def _read_solutions(path):
-    """The solutions file at ``path`` as (document, SolutionSet), with
-    the sha256 of its bytes; the file must record the dimension d, and
-    every point must have 2d coordinates."""
+    """The solutions file at ``path`` as (the system hash it records,
+    SolutionSet), with the sha256 of its bytes; the file must record the
+    dimension d, and every point must have 2d coordinates."""
     from .solver import SolutionSet
 
     def parse(obj):
@@ -299,7 +299,7 @@ def _read_solutions(path):
                 raise ValueError(
                     f"point {i} has {len(p.coords)} coordinates, not {2 * d}"
                 )
-        return obj, sols
+        return obj.get("system_hash"), sols
 
     return read_json(path, parse)
 
@@ -311,10 +311,10 @@ def cmd_verify(args):
     from .verify import DEFAULT_TOL, verify_fiducial
 
     tol = getattr(args, "tol", DEFAULT_TOL)
-    (sol_obj, sols), sol_hash = _read_solutions(args.inp)
+    (recorded, sols), sol_hash = _read_solutions(args.inp)
     if args.system is not None:
         _, system_hash = read_json(args.system)
-        _check_chain(sol_obj.get("system_hash"), system_hash, args.force)
+        _check_chain(recorded, system_hash, args.force)
     per_point = []
     worst = mpmath.mpf(0)
     with mpmath.workprec(args.precision):

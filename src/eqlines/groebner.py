@@ -11,9 +11,9 @@ bit for bit. ``is_groebner`` applies the same criteria: it reduces
 only the S-pairs that this pair update keeps for the given basis.
 
 New basis elements are appended monic and fully reduced against the
-current basis. ``reduce_basis`` turns a Groebner basis, and only a
-Groebner basis, into the unique reduced basis of its ideal and order:
-every element monic, no term divisible by another leading monomial.
+current basis. The alive elements left at the end are interreduced in
+place into the unique reduced basis of the ideal and order: every
+element monic, no term divisible by another leading monomial.
 
 ``buchberger`` works in a scratch ring that dies with the run, and
 drops each element once it has left the basis and every pending pair
@@ -45,7 +45,6 @@ __all__ = [
     "PairBudgetExceeded",
     "buchberger",
     "grevlex_then_lex",
-    "reduce_basis",
     "is_zero_dimensional",
     "quotient_dimension",
     "is_groebner",
@@ -182,25 +181,26 @@ def _reducers(f, G, order):
 
 
 def _interreduce(polys, order):
-    """Reduce each element against the others, made monic, until a pass
-    drops no element and moves no leading monomial: each element is then
-    irreducible by the leading monomials of the others."""
-    polys = [p for p in polys if not p.is_zero()]
+    """Interreduce the list of nonzero polys in place and return it: each
+    element in turn is popped, reduced against the rest, made monic and
+    put back (dropped at zero), until a pass drops none and moves no
+    leading monomial. Each is then irreducible by the others' leading
+    monomials."""
     changed = True
     while changed:
         changed = False
-        out = []
-        for i, p in enumerate(polys):
-            others = out + polys[i + 1:]
-            r = reduce_poly(p, others, order) if others else p
+        i = 0
+        while i < len(polys):
+            p = polys.pop(i)
+            r = reduce_poly(p, polys, order)
             if r.is_zero():
                 changed = True
                 continue
             r = r.monic(order)
             if r.leading_monomial(order) != p.leading_monomial(order):
                 changed = True
-            out.append(r)
-        polys = out
+            polys.insert(i, r)
+            i += 1
     return polys
 
 
@@ -220,7 +220,7 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
         if g.is_zero():
             raise ValueError("zero generator")
     work = Ring(ring.vars, ring.field)  # interns what the run throws away
-    f = _interreduce(rehome(generators, work), order)
+    f = _interreduce(list(rehome(generators, work)), order)
 
     G, B = _gm_pairs(f, order)
     reducers = _reducers(f, G, order)
@@ -247,12 +247,16 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
         G, B = _gm_update(f, G, B, ih, order)
         reducers = _reducers(f, G, order)
 
-    # drop what the reduction no longer needs before it allocates
-    raw = tuple(f[g] for g in G)
+    # drop what the interreduction no longer needs before it allocates
+    basis = [f[g] for g in G]
     del f, reducers
-    gb = reduce_basis(GroebnerBasis(work, order, raw, False, pair_count))
-    del raw
-    return replace(gb, ring=ring, basis=tuple(rehome(gb.basis, ring)))
+    _interreduce(basis, order)
+    key = monomial_key(order)
+    basis.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
+    # one element at a time, so the basis never exists in both rings at once
+    for i, p in enumerate(rehome(basis, ring)):
+        basis[i] = p
+    return GroebnerBasis(ring, order, tuple(basis), True, pair_count)
 
 
 def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
@@ -281,17 +285,6 @@ def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
             total, replace(exc.partial, pair_count=total)
         ) from None
     return replace(stage2, pair_count=done + stage2.pair_count)
-
-
-def reduce_basis(gb):
-    """The reduced basis of gb, same order; gb must be a Groebner basis."""
-    order = gb.order
-    key = monomial_key(order)
-    polys = _interreduce(gb.basis, order)
-    if not polys:
-        raise ValueError("cannot reduce an empty basis")
-    polys.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
-    return GroebnerBasis(gb.ring, order, tuple(polys), True, gb.pair_count)
 
 
 def _has_constant(gb):
@@ -356,11 +349,14 @@ def is_groebner(gb):
     the S-polynomial of every pair kept is reduced modulo the elements
     kept. If all of them reduce to zero, Buchberger with the same
     criteria would stop here, so the kept elements, and with them the
-    whole basis, form a Groebner basis (Gebauer, Moeller 1988). The
-    reduction runs in a scratch ring, so the basis's ring gains nothing.
+    whole basis, form a Groebner basis (Gebauer, Moeller 1988). No
+    scratch ring is needed: S-polynomials and zero remainders intern no
+    monomial, so a Groebner basis leaves its ring as it was, and any
+    other basis adds at most the monomials of its first nonzero
+    remainder, where the check stops.
     """
     order = gb.order
-    f = list(rehome(gb.basis, Ring(gb.ring.vars, gb.ring.field)))
+    f = gb.basis
     G, B = _gm_pairs(f, order)
     reducers = _reducers(f, G, order)
     return all(
