@@ -6,9 +6,11 @@ refers to the same tuple object for the same monomial, except an
 S-polynomial and its unchanged remainder or monic multiple. The table
 keeps every monomial it has handed out, so a run that makes many
 throwaway polynomials works in a scratch ring and moves its result back
-with ``rehome``. A polynomial keeps its terms as a tuple sorted strictly
-decreasing in lex order, which makes the term list a canonical form:
-two polynomials are equal iff their ring and term tuples are equal.
+with ``rehome``. A polynomial keeps its terms as two parallel tuples,
+``monos`` strictly decreasing in lex order and ``coeffs`` nonzero, with
+no object per term; this is a canonical form: two polynomials are equal
+iff their rings and both tuples are equal. ``terms``, the tuple of
+(monomial, coefficient) pairs, is a view built on each read.
 Supported term orders are "lex" and "grevlex"; both refine total degree
 comparisons the usual way, with variable 0 largest.
 
@@ -43,7 +45,6 @@ __all__ = [
     "mono_div",
     "mono_lcm",
     "mono_divides",
-    "mono_degree",
     "Ring",
     "Poly",
     "eval_terms",
@@ -77,10 +78,6 @@ def mono_divides(b, a):
     return all(x <= y for x, y in zip(b, a))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 def _grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
@@ -95,13 +92,12 @@ def monomial_key(order):
 
 
 def _canonical_terms(ring, acc):
-    """The nonzero terms of a monomial -> coefficient dict, strictly
-    decreasing in lex order, with the ring's shared monomials: the term
-    tuple of a Poly."""
+    """The nonzero terms of a monomial -> coefficient dict as the two
+    tuples of a Poly: the ring's shared monomials, strictly decreasing in
+    lex order, and their coefficients."""
+    monos = sorted((m for m, c in acc.items() if c), reverse=True)
     intern = ring._monos.setdefault
-    return tuple(
-        (intern(m, m), acc[m]) for m in sorted(acc, reverse=True) if acc[m]
-    )
+    return tuple(map(intern, monos, monos)), tuple(map(acc.__getitem__, monos))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +132,8 @@ class Ring:
         return len(self.vars)
 
     def index(self, name):
+        if name not in self.vars:
+            raise ValueError(f"unknown variable {name!r}")
         return self.vars.index(name)
 
     def to_json(self):
@@ -152,32 +150,55 @@ class Ring:
 class Poly:
     """Immutable multivariate polynomial with canonical lex term order.
 
-    Its value is its ring and term tuple; the grevlex leading term is
-    cached on first use and takes no part in ``==`` or ``hash``."""
+    Its value is its ring and two parallel tuples: ``monos``, the ring's
+    exponent tuples strictly decreasing in lex order, and ``coeffs``,
+    their nonzero coefficients. ``Poly(ring, terms)`` takes any iterable
+    of (monomial, coefficient) pairs and sums repeated monomials. The
+    index of the grevlex leading term is cached on first use and takes
+    no part in ``==`` or ``hash``."""
 
     ring: Ring
-    terms: tuple
-    _grevlex_lt: tuple = dataclasses.field(compare=False)
+    monos: tuple
+    coeffs: tuple
+    _grevlex_lead: int = dataclasses.field(compare=False)
 
-    def __init__(self, ring, terms, _canonical=False):
-        if not _canonical:
-            acc = {}
-            for mono, coeff in terms:
-                mono = tuple(map(operator.index, mono))
-                if len(mono) != ring.arity or any(e < 0 for e in mono):
-                    raise ValueError(f"bad exponent vector {mono}")
-                c = ring.field.coerce(coeff)
-                acc[mono] = acc[mono] + c if mono in acc else c
-            terms = _canonical_terms(ring, acc)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_grevlex_lt", None)
+    def __init__(self, ring, terms):
+        acc = {}
+        for mono, coeff in terms:
+            mono = tuple(map(operator.index, mono))
+            if len(mono) != ring.arity or any(e < 0 for e in mono):
+                raise ValueError(f"bad exponent vector {mono}")
+            c = ring.field.coerce(coeff)
+            acc[mono] = acc[mono] + c if mono in acc else c
+        Poly._fill(self, ring, *_canonical_terms(ring, acc))
+
+    @staticmethod
+    def _fill(p, ring, monos, coeffs, lead=None):
+        """Set the fields of a new Poly p and return it."""
+        setattr_ = object.__setattr__
+        setattr_(p, "ring", ring)
+        setattr_(p, "monos", monos)
+        setattr_(p, "coeffs", coeffs)
+        setattr_(p, "_grevlex_lead", lead)
+        return p
+
+    @classmethod
+    def _raw(cls, ring, monos, coeffs, lead=None):
+        """The polynomial of two tuples already in canonical form, with
+        ``lead`` the grevlex leading index when it is known."""
+        return cls._fill(object.__new__(cls), ring, monos, coeffs, lead)
+
+    @property
+    def terms(self):
+        """The (monomial, coefficient) pairs, strictly decreasing in lex
+        order: a new tuple on each read."""
+        return tuple(zip(self.monos, self.coeffs))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, (), _canonical=True)
+        return cls._raw(ring, (), ())
 
     @classmethod
     def constant(cls, ring, c):
@@ -192,7 +213,14 @@ class Poly:
 
     @classmethod
     def variable(cls, ring, which):
-        i = which if isinstance(which, int) else ring.index(which)
+        """The variable with index or name ``which``."""
+        if not isinstance(which, int):
+            i = ring.index(which)
+        elif 0 <= which < ring.arity:
+            i = which
+        else:
+            raise ValueError(
+                f"variable index {which} is outside range({ring.arity})")
         mono = tuple(1 if j == i else 0 for j in range(ring.arity))
         return cls(ring, ((mono, ring.field.one()),))
 
@@ -203,63 +231,61 @@ class Poly:
     # -- structure ------------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.monos
 
     def is_constant(self):
-        return not self.terms or (
-            len(self.terms) == 1 and not any(self.terms[0][0])
+        return not self.monos or (
+            len(self.monos) == 1 and not any(self.monos[0])
         )
 
     def constant_value(self):
-        if not self.terms:
+        if not self.monos:
             return self.ring.field.zero()
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[0][1]
+        return self.coeffs[0]
 
     def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m, _ in self.terms)
+        return max(map(sum, self.monos), default=-1)
 
     def support(self):
         """Indices of variables that actually occur."""
-        seen = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    seen.add(i)
-        return seen
+        return {i for m in self.monos for i, e in enumerate(m) if e}
 
-    def leading_term(self, order="lex"):
-        if not self.terms:
+    def _lead(self, order):
+        """Index of the leading term under ``order``."""
+        if not self.monos:
             raise ValueError("zero polynomial has no leading term")
         if order == "lex":
-            return self.terms[0]
+            return 0
         key = monomial_key(order)  # grevlex, or a ValueError
-        if self._grevlex_lt is None:
-            lt = max(self.terms, key=lambda t: key(t[0]))
-            object.__setattr__(self, "_grevlex_lt", lt)
-        return self._grevlex_lt
+        if self._grevlex_lead is None:
+            i = self.monos.index(max(self.monos, key=key))
+            object.__setattr__(self, "_grevlex_lead", i)
+        return self._grevlex_lead
+
+    def leading_term(self, order="lex"):
+        i = self._lead(order)
+        return self.monos[i], self.coeffs[i]
 
     def leading_monomial(self, order="lex"):
-        return self.leading_term(order)[0]
+        return self.monos[self._lead(order)]
 
     def leading_coeff(self, order="lex"):
-        return self.leading_term(order)[1]
+        return self.coeffs[self._lead(order)]
+
+    def _scaled(self, k):
+        """k times self for a nonzero scalar k: the same monomials."""
+        coeffs = tuple([c * k for c in self.coeffs])
+        return Poly._raw(self.ring, self.monos, coeffs, self._grevlex_lead)
 
     def monic(self, order="lex"):
-        if not self.terms:
+        if not self.monos:
             return self
         lc = self.leading_coeff(order)
         if lc == 1:
             return self
-        inv = self.ring.field.one() / lc
-        return Poly(
-            self.ring,
-            tuple((m, c * inv) for m, c in self.terms),
-            _canonical=True,
-        )
+        return self._scaled(self.ring.field.one() / lc)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -271,18 +297,17 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.ring, other)
         self._check_ring(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
+        acc = dict(zip(self.monos, self.coeffs))
+        for m, c in zip(other.monos, other.coeffs):
             acc[m] = acc[m] + c if m in acc else c
-        return Poly(self.ring, _canonical_terms(self.ring, acc), _canonical=True)
+        return Poly._raw(self.ring, *_canonical_terms(self.ring, acc))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Poly(
-            self.ring, tuple((m, -c) for m, c in self.terms), _canonical=True
-        )
+        coeffs = tuple(map(operator.neg, self.coeffs))
+        return Poly._raw(self.ring, self.monos, coeffs, self._grevlex_lead)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -297,18 +322,14 @@ class Poly:
             c = self.ring.field.coerce(other)
             if not c:
                 return Poly.zero(self.ring)
-            return Poly(
-                self.ring,
-                tuple((m, k * c) for m, k in self.terms),
-                _canonical=True,
-            )
+            return self._scaled(c)
         self._check_ring(other)
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
+        for m1, c1 in zip(self.monos, self.coeffs):
+            for m2, c2 in zip(other.monos, other.coeffs):
                 m = mono_mul(m1, m2)
                 acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-        return Poly(self.ring, _canonical_terms(self.ring, acc), _canonical=True)
+        return Poly._raw(self.ring, *_canonical_terms(self.ring, acc))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -324,17 +345,18 @@ class Poly:
         """Exact evaluation; point entries may live in a larger field."""
         if len(point) != self.ring.arity:
             raise ValueError("point arity mismatch")
-        return eval_terms(self.terms, point, self.ring.field.zero())
+        return eval_terms(zip(self.monos, self.coeffs), point,
+                          self.ring.field.zero())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.monos)
 
     # -- rendering --------------------------------------------------------------
 
     def __str__(self):
         field = self.ring.field
         parts = []
-        for m, c in self.terms:
+        for m, c in zip(self.monos, self.coeffs):
             factors = []
             for i, e in enumerate(m):
                 if e == 1:
@@ -363,7 +385,7 @@ class Poly:
         """Just the term list; ring data comes from the enclosing object."""
         return [
             {"c": self.ring.field.render(c), "e": list(m)}
-            for m, c in self.terms
+            for m, c in zip(self.monos, self.coeffs)
         ]
 
     @classmethod
@@ -447,20 +469,22 @@ def reduce_poly(f, divisors, order="lex"):
         raise ValueError("ring mismatch in division")
     if not divisors:
         return f
-    heads = [g.leading_term(order) for g in divisors]
-    top = _top_exponent(f.ring, (m for m, _ in (*f.terms, *heads)))
+    leads = [g._lead(order) for g in divisors]
+    heads = [g.monos[j] for g, j in zip(divisors, leads)]
+    top = _top_exponent(f.ring, (*f.monos, *heads))
     width = max(_MIN_WIDTH, top.bit_length() + 1)
     while True:
-        rem = _divide(f, divisors, heads, order, width)
+        rem = _divide(f, divisors, leads, order, width)
         if rem is not None:
             return rem
         width *= 2
 
 
-def _divide(f, divisors, heads, order, width):
+def _divide(f, divisors, leads, order, width):
     """reduce_poly on packed keys of ``width``-bit fields, or None when
     a divisor tail or a leading term reaches the bound 2**(width - 1).
-    f and the heads must be within the bound."""
+    f and the divisors' leading terms, at index ``leads``, must be within
+    the bound."""
     ring = f.ring
     n = ring.arity
     lex = order == "lex"
@@ -474,19 +498,19 @@ def _divide(f, divisors, heads, order, width):
         return sum(map(mul, m, weights))
 
     hs = []  # (divisibility word, key, coefficient) of each head
-    for m, c in heads:
-        k = pack(m)
-        hs.append((_divisibility_word(k, order, n, width), k, c))
-    tails = {}  # divisor index -> its packed tail, built on first use
+    for g, j in zip(divisors, leads):
+        k = pack(g.monos[j])
+        hs.append((_divisibility_word(k, order, n, width), k, g.coeffs[j]))
+    tails = {}  # divisor index -> keys and coefficients of its tail
     # pending terms: key -> coefficient, plus an ascending list that holds
     # each pending key once (every new key is below the popped one, so a
     # popped key never comes back); a cancelled key keeps a zero until
     # the list yields it. A sorted list rather than heapq: bisect comes
     # loaded with random, while loading the _heapq extension adds about
     # 0.1 MB of resident memory, and the list was measured no slower.
-    p = {pack(m): c for m, c in f.terms}
+    p = dict(zip(map(pack, f.monos), f.coeffs))
     pending = sorted(p)
-    rem = []
+    rem_words, rem_coeffs = [], []
     while pending:
         k = pending.pop()
         c = p.pop(k)
@@ -500,18 +524,20 @@ def _divide(f, divisors, heads, order, width):
             if (wg - hw) & guard == guard:
                 break
         else:
-            rem.append((w, c))
+            rem_words.append(w)
+            rem_coeffs.append(c)
             continue
         tail = tails.get(i)
         if tail is None:
-            gm = heads[i][0]
-            tail = [(m, tc) for m, tc in divisors[i].terms if m is not gm]
-            if _top_exponent(ring, (m for m, _ in tail)) >= half:
+            g, j = divisors[i], leads[i]
+            monos = g.monos[:j] + g.monos[j + 1:]
+            if _top_exponent(ring, monos) >= half:
                 return None
-            tail = tails[i] = [(pack(m), tc) for m, tc in tail]
+            tail = tails[i] = (
+                list(map(pack, monos)), g.coeffs[:j] + g.coeffs[j + 1:])
         qk = k - hk
         nq = -c / hc
-        for tk, tc in tail:
+        for tk, tc in zip(*tail):
             mk = qk + tk
             s = p.get(mk)
             if s is None:
@@ -523,8 +549,9 @@ def _divide(f, divisors, heads, order, width):
         return f
     shifts = _field_shifts(n, order, width)
     mask = (1 << width) - 1
-    acc = {tuple(w >> s & mask for s in shifts): c for w, c in rem}
-    return Poly(ring, _canonical_terms(ring, acc), _canonical=True)
+    acc = {tuple(w >> s & mask for s in shifts): c
+           for w, c in zip(rem_words, rem_coeffs)}
+    return Poly._raw(ring, *_canonical_terms(ring, acc))
 
 
 def s_polynomial(p, q, order="lex"):
@@ -541,11 +568,11 @@ def s_polynomial(p, q, order="lex"):
     acc = {}
     for g, gm, k in ((p, pm, one / pc), (q, qm, -one / qc)):
         u = mono_div(L, gm)
-        for m, c in g.terms:
+        for m, c in zip(g.monos, g.coeffs):
             m = mono_mul(m, u)
             acc[m] = acc[m] + c * k if m in acc else c * k
-    terms = tuple((m, acc[m]) for m in sorted(acc, reverse=True) if acc[m])
-    return Poly(p.ring, terms, _canonical=True)
+    monos = sorted((m for m, c in acc.items() if c), reverse=True)
+    return Poly._raw(p.ring, tuple(monos), tuple(map(acc.__getitem__, monos)))
 
 
 def rehome(polys, ring):
@@ -558,7 +585,9 @@ def rehome(polys, ring):
     for p in polys:
         if p.ring.vars != ring.vars:
             raise ValueError("variable mismatch")
-        terms = ((m, coerce(c)) for m, c in p.terms)
-        yield Poly(ring, tuple(
-            (intern(m, m), share(c, c)) for m, c in terms if c
-        ), _canonical=True)
+        monos, coeffs = [], []
+        for m, c in zip(p.monos, map(coerce, p.coeffs)):
+            if c:
+                monos.append(intern(m, m))
+                coeffs.append(share(c, c))
+        yield Poly._raw(ring, tuple(monos), tuple(coeffs))

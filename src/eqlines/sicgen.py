@@ -229,7 +229,7 @@ def gen_wh_system(d, phase_fix=True):
     # only the equations' monomials, and one instance per coefficient
     # value across the equations: d=5 has 20 values among 1639 terms
     target = cyclo
-    if all(isinstance(c, Fraction) for q in equations for _, c in q.terms):
+    if all(isinstance(c, Fraction) for q in equations for c in q.coeffs):
         target = QQ
     out = Ring(ring.vars, target)
     return PolySystem(

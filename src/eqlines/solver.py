@@ -209,7 +209,7 @@ def _dps(prec):
 
 def _embedded_terms(poly, precision):
     embed = poly.ring.field.embed
-    return [(m, embed(c, precision)) for m, c in poly.terms]
+    return [(m, embed(c, precision)) for m, c in zip(poly.monos, poly.coeffs)]
 
 
 def _roots_numeric(coeffs, precision, guard=_GUARD_BITS):
@@ -235,7 +235,7 @@ def _roots_numeric(coeffs, precision, guard=_GUARD_BITS):
 def _univ_coeffs(f, i):
     """Little-endian exact coefficients of f, a polynomial in x_i alone."""
     cs = [f.ring.field.zero()] * (f.total_degree() + 1)
-    for m, c in f.terms:
+    for m, c in zip(f.monos, f.coeffs):
         cs[m[i]] = c
     return cs
 
@@ -256,14 +256,14 @@ def _minimal_polynomial(gb, i):
     while True:
         vec, comb = nf, [0] * len(rows) + [1]
         for pivot, row, rcomb in rows:
-            c = dict(vec.terms).get(pivot)
+            c = dict(zip(vec.monos, vec.coeffs)).get(pivot)
             if c:
                 vec = vec - c * row
                 comb = upoly_sub(comb, [c * r for r in rcomb])
         if not vec:
             return comb
-        inv = 1 / vec.terms[0][1]
-        rows.append((vec.terms[0][0], inv * vec, [inv * r for r in comb]))
+        inv = 1 / vec.coeffs[0]
+        rows.append((vec.monos[0], inv * vec, [inv * r for r in comb]))
         nf = reduce_poly(nf * x, gb.basis, "lex")
 
 
@@ -272,7 +272,7 @@ def _radical(gb, qdim):
     that ideal is radical; see the module docstring."""
     n = gb.ring.arity
     # the element with the least leading monomial lies in x_{n-1} alone
-    last = _univ_coeffs(min(gb.basis, key=lambda p: p.terms[0][0]), n - 1)
+    last = _univ_coeffs(min(gb.basis, key=lambda p: p.monos[0]), n - 1)
     if len(_squarefree(last)) - 1 == qdim:
         return gb
     parts = []

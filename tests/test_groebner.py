@@ -31,7 +31,9 @@ from eqlines.groebner import (
     quotient_dimension,
     reduces_to_zero,
 )
-from eqlines.polyring import Poly, Ring, mono_divides, reduce_poly, s_polynomial
+from eqlines.polyring import (
+    Poly, Ring, mono_divides, reduce_poly, rehome, s_polynomial,
+)
 from eqlines.sicgen import gen_wh_system
 
 R1 = Ring(("x",), QQ)
@@ -174,6 +176,25 @@ def test_reading_the_wh3_basis_holds_one_copy(wh3_grevlex):
         tracemalloc.stop()
     assert again.basis == gb.basis
     assert peak < 1100 * 1024
+
+
+def test_a_copy_of_the_wh3_basis_keeps_no_object_per_term(wh3_grevlex):
+    """Rehoming the d=3 grevlex basis (58 elements, 3874 terms) into a
+    fresh ring shares every monomial and coefficient object, so the copy
+    keeps its Poly objects, their term storage and the new ring's
+    monomial table: 103 KB traced on CPython 3.11 with two tuples per
+    element, against 175 KB with one (monomial, coefficient) pair per
+    term."""
+    _, gb, _ = wh3_grevlex
+    ring = Ring(gb.ring.vars, gb.ring.field)
+    tracemalloc.start()
+    try:
+        copy = tuple(rehome(gb.basis, ring))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert copy == gb.basis
+    assert kept < 140 * 1024
 
 
 # sha256 of the canonical JSON (sorted keys, two-space indent, trailing

@@ -319,6 +319,17 @@ def test_only_polyring_names_the_monomial_table():
     assert naming == ["polyring"]
 
 
+def test_only_polyring_builds_polynomials_from_raw_tuples():
+    """``Poly._raw`` takes two tuples already in canonical form, so
+    the canonical-form invariant has one owner: the other layers build
+    polynomials from (monomial, coefficient) pairs."""
+    pkg = Path(eqlines.__file__).resolve().parent
+    naming = sorted(
+        name for name in MODULES if "_raw" in _identifiers(pkg / f"{name}.py")
+    )
+    assert naming == ["polyring"]
+
+
 def test_package_names_resolve_to_their_modules():
     wrong = [
         name for name in eqlines.__all__

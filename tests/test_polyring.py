@@ -109,6 +109,21 @@ def test_canonical_form():
     assert exps == sorted(exps, reverse=True)
 
 
+def test_two_parallel_tuples_and_the_terms_view():
+    """A Poly stores its monomials and coefficients as two tuples of one
+    length; ``terms`` pairs them up. A scalar multiple keeps the same
+    monomial tuple."""
+    f = poly_from({(0, 2): 2, (1, 0): -1, (0, 0): 3, (1, 1): 0})
+    assert f.monos == ((1, 0), (0, 2), (0, 0))
+    assert f.coeffs == (-1, 2, 3)
+    assert f.terms == (((1, 0), -1), ((0, 2), 2), ((0, 0), 3))
+    assert f.leading_term("grevlex") == ((0, 2), 2)
+    for g in (-f, 3 * f, f.monic(), f.monic("grevlex")):
+        assert g.monos is f.monos
+        assert g.leading_monomial("grevlex") == (0, 2)
+    assert Poly.zero(R2).monos == Poly.zero(R2).coeffs == ()
+
+
 def test_leading_term_depends_on_order():
     x, y = Poly.variable(R2, 0), Poly.variable(R2, 1)
     f = x + y ** 2
@@ -444,9 +459,10 @@ def test_ring_value_ignores_its_monomial_table():
 @pytest.mark.parametrize("value, name", [
     (Ring(("x", "y"), QQ), "vars"),
     (Ring(("x", "y"), QQ), "_monos"),
-    (Poly.variable(Ring(("x", "y"), QQ), 0), "terms"),
+    (Poly.variable(Ring(("x", "y"), QQ), 0), "monos"),
+    (Poly.variable(Ring(("x", "y"), QQ), 0), "coeffs"),
     (cyclo_root_of_unity(12, 1), "num"),
-], ids=["ring-vars", "ring-monos", "poly", "cyclonum"])
+], ids=["ring-vars", "ring-monos", "poly", "poly-coeffs", "cyclonum"])
 def test_immutable_values_refuse_assignment(value, name):
     before = getattr(value, name)
     with pytest.raises(AttributeError):
@@ -480,6 +496,17 @@ def test_input_checks(call, exc, message):
 def test_poly_rejects_bad_exponents(mono):
     with pytest.raises(ValueError, match="bad exponent vector"):
         Poly(R3, [(mono, 2)])
+
+
+@pytest.mark.parametrize("which, message", [
+    (2, "variable index 2 is outside range(2)"),
+    (5, "variable index 5 is outside range(2)"),
+    (-1, "variable index -1 is outside range(2)"),
+    ("z", "unknown variable 'z'"),
+])
+def test_variable_rejects_what_the_ring_lacks(which, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Poly.variable(R2, which)
 
 
 def test_wh_equations_share_coefficients():
