@@ -71,7 +71,7 @@ def run(argv=None):
             f"groebner stage exhausted pair budget {args.pair_budget} "
             f"after {elapsed:.0f}s "
             f"({exc.pairs_processed} pairs, "
-            f"partial basis {len(exc.partial.basis)})"
+            f"partial basis {len(exc.partial)})"
         )
         ok = fallback_report()
         return 3 if ok else 1

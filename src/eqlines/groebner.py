@@ -12,12 +12,14 @@ only the S-pairs that this pair update keeps for the given basis.
 
 New basis elements are appended monic and fully reduced against the
 current basis. The alive elements left at the end are interreduced in
-place into the unique reduced basis of the ideal and order: every
-element monic, no term divisible by another leading monomial.
+place into the unique reduced basis of the ideal and order (Becker,
+Weispfenning, 5.2): every element monic, no term divisible by another
+leading monomial. A ``GroebnerBasis`` is always that basis: only this
+module builds one, and ``from_json`` checks every basis file.
 
 ``buchberger`` works in a scratch ring that dies with the run, and
 drops each element once it has left the basis and every pending pair
-(Gebauer, Moeller 1988). Its result, and the partial basis of an
+(Gebauer, Moeller 1988). Its result, and the alive generators of an
 exhausted budget, live in the ring of the first generator, with its
 shared monomials and one coefficient instance per value.
 """
@@ -58,10 +60,11 @@ DEFAULT_PAIR_BUDGET = 10 ** 7
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """The reduced Groebner basis of its ideal under its order."""
+
     ring: Ring
     order: str
     basis: tuple
-    reduced: bool
     pair_count: int = 0
 
     def __len__(self):
@@ -69,57 +72,56 @@ class GroebnerBasis:
 
     def to_json(self):
         """The basis file: the ring, the basis, and whether the ideal is
-        zero-dimensional with its quotient dimension (None unless a
-        reduced basis shows it finite)."""
-        zero_dim = is_zero_dimensional(self)
+        zero-dimensional with its quotient dimension (None if not)."""
+        qdim = quotient_dimension(self)
         return {
             "format": "basis",
             "order": self.order,
             **self.ring.to_json(),
-            "reduced": self.reduced,
+            "reduced": True,
             "pair_count": self.pair_count,
             "basis": [p.terms_to_json() for p in self.basis],
-            "zero_dimensional": zero_dim,
-            "quotient_dimension": (
-                quotient_dimension(self) if zero_dim and self.reduced else None
-            ),
+            "zero_dimensional": qdim != math.inf,
+            "quotient_dimension": None if qdim == math.inf else qdim,
         }
 
     @classmethod
     def from_json(cls, obj):
-        """Read a basis file; ValueError for any other format, a zero basis
-        element, a negative pair count, or a basis claimed reduced that
-        is not."""
+        """Read a basis file; ValueError for any other format, a reduced
+        flag other than true, a zero basis element, a negative pair
+        count, or a basis that is not reduced."""
         if obj.get("format") != "basis":
             raise ValueError("not a basis file")
         ring = Ring.from_json(obj)
         order, reduced = obj["order"], obj["reduced"]
         if not isinstance(reduced, bool):
             raise ValueError(f"reduced flag {reduced!r} is not a bool")
+        if not reduced:
+            raise ValueError("reduced flag is false: not a reduced basis")
         basis = tuple(Poly.terms_from_json(t, ring) for t in obj["basis"])
         for i, p in enumerate(basis):
             if p.is_zero():
                 raise ValueError(f"basis element {i} is zero")
-            if reduced and p.leading_coeff(order) != 1:
+            if p.leading_coeff(order) != 1:
                 raise ValueError(f"basis element {i} is not monic")
-            if reduced and reduce_poly(p, basis[:i] + basis[i + 1:], order) is not p:
+            if reduce_poly(p, basis[:i] + basis[i + 1:], order) is not p:
                 raise ValueError(f"basis element {i} is reducible by the others")
         pair_count = operator.index(obj["pair_count"])
         if pair_count < 0:
             raise ValueError(f"pair count {pair_count} is negative")
-        gb = cls(ring, order, basis, reduced, pair_count)
-        if reduced and not is_groebner(gb):
+        gb = cls(ring, order, basis, pair_count)
+        if not is_groebner(gb):
             raise ValueError("basis is not a Groebner basis")
         return gb
 
 
 class PairBudgetExceeded(RuntimeError):
-    """Raised when the pair budget runs out; carries partial progress."""
+    """The pair budget ran out; ``partial`` holds the generators still alive."""
 
     def __init__(self, pairs_processed, partial):
         super().__init__(
             f"pair budget exhausted after {pairs_processed} pairs "
-            f"({len(partial.basis)} basis elements so far)"
+            f"({len(partial)} basis elements so far)"
         )
         self.pairs_processed = pairs_processed
         self.partial = partial
@@ -207,8 +209,8 @@ def _interreduce(polys, order):
 def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
     """Compute the reduced Groebner basis of the given ideal generators.
 
-    Raises PairBudgetExceeded, carrying partial progress, when more
-    than ``pair_budget`` critical pairs have been processed.
+    Raises PairBudgetExceeded, carrying the generators alive so far,
+    when more than ``pair_budget`` critical pairs have been processed.
     """
     generators = list(generators)
     if not generators:
@@ -230,11 +232,7 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
         del B[pair]
         pair_count += 1
         if pair_count > pair_budget:
-            partial = GroebnerBasis(
-                ring, order, tuple(rehome((f[g] for g in G), ring)), False,
-                pair_count,
-            )
-            raise PairBudgetExceeded(pair_count, partial)
+            raise PairBudgetExceeded(pair_count, tuple(rehome((f[g] for g in G), ring)))
         s = s_polynomial(f[pair[0]], f[pair[1]], order)
         # an element out of G and out of every pending pair is never read again
         live = set(G).union(*B)
@@ -256,7 +254,7 @@ def buchberger(generators, order="lex", pair_budget=DEFAULT_PAIR_BUDGET):
     # one element at a time, so the basis never exists in both rings at once
     for i, p in enumerate(rehome(basis, ring)):
         basis[i] = p
-    return GroebnerBasis(ring, order, tuple(basis), True, pair_count)
+    return GroebnerBasis(ring, order, tuple(basis), pair_count)
 
 
 def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
@@ -271,19 +269,14 @@ def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
 
     ``pair_budget`` bounds the pairs of both stages together. When the
     lex stage runs out, PairBudgetExceeded counts the pairs of both
-    stages and carries the partial lex basis.
+    stages and carries the lex stage's alive generators.
     """
     stage1 = buchberger(generators, "grevlex", pair_budget=pair_budget)
     done = stage1.pair_count
     try:
-        stage2 = buchberger(
-            list(stage1.basis), "lex", pair_budget=pair_budget - done
-        )
+        stage2 = buchberger(stage1.basis, "lex", pair_budget=pair_budget - done)
     except PairBudgetExceeded as exc:
-        total = done + exc.pairs_processed
-        raise PairBudgetExceeded(
-            total, replace(exc.partial, pair_count=total)
-        ) from None
+        raise PairBudgetExceeded(done + exc.pairs_processed, exc.partial) from None
     return replace(stage2, pair_count=done + stage2.pair_count)
 
 
@@ -329,14 +322,12 @@ def _standard_monomials(gb):
 
 
 def quotient_dimension(gb):
-    """Number of standard monomials, or math.inf for positive dimension.
+    """Number of standard monomials of gb, or math.inf for positive dimension.
 
     For a zero-dimensional ideal the standard monomials are finitely
     many (Cox, Little, O'Shea, ch. 5 sec. 3); their number is the
     k-dimension of the quotient ring and bounds the number of solutions.
     """
-    if not gb.reduced:
-        raise ValueError("quotient_dimension needs a reduced basis")
     if not is_zero_dimensional(gb):
         return math.inf
     return len(_standard_monomials(gb))

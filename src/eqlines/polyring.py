@@ -104,7 +104,7 @@ def _canonical_terms(ring, acc):
 # rings and polynomials
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True)
 class Ring:
     """A named variable list over a coefficient field descriptor.
 
@@ -116,16 +116,20 @@ class Ring:
     in ``==``, ``hash``, ``repr`` or ``to_json``.
     """
 
+    __slots__ = ("vars", "field", "_monos")
+
     vars: tuple
     field: object
-    _monos: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vars = tuple(self.vars)
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable names")
         object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "_monos", {})
+
+    def __reduce__(self):  # a copy starts its own monomial table
+        return Ring, (self.vars, self.field)
 
     @property
     def arity(self):
@@ -146,7 +150,7 @@ class Ring:
         return cls(tuple(obj["vars"]), field_from_json(obj["field"]))
 
 
-@dataclasses.dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclasses.dataclass(frozen=True, init=False, repr=False)
 class Poly:
     """Immutable multivariate polynomial with canonical lex term order.
 
@@ -157,10 +161,11 @@ class Poly:
     index of the grevlex leading term is cached on first use and takes
     no part in ``==`` or ``hash``."""
 
+    __slots__ = ("ring", "monos", "coeffs", "_grevlex_lead")
+
     ring: Ring
     monos: tuple
     coeffs: tuple
-    _grevlex_lead: int = dataclasses.field(compare=False)
 
     def __init__(self, ring, terms):
         acc = {}
@@ -187,6 +192,9 @@ class Poly:
         """The polynomial of two tuples already in canonical form, with
         ``lead`` the grevlex leading index when it is known."""
         return cls._fill(object.__new__(cls), ring, monos, coeffs, lead)
+
+    def __reduce__(self):
+        return Poly._raw, (self.ring, self.monos, self.coeffs)
 
     @property
     def terms(self):

@@ -325,24 +325,24 @@ def _sort_key(coords, precision):
 
 
 def solve_triangular(gb, system_equations, precision=256, tol=None):
-    """Numerically solve a zero-dimensional reduced lex basis.
+    """Numerically solve the zero-dimensional ideal of a lex basis.
 
+    gb is a GroebnerBasis, hence reduced; one under another order
+    raises ValueError, and so does a precision below 53 bits.
     system_equations is the original generating system, with at least
     one nonzero equation; every returned point is validated against it,
     not just against the basis, and tagged ``real`` when every
     coordinate is real to tol.realness. The descent runs on the basis
     of the radical of gb's ideal, so each point comes back once, and at
-    most one Buchberger run builds it. Any other basis, the unreduced
-    partial basis of an exhausted pair budget among them, raises
-    ValueError, and so does a precision below 53 bits.
+    most one Buchberger run builds it.
     """
     tol = tol or Tolerances()
     if precision < _MIN_PRECISION:
         raise ValueError(
             f"precision {precision} is below {_MIN_PRECISION} bits"
         )
-    if gb.order != "lex" or not gb.reduced:
-        raise ValueError("solve_triangular needs a reduced lex basis")
+    if gb.order != "lex":
+        raise ValueError("solve_triangular needs a lex basis")
     if any(q.ring.arity != gb.ring.arity for q in system_equations):
         raise ValueError(
             "system and basis disagree on the number of variables"

@@ -731,6 +731,9 @@ _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
     (["solve", "--in", "BAD", "--system", "SYS"],
      _reduced_basis([("1", [1, 0])]).replace("true", "1"),
      "ValueError: reduced flag 1 is not a bool"),
+    (["solve", "--in", "BAD", "--system", "SYS"],
+     _reduced_basis([("1", [1, 0])]).replace("true", "false"),
+     "ValueError: reduced flag is false: not a reduced basis"),
     (["solve", "--in", "BAD", "--system", "SYS", "--force"],
      _reduced_basis([("1", [1, 0])], pair_count="many"),
      "TypeError: "),
@@ -757,6 +760,7 @@ _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
         "groebner-duplicate-vars", "groebner-not-a-system",
         "solve-basis-unreduced", "solve-basis-not-groebner",
         "solve-basis-not-monic", "solve-basis-reduced-not-bool",
+        "solve-basis-reduced-false",
         "solve-basis-pair-count-str", "solve-basis-pair-count-float",
         "solve-basis-pair-count-null", "solve-basis-pair-count-negative"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,

@@ -330,6 +330,19 @@ def test_only_polyring_builds_polynomials_from_raw_tuples():
     assert naming == ["polyring"]
 
 
+def test_only_groebner_builds_groebner_bases():
+    """A ``GroebnerBasis`` is the reduced basis of its ideal: only
+    groebner, which computes or checks it, calls the constructor."""
+    pkg = Path(eqlines.__file__).resolve().parent
+    calling = sorted({
+        name for name in MODULES
+        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text()))
+        if isinstance(node, ast.Call) and "GroebnerBasis" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    })
+    assert calling == ["groebner"]
+
+
 def test_package_names_resolve_to_their_modules():
     wrong = [
         name for name in eqlines.__all__

@@ -5,8 +5,10 @@ loop, against a textbook reference division written below in Poly
 arithmetic.
 """
 
+import copy
 from fractions import Fraction
 import json
+import pickle
 import re
 
 import mpmath
@@ -459,15 +461,31 @@ def test_ring_value_ignores_its_monomial_table():
 @pytest.mark.parametrize("value, name", [
     (Ring(("x", "y"), QQ), "vars"),
     (Ring(("x", "y"), QQ), "_monos"),
+    (Ring(("x", "y"), QQ), "arity"),
     (Poly.variable(Ring(("x", "y"), QQ), 0), "monos"),
     (Poly.variable(Ring(("x", "y"), QQ), 0), "coeffs"),
+    (Poly.variable(Ring(("x", "y"), QQ), 0), "terms"),
+    (Poly.variable(Ring(("x", "y"), QQ), 0), "foo"),
     (cyclo_root_of_unity(12, 1), "num"),
-], ids=["ring-vars", "ring-monos", "poly", "poly-coeffs", "cyclonum"])
+], ids=["ring-vars", "ring-monos", "ring-arity", "poly", "poly-coeffs",
+        "poly-terms", "poly-unknown", "cyclonum"])
 def test_immutable_values_refuse_assignment(value, name):
-    before = getattr(value, name)
+    """Fields, properties and unknown names alike; no value has a
+    ``__dict__`` to take a stray attribute."""
+    before = getattr(value, name, None)
     with pytest.raises(AttributeError):
-        setattr(value, name, None)
-    assert getattr(value, name) is before
+        setattr(value, name, 1)
+    assert getattr(value, name, None) == before
+    assert not hasattr(value, "__dict__")
+
+
+def test_copies_are_equal_values_with_their_own_table():
+    ring = Ring(("x", "y"), QQ)
+    p = Poly.from_dict(ring, {(3, 1): 1, (0, 2): Fraction(5, 3)})
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p and hash(copied) == hash(p)
+    assert copy.copy(p).ring is ring
+    assert copy.deepcopy(ring) == ring and not copy.deepcopy(ring)._monos
 
 
 @pytest.mark.parametrize("call, exc, message", [

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,9 @@ def test_run_d4_table1_budget_fallback():
     proc = _run("run_d4_table1.py", "--pair-budget", "20")
     assert proc.returncode == 3, proc.stderr
     lines = [line.strip() for line in proc.stdout.splitlines()]
+    assert any(re.fullmatch(
+        r"groebner stage exhausted pair budget 20 after \d+s "
+        r"\(21 pairs, partial basis 27\)", line) for line in lines), proc.stdout
     for k in (1, 3, 5, 7):
         assert any(line.startswith(f"closed-form vector k={k}: ok=True ")
                    for line in lines), proc.stdout

@@ -232,6 +232,26 @@ def test_gram_two_lines_empty():
     assert out["admissible_alphas"] == []
 
 
+@pytest.mark.parametrize("sign, admissible", [(1, []), (-1, [Fraction(1, 3)])],
+                         ids=["all-plus", "all-minus"])
+def test_gram_keeps_only_roots_inside_zero_one(sign, admissible):
+    """Four lines in R^3 with one sign everywhere: det(I + alpha*S) is
+    (1 + 3 alpha)(1 - alpha)^3 for S = J - I and (1 - 3 alpha)(1 + alpha)^3
+    for S = I - J. The roots -1/3 and 1, and the triple root -1, lie
+    outside (0, 1); only 1/3 is kept, with multiplicity 1."""
+    n = 4
+    signs = [[0 if i == j else sign for j in range(n)] for i in range(n)]
+    out = gram_analysis(SeidelSpec(signs), 3, precision=128)
+    alpha = Poly.variable(out["det_poly"].ring, 0)
+    assert out["det_poly"] == (1 + 3 * sign * alpha) * (1 - sign * alpha) ** 3
+    assert len(out["admissible_alphas"]) == len(admissible)
+    with mpmath.workprec(128):
+        for a, exact in zip(out["admissible_alphas"], admissible):
+            assert abs(a * exact.denominator - exact.numerator) < 1e-30
+    assert out["multiplicities"] == [1] * len(admissible)
+    assert out["odd_integer_flags"] == [None] * len(admissible)
+
+
 def test_gram_requires_excess_lines():
     with pytest.raises(VerificationError):
         gram_analysis(seidel_hexagon(), 3)
