@@ -29,7 +29,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -287,13 +286,14 @@ def _read_solutions(path):
     """The solutions file at ``path`` as (the system hash it records,
     SolutionSet), with the sha256 of its bytes; the file must record the
     dimension d, and every point must have 2d coordinates."""
+    from .exact import as_int
     from .solver import SolutionSet
 
     def parse(obj):
         sols = SolutionSet.from_json(obj)
         if obj.get("d") is None:
             raise ConfigError("solutions file does not record the dimension")
-        d = operator.index(obj["d"])
+        d = as_int(obj["d"])
         for i, p in enumerate(sols.points):
             if len(p.coords) != 2 * d:
                 raise ValueError(
@@ -417,7 +417,7 @@ def cmd_gram(args):
     spec, source = _seidel_spec(args)
     if spec is None:
         raise ConfigError("gram needs --preset or --in")
-    res = gram_analysis(spec, args.d, precision=args.precision, tol=tol)
+    res = gram_analysis(spec, args.d, precision=args.precision)
     dps = _dps(args.precision)
     doc = {
         "format": "gram_report",

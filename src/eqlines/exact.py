@@ -30,6 +30,7 @@ __all__ = [
     "QQ",
     "CycloField",
     "field_from_json",
+    "as_int",
     "cyclotomic_poly",
     "cyclo_root_of_unity",
     "cyclo_embed",
@@ -615,9 +616,16 @@ class CycloField:
 QQ = _RationalField()
 
 
+def as_int(x):
+    """``x`` as an int; TypeError for a bool (JSON true) or a non-integer."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
 def field_from_json(tag):
     if tag == "Q":
         return QQ
     if isinstance(tag, dict) and set(tag) == {"cyclotomic"}:
-        return CycloField(operator.index(tag["cyclotomic"]))
+        return CycloField(as_int(tag["cyclotomic"]))
     raise ValueError(f"unknown field tag {tag!r}")

@@ -8,14 +8,15 @@ discards pairs with coprime leading terms, and the chain criterion
 discards pairs whose lcm is covered by another basis element. Every
 choice is made in a fixed sorted order, so a run is reproducible
 bit for bit. ``is_groebner`` applies the same criteria: it reduces
-only the S-pairs that this pair update keeps for the given basis.
+only the S-pairs that this pair update keeps for a candidate basis.
 
 New basis elements are appended monic and fully reduced against the
 current basis. The alive elements left at the end are interreduced in
 place into the unique reduced basis of the ideal and order (Becker,
 Weispfenning, 5.2): every element monic, no term divisible by another
 leading monomial. A ``GroebnerBasis`` is always that basis: only this
-module builds one, and ``from_json`` checks every basis file.
+module builds one, and ``from_json`` only once the basis file has passed
+the checks, which take candidates: plain tuples of polynomials.
 
 ``buchberger`` works in a scratch ring that dies with the run, and
 drops each element once it has left the basis and every pending pair
@@ -27,9 +28,9 @@ shared monomials and one coefficient instance per value.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
+from .exact import as_int
 from .polyring import (
     Poly,
     Ring,
@@ -106,13 +107,12 @@ class GroebnerBasis:
                 raise ValueError(f"basis element {i} is not monic")
             if reduce_poly(p, basis[:i] + basis[i + 1:], order) is not p:
                 raise ValueError(f"basis element {i} is reducible by the others")
-        pair_count = operator.index(obj["pair_count"])
+        pair_count = as_int(obj["pair_count"])
         if pair_count < 0:
             raise ValueError(f"pair count {pair_count} is negative")
-        gb = cls(ring, order, basis, pair_count)
-        if not is_groebner(gb):
+        if not is_groebner(basis, order):
             raise ValueError("basis is not a Groebner basis")
-        return gb
+        return cls(ring, order, basis, pair_count)
 
 
 class PairBudgetExceeded(RuntimeError):
@@ -280,33 +280,21 @@ def grevlex_then_lex(generators, pair_budget=DEFAULT_PAIR_BUDGET):
     return replace(stage2, pair_count=done + stage2.pair_count)
 
 
-def _has_constant(gb):
-    return any(p.is_constant() and not p.is_zero() for p in gb.basis)
-
-
-def is_zero_dimensional(gb):
-    """True iff every variable has a pure power among the leading monomials."""
-    if _has_constant(gb):
-        return True
-    arity = gb.ring.arity
-    lms = [p.leading_monomial(gb.order) for p in gb.basis]
-    for i in range(arity):
-        if not any(m[i] > 0 and sum(m) == m[i] for m in lms):
-            return False
-    return True
-
-
 def _standard_monomials(gb):
-    """The monomials outside the leading term ideal of a zero-dimensional
-    basis: the staircase, which spans the quotient ring.
+    """The staircase of gb, the monomials outside its leading term ideal,
+    which spans the quotient ring; None if some variable has no pure
+    power, 1 included, among the leading monomials: then it is infinite.
 
     Standard monomials are closed under division, so every one other
     than 1 is x_i times another; the walk starts at 1 and multiplies by
     one variable at a time, keeping each monomial that no leading
-    monomial divides. A basis containing a constant has none.
+    monomial divides.
     """
     lms = [p.leading_monomial(gb.order) for p in gb.basis]
-    standard = set() if _has_constant(gb) else {(0,) * gb.ring.arity}
+    one = (0,) * gb.ring.arity
+    if not all(any(sum(l) == l[i] for l in lms) for i in range(len(one))):
+        return None
+    standard = {one}.difference(lms)
     todo = list(standard)
     while todo:
         m = todo.pop()
@@ -321,6 +309,11 @@ def _standard_monomials(gb):
     return standard
 
 
+def is_zero_dimensional(gb):
+    """True iff the staircase of gb is finite."""
+    return _standard_monomials(gb) is not None
+
+
 def quotient_dimension(gb):
     """Number of standard monomials of gb, or math.inf for positive dimension.
 
@@ -328,13 +321,12 @@ def quotient_dimension(gb):
     many (Cox, Little, O'Shea, ch. 5 sec. 3); their number is the
     k-dimension of the quotient ring and bounds the number of solutions.
     """
-    if not is_zero_dimensional(gb):
-        return math.inf
-    return len(_standard_monomials(gb))
+    standard = _standard_monomials(gb)
+    return math.inf if standard is None else len(standard)
 
 
-def is_groebner(gb):
-    """True iff gb.basis is a Groebner basis for gb.order.
+def is_groebner(basis, order):
+    """True iff the candidate tuple ``basis`` is Groebner for ``order``.
 
     The basis goes through the pair update that buchberger uses, and
     the S-polynomial of every pair kept is reduced modulo the elements
@@ -346,12 +338,10 @@ def is_groebner(gb):
     other basis adds at most the monomials of its first nonzero
     remainder, where the check stops.
     """
-    order = gb.order
-    f = gb.basis
-    G, B = _gm_pairs(f, order)
-    reducers = _reducers(f, G, order)
+    G, B = _gm_pairs(basis, order)
+    reducers = _reducers(basis, G, order)
     return all(
-        reduce_poly(s_polynomial(f[i], f[j], order), reducers, order).is_zero()
+        reduce_poly(s_polynomial(basis[i], basis[j], order), reducers, order).is_zero()
         for i, j in sorted(B)
     )
 

@@ -37,7 +37,7 @@ import dataclasses
 import operator
 from bisect import insort
 
-from .exact import field_from_json, power, signed_sum
+from .exact import as_int, field_from_json, power, signed_sum
 
 __all__ = [
     "monomial_key",
@@ -170,7 +170,7 @@ class Poly:
     def __init__(self, ring, terms):
         acc = {}
         for mono, coeff in terms:
-            mono = tuple(map(operator.index, mono))
+            mono = tuple(map(as_int, mono))
             if len(mono) != ring.arity or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono}")
             c = ring.field.coerce(coeff)

@@ -43,9 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-import operator
 
-from .exact import QQ, CycloField, cyclo_root_of_unity
+from .exact import QQ, CycloField, as_int, cyclo_root_of_unity
 from .polyring import Poly, Ring, rehome
 
 __all__ = [
@@ -109,7 +108,7 @@ class PolySystem:
             for k, v in meta.pop("merged_classes", {}).items()
         }
         kind = obj["kind"]
-        d, n = operator.index(obj["d"]), operator.index(obj["n_lines"])
+        d, n = as_int(obj["d"]), as_int(obj["n_lines"])
         if d < 1 or n < 1:
             raise ValueError("d and n_lines must be positive")
         # (variables, lines) of each kind; a symbolic alpha is the last
@@ -294,7 +293,7 @@ class SeidelSpec:
     signs: tuple
 
     def __init__(self, signs):
-        rows = tuple(tuple(map(operator.index, row)) for row in signs)
+        rows = tuple(tuple(map(as_int, row)) for row in signs)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("sign matrix must be N x N")

@@ -47,11 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 import math
-import operator
 
 import mpmath
 
-from .exact import _upoly_exquo, upoly_deriv, upoly_gcd, upoly_sub
+from .exact import _upoly_exquo, as_int, upoly_deriv, upoly_gcd, upoly_sub
 from .groebner import buchberger, quotient_dimension
 from .polyring import Poly, eval_terms, reduce_poly
 from .sicgen import apply_weyl, fiducial_from_coords
@@ -110,6 +109,9 @@ class Tolerances:
 
     @classmethod
     def from_json(cls, obj):
+        for k, v in obj.items():
+            if isinstance(v, bool):
+                raise TypeError(f"tolerance {k} is a bool, not a number")
         return cls(**{k: float(v) for k, v in obj.items()})
 
 
@@ -179,7 +181,7 @@ class SolutionSet:
     def from_json(cls, obj):
         if obj.get("format") != "solutions":
             raise ValueError("not a solutions file")
-        precision = operator.index(obj["precision"])
+        precision = as_int(obj["precision"])
         if precision < _MIN_PRECISION:
             raise ValueError(
                 f"recorded precision {precision} is below {_MIN_PRECISION} bits"

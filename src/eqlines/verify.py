@@ -183,15 +183,17 @@ def _charpoly(a):
     return [Fraction(c) for c in reversed(p)]
 
 
-def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
+def gram_analysis(spec, d, precision=128):
     """Symbolic rank analysis of G(alpha) = I + alpha*signs.
 
     det_poly is exact over Q[alpha], read off the characteristic
-    polynomial of the sign matrix. A root alpha is admissible when it
-    is real with 0 < alpha < 1 and its multiplicity is at least N - d,
-    the rank deficiency forced by embedding N lines in R^d. For each
+    polynomial of the symmetric sign matrix, so its roots are real. A
+    root alpha is admissible when 0 < alpha < 1 and its multiplicity is
+    at least N - d, the rank deficiency of N lines in R^d. For each
     admissible root, odd_integer_flags holds whether 1/alpha is an odd
-    integer when N > 2d, and None otherwise.
+    integer when N > 2d, and None otherwise. Then the square-free factor
+    has multiplicity above N/2, so it is linear and the flag is exact:
+    k = nint(1/alpha) is odd and 1/k is the factor's root.
     """
     if spec.N <= d:
         raise VerificationError("need more lines than dimensions")
@@ -211,16 +213,14 @@ def gram_analysis(spec, d, precision=128, tol=DEFAULT_TOL):
                 continue
             coeffs = [QQ.embed(c, precision) for c in reversed(factor)]
             for r in _roots_numeric(coeffs, precision, guard=0):
-                if abs(r.imag) > eps:
-                    continue
                 a = r.real
                 if a <= eps or a >= 1 - eps:
                     continue
                 flag = None
                 if n > 2 * d:
-                    inv = 1 / a
-                    near = mpmath.nint(inv)
-                    flag = bool(abs(inv - near) <= tol and int(near) % 2 == 1)
+                    k = int(mpmath.nint(1 / a))
+                    flag = k % 2 == 1 and not sum(
+                        c * Fraction(1, k) ** j for j, c in enumerate(factor))
                 rows.append((a, mult, flag))
         rows.sort(key=lambda row: row[0])
     return {
@@ -298,8 +298,8 @@ def spectral_checks(spec, alphas, d, tol=DEFAULT_TOL):
     """Run spectral_reconstruct on the float Gram matrix I + alpha*S of
     the sign pattern ``spec`` for each alpha.
 
-    ``tol`` also bounds the high-precision root analysis, so it is
-    floored at 1e-9 here, where the factorization works in doubles.
+    ``tol`` is floored at 1e-9, since the factorization works in
+    doubles.
     Returns one report entry per alpha: {"ok": True, "recon_error":
     repr of the error} or {"ok": False, "error": message}.
     """

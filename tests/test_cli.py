@@ -662,6 +662,7 @@ def _reduced_basis(*polys, pair_count=0):
 
 
 _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
+_BOOL = "TypeError: True is a bool, not an integer"
 
 
 @pytest.mark.parametrize("argv, content, cause", [
@@ -746,6 +747,24 @@ _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
     (["solve", "--in", "BAD", "--system", "SYS", "--force"],
      _reduced_basis([("1", [1, 0])], pair_count=-4),
      "ValueError: pair count -4 is negative"),
+    # JSON true is no number: each reader refuses it rather than take 1
+    (["verify", "--in", "BAD"], '{"format": "solutions", "precision": 256, '
+     '"tolerances": {}, "points": [], "d": true}', _BOOL),
+    (["groebner", "--in", "BAD"],
+     _system("1 @ n=12", field={"cyclotomic": True}), _BOOL),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis([("1", [1, 0])], pair_count=True), _BOOL),
+    (["groebner", "--in", "BAD"], _system("1", exps=(True, False, 0, 0)),
+     _BOOL),
+    (["groebner", "--in", "BAD"], _system("1", d=True), _BOOL),
+    (["groebner", "--in", "BAD"],
+     _system("1").replace('"n_lines": 4', '"n_lines": true'), _BOOL),
+    (["gram", "--in", "BAD", "--d", "1"], '{"signs": [[0, true], [true, 0]]}',
+     _BOOL),
+    (["verify", "--in", "BAD"], '{"format": "solutions", "precision": true}',
+     _BOOL),
+    (["verify", "--in", "BAD"], _bad_tolerance("residual", True),
+     "TypeError: tolerance residual is a bool, not a number"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
@@ -762,7 +781,11 @@ _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
         "solve-basis-not-monic", "solve-basis-reduced-not-bool",
         "solve-basis-reduced-false",
         "solve-basis-pair-count-str", "solve-basis-pair-count-float",
-        "solve-basis-pair-count-null", "solve-basis-pair-count-negative"])
+        "solve-basis-pair-count-null", "solve-basis-pair-count-negative",
+        "verify-bool-d", "groebner-bool-conductor",
+        "solve-basis-bool-pair-count", "groebner-bool-exponent",
+        "groebner-bool-d", "groebner-bool-n-lines", "gram-bool-sign",
+        "verify-bool-precision", "verify-bool-tolerance"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"
