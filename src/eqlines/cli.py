@@ -319,7 +319,7 @@ def cmd_verify(args):
     worst = mpmath.mpf(0)
     with mpmath.workprec(args.precision):
         for i, p in enumerate(sols.points):
-            entry = {"index": i, "checked": bool(p.tags.get("real")),
+            entry = {"index": i, "checked": p.tags["real"],
                      "ok": None, "max_dev": None}
             if entry["checked"]:
                 res = verify_fiducial(fiducial_from_coords(p.coords),

@@ -74,7 +74,6 @@ class GroebnerBasis:
     def to_json(self):
         """The basis file: the ring, the basis, and whether the ideal is
         zero-dimensional with its quotient dimension (None if not)."""
-        qdim = quotient_dimension(self)
         return {
             "format": "basis",
             "order": self.order,
@@ -82,15 +81,20 @@ class GroebnerBasis:
             "reduced": True,
             "pair_count": self.pair_count,
             "basis": [p.terms_to_json() for p in self.basis],
-            "zero_dimensional": qdim != math.inf,
-            "quotient_dimension": None if qdim == math.inf else qdim,
+            **self._dimension(),
         }
+
+    def _dimension(self):
+        """The basis file's two dimension fields, from one staircase walk."""
+        qdim = quotient_dimension(self)
+        return {"zero_dimensional": qdim != math.inf,
+                "quotient_dimension": None if qdim == math.inf else qdim}
 
     @classmethod
     def from_json(cls, obj):
         """Read a basis file; ValueError for any other format, a reduced
         flag other than true, a zero basis element, a negative pair
-        count, or a basis that is not reduced."""
+        count, a basis that is not reduced, or a misstated dimension."""
         if obj.get("format") != "basis":
             raise ValueError("not a basis file")
         ring = Ring.from_json(obj)
@@ -112,7 +116,11 @@ class GroebnerBasis:
             raise ValueError(f"pair count {pair_count} is negative")
         if not is_groebner(basis, order):
             raise ValueError("basis is not a Groebner basis")
-        return cls(ring, order, basis, pair_count)
+        gb = cls(ring, order, basis, pair_count)
+        for k, v in gb._dimension().items():
+            if type(obj[k]) is not type(v) or obj[k] != v:
+                raise ValueError(f"recorded {k} {obj[k]!r} is not {v!r}")
+        return gb
 
 
 class PairBudgetExceeded(RuntimeError):

@@ -34,8 +34,8 @@ depth first, first root first; it builds no reference cycle, so
 reference counting frees all a solve allocates when it returns. Every
 candidate must reproduce the original system to the residual
 tolerance, so the numeric filtering can only lose solutions, never
-invent them; every returned point is tagged coordinate-wise real or
-not.
+invent them; the SolutionSet they make, as one read from a file, tags
+each coordinate-wise real or not when it is built.
 
 Classification of fiducial solutions adds sign pairs v/-v with a
 canonical representative, Weyl-Heisenberg orbits up to a global phase,
@@ -124,14 +124,23 @@ class SolutionPoint:
 
 @dataclass
 class SolutionSet:
+    """Points at one precision; building a set tags each ``real`` from
+    its coordinates, whatever tag it came with, for all others to read."""
+
     points: list
     precision: int
     tolerances: Tolerances
 
+    def __post_init__(self):
+        with mpmath.workprec(self.precision):
+            for p in self.points:
+                p.tags["real"] = _is_real_point(
+                    p.coords, self.tolerances.realness)
+
     def counts(self):
         """Summary recomputed from the point tags on every call."""
         total = len(self.points)
-        real_pts = [p for p in self.points if p.tags.get("real")]
+        real_pts = [p for p in self.points if p.tags["real"]]
         out = {
             "total": total,
             "real": len(real_pts),
@@ -333,10 +342,10 @@ def solve_triangular(gb, system_equations, precision=256, tol=None):
     raises ValueError, and so does a precision below 53 bits.
     system_equations is the original generating system, with at least
     one nonzero equation; every returned point is validated against it,
-    not just against the basis, and tagged ``real`` when every
-    coordinate is real to tol.realness. The descent runs on the basis
-    of the radical of gb's ideal, so each point comes back once, and at
-    most one Buchberger run builds it.
+    not just against the basis, and the returned SolutionSet tags it
+    ``real`` when every coordinate is real to tol.realness. The descent
+    runs on the basis of the radical of gb's ideal, so each point comes
+    back once, and at most one Buchberger run builds it.
     """
     tol = tol or Tolerances()
     if precision < _MIN_PRECISION:
@@ -408,9 +417,6 @@ def solve_triangular(gb, system_equations, precision=256, tol=None):
 
         # order deterministically; ties keep the depth-first order
         survivors.sort(key=lambda p: _sort_key(p.coords, precision))
-    with mpmath.workprec(precision):
-        for p in survivors:
-            p.tags["real"] = _is_real_point(p.coords, tol.realness)
     return SolutionSet(survivors, precision, tol)
 
 
@@ -444,8 +450,8 @@ def _phase_distance(v, w):
 
 
 def classify(solset, d):
-    """Tag realness, sign pairs, and Weyl-Heisenberg orbits in place,
-    and for d=4 the closed-form fiducials (match_zauner).
+    """Tag sign pairs and Weyl-Heisenberg orbits in place, reading the
+    ``real`` tags, and for d=4 the closed-form fiducials (match_zauner).
 
     Orbit grouping applies to coordinate-wise real points of a
     fiducial system: two points share an orbit when some displacement
@@ -455,12 +461,10 @@ def classify(solset, d):
     reps = []
     with mpmath.workprec(solset.precision):
         for p in solset.points:
-            real = _is_real_point(p.coords, tol.realness)
-            p.tags["real"] = real
             p.tags["sign_canonical"] = (
-                real and _sign_canonical(p.coords, tol.match))
+                p.tags["real"] and _sign_canonical(p.coords, tol.match))
             p.tags["orbit_id"] = None
-            if not real:
+            if not p.tags["real"]:
                 continue
             v = fiducial_from_coords(p.coords)
             # the first orbit with a displacement of its representative
@@ -520,8 +524,7 @@ def match_zauner(solset):
     with mpmath.workprec(solset.precision):
         for p in solset.points:
             hit = False
-            if (_is_real_point(p.coords, tol.realness)
-                    and _sign_canonical(p.coords, tol.match)):
+            if p.tags["real"] and _sign_canonical(p.coords, tol.match):
                 v = fiducial_from_coords(p.coords)
                 hit = any(
                     _phase_distance(v, vk) <= tol.match for vk in targets

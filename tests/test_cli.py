@@ -409,6 +409,46 @@ def test_verify_exit_code_on_failure(tmp_path):
     assert rc == 4
 
 
+def test_verify_derives_realness_from_the_coordinates(d2_sols, tmp_path):
+    """verify checks the points whose coordinates are real, whatever
+    ``real`` tags the file records: with every tag false it checks the
+    same 16 points as the honest file, in the same report."""
+    doc = _read(d2_sols)
+    for p in doc["points"]:
+        p["tags"]["real"] = False
+    lying = tmp_path / "lying.json"
+    lying.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    reports = []
+    for sols in (d2_sols, lying):
+        rep = tmp_path / f"report_{sols.stem}.json"
+        assert main(["verify", "--in", str(sols), "--out", str(rep)]) == 0
+        reports.append(_read(rep))
+    honest, tampered = reports
+    assert tampered["n_checked"] == 16 and tampered["all_ok"] is True
+    assert tampered["input_hash"] != honest["input_hash"]
+    del honest["input_hash"], tampered["input_hash"]
+    assert tampered == honest
+
+
+def test_solve_refuses_a_misstated_dimension(d2_files, tmp_path, capsys):
+    """A basis file's recorded dimension must be its basis's own; other
+    misstated dimensions are cases of test_malformed_input_file."""
+    sp, bp = d2_files
+    doc = _read(bp)
+    doc.update(zero_dimensional=False, quotient_dimension=5)
+    bad = tmp_path / "misstated.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["solve", "--in", str(bad), "--system", str(sp),
+               "--out", str(tmp_path / "sols.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad} is not a valid input file; "
+                          "caused by ValueError: recorded zero_dimensional "
+                          "False is not True")
+    assert not (tmp_path / "sols.json").exists()
+
+
 def _other_system(tmp_path):
     # a d=2 system whose bytes, and so its hash, differ from d2_files'
     out = tmp_path / "other.json"
@@ -651,17 +691,23 @@ def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
     })
 
 
-def _reduced_basis(*polys, pair_count=0):
+def _reduced_basis(*polys, pair_count=0, zero_dimensional=False,
+                   quotient_dimension=None):
     """A lex basis file in x, y over Q that claims to be reduced; each
-    polynomial is a list of (coefficient, exponent vector) terms."""
+    polynomial is a list of (coefficient, exponent vector) terms. The
+    recorded dimension defaults to that of a basis without a pure power
+    of y."""
     return json.dumps({
         "format": "basis", "order": "lex", "vars": ["x", "y"], "field": "Q",
         "reduced": True, "pair_count": pair_count,
         "basis": [[{"c": c, "e": e} for c, e in p] for p in polys],
+        "zero_dimensional": zero_dimensional,
+        "quotient_dimension": quotient_dimension,
     })
 
 
 _X2_MINUS_Y = [("1", [2, 0]), ("-1", [0, 1])]
+_X_Y = [("1", [1, 0])], [("1", [0, 1])]
 _BOOL = "TypeError: True is a bool, not an integer"
 
 
@@ -747,6 +793,25 @@ _BOOL = "TypeError: True is a bool, not an integer"
     (["solve", "--in", "BAD", "--system", "SYS", "--force"],
      _reduced_basis([("1", [1, 0])], pair_count=-4),
      "ValueError: pair count -4 is negative"),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis([("1", [1, 0])], zero_dimensional=True),
+     "ValueError: recorded zero_dimensional True is not False"),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis(*_X_Y, zero_dimensional=True, quotient_dimension=5),
+     "ValueError: recorded quotient_dimension 5 is not 1"),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis(*_X_Y, zero_dimensional=True, quotient_dimension=1.0),
+     "ValueError: recorded quotient_dimension 1.0 is not 1"),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis(*_X_Y, zero_dimensional=True, quotient_dimension=True),
+     "ValueError: recorded quotient_dimension True is not 1"),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis(*_X_Y, zero_dimensional=1, quotient_dimension=1),
+     "ValueError: recorded zero_dimensional 1 is not True"),
+    (["solve", "--in", "BAD", "--system", "SYS", "--force"],
+     _reduced_basis([("1", [1, 0])]).replace(', "quotient_dimension": null',
+                                            ""),
+     "KeyError: 'quotient_dimension'"),
     # JSON true is no number: each reader refuses it rather than take 1
     (["verify", "--in", "BAD"], '{"format": "solutions", "precision": 256, '
      '"tolerances": {}, "points": [], "d": true}', _BOOL),
@@ -782,6 +847,9 @@ _BOOL = "TypeError: True is a bool, not an integer"
         "solve-basis-reduced-false",
         "solve-basis-pair-count-str", "solve-basis-pair-count-float",
         "solve-basis-pair-count-null", "solve-basis-pair-count-negative",
+        "solve-basis-not-zero-dimensional", "solve-basis-wrong-dimension",
+        "solve-basis-float-dimension", "solve-basis-bool-dimension",
+        "solve-basis-int-zero-dimensional", "solve-basis-no-dimension",
         "verify-bool-d", "groebner-bool-conductor",
         "solve-basis-bool-pair-count", "groebner-bool-exponent",
         "groebner-bool-d", "groebner-bool-n-lines", "gram-bool-sign",

@@ -263,6 +263,15 @@ def test_parse_checks_the_conductor_first():
      ValueError, "conductor mismatch: 12 vs 20"),
     (lambda: CycloField(12).coerce("1"), TypeError,
      "cannot coerce '1' into Q(zeta_12)"),
+    # a foreign operand makes each operator return NotImplemented
+    (lambda: cyclo_root_of_unity(12, 1) + "1", TypeError,
+     "unsupported operand type(s) for +: 'CycloNum' and 'str'"),
+    (lambda: cyclo_root_of_unity(12, 1) / "1", TypeError,
+     "unsupported operand type(s) for /: 'CycloNum' and 'str'"),
+    (lambda: "1" / cyclo_root_of_unity(12, 1), TypeError,
+     "unsupported operand type(s) for /: 'str' and 'CycloNum'"),
+    (lambda: cyclo_root_of_unity(12, 1) ** 0.5, TypeError,
+     "unsupported operand type(s) for ** or pow(): 'CycloNum' and 'float'"),
 ])
 def test_input_checks(call, exc, message):
     with pytest.raises(exc, match=re.escape(message)):
@@ -330,6 +339,15 @@ def test_squarefree_multiplicities_over_cyclotomic_field():
     i = cyclo_root_of_unity(4, 1)
     f = upoly_mul(upoly_mul([-i, 1], [-i, 1]), [1, 1])
     assert upoly_squarefree(f) == [([1, 1], 1), ([-i, 1], 2)]
+
+
+def test_squarefree_of_a_constant_is_empty():
+    i = cyclo_root_of_unity(4, 1)
+    assert upoly_squarefree([i]) == upoly_squarefree([0, 0]) == []
+
+
+def test_cyclo_field_repr_names_the_conductor():
+    assert repr(CycloField(12)) == "CycloField(12)"
 
 
 # ---------------------------------------------------------------------------

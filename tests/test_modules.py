@@ -343,6 +343,22 @@ def test_only_groebner_builds_groebner_bases():
     assert calling == ["groebner"]
 
 
+def test_only_solution_sets_decide_realness():
+    """A ``SolutionSet`` tags each point ``real`` from its coordinates
+    when it is built; solving, classification and verification read
+    that tag, so ``_is_real_point`` has one call site, in the class."""
+    pkg = Path(eqlines.__file__).resolve().parent
+    calling = sorted(
+        (name, getattr(top, "name", None))
+        for name in MODULES
+        for top in ast.parse((pkg / f"{name}.py").read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and "_is_real_point" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert calling == [("solver", "SolutionSet")]
+
+
 def test_package_names_resolve_to_their_modules():
     wrong = [
         name for name in eqlines.__all__

@@ -151,6 +151,11 @@ def test_str_renders_each_term_with_its_sign():
     assert str(Poly.zero(R2)) == "0"
 
 
+def test_repr_wraps_str():
+    x = Poly.variable(R2, 0)
+    assert repr(x + 1) == "Poly(x + 1)"
+
+
 def test_str_keeps_a_cyclotomic_sum_whole():
     w = cyclo_root_of_unity(12, 1)
     z = -Fraction(1, 2) * w ** 3 + w - Fraction(3, 4)
@@ -349,6 +354,12 @@ def test_support_and_degree():
     assert Poly.constant(R2, Fraction(5)).constant_value() == 5
 
 
+def test_zero_is_its_own_monic_form_with_constant_value_zero():
+    zero = Poly.zero(R2)
+    assert zero.monic() is zero
+    assert zero.constant_value() == 0
+
+
 # ---------------------------------------------------------------------------
 # packed keys, width widening, shared monomials
 # ---------------------------------------------------------------------------
@@ -498,6 +509,8 @@ def test_copies_are_equal_values_with_their_own_table():
      "polynomial powers need a non-negative int"),
     (lambda: Poly.variable(R2, 0).eval_exact((1,)), ValueError,
      "point arity mismatch"),
+    (lambda: Poly.variable(R2, 0).constant_value(), ValueError,
+     "not a constant polynomial"),
     (lambda: s_polynomial(Poly.variable(R2, 0), Poly.variable(R3, 0)),
      ValueError, "ring mismatch in s_polynomial"),
     (lambda: s_polynomial(Poly.variable(R2, 0), Poly.zero(R2)), ValueError,

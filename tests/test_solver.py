@@ -63,6 +63,29 @@ def test_solve_tags_realness():
     assert sols.counts()["real"] == 2
 
 
+def test_a_solution_set_tags_realness_when_built():
+    """Whatever tags its points come with, a set built by hand or read
+    from a file tags each point ``real`` from its coordinates, to the
+    relative realness tolerance, and keeps its other tags."""
+    with mpmath.workprec(128):
+        coords = [(mpmath.mpc(1), mpmath.mpc(-2)),
+                  (mpmath.mpc(1), mpmath.mpc(0, 1)),
+                  (mpmath.mpc(10 ** 6, 10 ** -16),),
+                  (mpmath.mpc(1, 10 ** -16),)]
+    tags = [{}, {"real": True}, {"real": False, "orbit_id": 0}, {}]
+    want = [True, False, True, False]
+    sols = SolutionSet([SolutionPoint(c, mpmath.mpf(0), t)
+                        for c, t in zip(coords, tags)], 128, Tolerances())
+    assert [p.tags["real"] for p in sols.points] == want
+    assert sols.points[2].tags["orbit_id"] == 0
+    doc = sols.to_json()
+    for p in doc["points"]:
+        p["tags"]["real"] = not p["tags"]["real"]
+    back = SolutionSet.from_json(doc)
+    assert [p.tags["real"] for p in back.points] == want
+    assert back.counts() == sols.counts()
+
+
 def test_residuals_against_original_system():
     x, y = _xy()
     gens = [x ** 2 + y ** 2 - 1, x * y - 1]
