@@ -17,12 +17,13 @@ checks reported), 1 mismatch against the expected table.
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import mpmath
 
 from eqlines.groebner import PairBudgetExceeded, grevlex_then_lex
 from eqlines.sicgen import gen_wh_system
-from eqlines.solver import classify, solve_triangular, zauner_vectors
+from eqlines.solver import solve_triangular, zauner_vectors
 from eqlines.verify import verify_fiducial
 
 EXPECTED = {
@@ -78,8 +79,8 @@ def run(argv=None):
     print(f"groebner stage done in {time.monotonic() - t0:.0f}s, "
           f"basis size {len(gb.basis)}")
 
-    sols = solve_triangular(gb, gens, precision=args.precision)
-    classify(sols, 4)
+    sols = replace(solve_triangular(gb, gens, precision=args.precision),
+                   d=system.d, kind=system.kind)
     counts = sols.counts()
     print("counts:", counts)
     mismatches = {

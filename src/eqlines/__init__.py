@@ -43,8 +43,6 @@ _LAYERS = {
         "SolutionPoint",
         "SolutionSet",
         "Tolerances",
-        "classify",
-        "match_zauner",
         "solve_triangular",
         "zauner_vectors",
     ),

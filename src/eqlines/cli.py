@@ -17,8 +17,9 @@ pair budget exhaustion, 4 verification failure.
 
 File formats and checks live in the layers: ``PolySystem``,
 ``GroebnerBasis``, ``SolutionSet`` and ``SeidelSpec`` read and write
-their own files, and the verifier runs every check. A command only
-parses options, reads files, calls the layers and writes the reports.
+their own files, a ``SolutionSet`` derives every point tag, and the
+verifier runs every check. A command only parses options, reads files,
+calls the layers and writes the reports.
 Each command imports the layers it runs when it runs, so ``gen --kind
 wh`` and ``groebner`` never load mpmath, the solver or the verifier.
 """
@@ -244,9 +245,11 @@ def cmd_groebner(args):
 
 
 def cmd_solve(args):
+    from dataclasses import replace
+
     from .groebner import GroebnerBasis
     from .sicgen import PolySystem
-    from .solver import Tolerances, classify, solve_triangular
+    from .solver import Tolerances, solve_triangular
 
     def parse_basis(obj):
         if obj.get("format") == "basis_partial":
@@ -268,14 +271,13 @@ def cmd_solve(args):
         precision=args.precision,
         tol=tol,
     )
-    if system.kind == "wh_fiducial":
-        classify(sols, system.d)
+    # only a wh_fiducial point holds a vector of C^d in 2d coordinates
+    wh = system.kind == "wh_fiducial"
+    sols = replace(sols, d=system.d if wh else None, kind=system.kind)
     elapsed = time.monotonic() - t0
     doc = sols.to_json()
     doc["input_hash"] = basis_hash
     doc["system_hash"] = system_hash
-    doc["d"] = system.d
-    doc["kind"] = system.kind
     return _emit(args, f"solutions_{system.kind}_d{system.d}.json", doc, [
         *((k, v) for k, v in sols.counts().items() if v is not None),
         ("elapsed", f"{elapsed:.2f}s"),
@@ -285,20 +287,13 @@ def cmd_solve(args):
 def _read_solutions(path):
     """The solutions file at ``path`` as (the system hash it records,
     SolutionSet), with the sha256 of its bytes; the file must record the
-    dimension d, and every point must have 2d coordinates."""
-    from .exact import as_int
+    dimension d, so that its points are vectors of C^d."""
     from .solver import SolutionSet
 
     def parse(obj):
         sols = SolutionSet.from_json(obj)
-        if obj.get("d") is None:
+        if sols.d is None:
             raise ConfigError("solutions file does not record the dimension")
-        d = as_int(obj["d"])
-        for i, p in enumerate(sols.points):
-            if len(p.coords) != 2 * d:
-                raise ValueError(
-                    f"point {i} has {len(p.coords)} coordinates, not {2 * d}"
-                )
         return obj.get("system_hash"), sols
 
     return read_json(path, parse)
@@ -373,8 +368,12 @@ def _load_vector(args):
         (_, sols), sol_hash = _read_solutions(args.inp)
         if not 0 <= args.index < len(sols.points):
             raise ConfigError("--index out of range")
+        point = sols.points[args.index]
+        if not point.tags["real"]:  # verify skips it too
+            raise ConfigError(
+                f"--index {args.index} names a point that is not real")
         with mpmath.workprec(args.precision):
-            v = fiducial_from_coords(sols.points[args.index].coords)
+            v = fiducial_from_coords(point.coords)
         return v, {"index": args.index}, sol_hash
     raise ConfigError("overlaps needs --in with --index, --vector or --zauner")
 

@@ -34,13 +34,14 @@ depth first, first root first; it builds no reference cycle, so
 reference counting frees all a solve allocates when it returns. Every
 candidate must reproduce the original system to the residual
 tolerance, so the numeric filtering can only lose solutions, never
-invent them; the SolutionSet they make, as one read from a file, tags
-each coordinate-wise real or not when it is built.
+invent them.
 
-Classification of fiducial solutions adds sign pairs v/-v with a
-canonical representative, Weyl-Heisenberg orbits up to a global phase,
-and, for d=4, matches against the four closed-form fiducial vectors
-built from the golden ratio constants.
+A SolutionSet, whether a solve or a file made it, derives every point
+tag from the coordinates when it is built: realness, and, once given
+the d and kind of a ``wh_fiducial`` system (a solve knows neither),
+sign pairs v/-v with a canonical representative, Weyl-Heisenberg orbits
+up to a global phase and, for d=4, matches against the four closed-form
+fiducial vectors built from the golden ratio constants.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ __all__ = [
     "SolverError",
     "NotZeroDimensionalError",
     "solve_triangular",
-    "classify",
-    "match_zauner",
     "zauner_vectors",
 ]
 
@@ -109,10 +108,15 @@ class Tolerances:
 
     @classmethod
     def from_json(cls, obj):
+        """The tolerances ``obj`` records, which must be all four."""
         for k, v in obj.items():
             if isinstance(v, bool):
                 raise TypeError(f"tolerance {k} is a bool, not a number")
-        return cls(**{k: float(v) for k, v in obj.items()})
+        tol = cls(**{k: float(v) for k, v in obj.items()})
+        missing = [k for k in asdict(tol) if k not in obj]
+        if missing:
+            raise ValueError(f"tolerances not recorded: {', '.join(missing)}")
+        return tol
 
 
 @dataclass
@@ -124,44 +128,64 @@ class SolutionPoint:
 
 @dataclass
 class SolutionSet:
-    """Points at one precision; building a set tags each ``real`` from
-    its coordinates, whatever tag it came with, for all others to read."""
+    """Points at one precision, of a system of ``kind`` in dimension
+    ``d`` when those are known; with d, each point holds a vector of C^d
+    in 2d coordinates. Building a set replaces every point's tags with
+    ones derived from its coordinates, for all others to read: ``real``,
+    and in a ``wh_fiducial`` set with d ``sign_canonical``, ``orbit_id``
+    and, at d=4, ``zauner_match``."""
 
     points: list
     precision: int
     tolerances: Tolerances
+    d: int | None = None
+    kind: str | None = None
 
     def __post_init__(self):
+        _check_shape(self.points, self.d)
+        self._tag()
+
+    @property
+    def _fiducial(self):
+        return self.kind == "wh_fiducial" and self.d is not None
+
+    def _tag(self):
+        """A Zauner match is tagged on the canonical point of a sign
+        pair only, so the tags count the matched fiducials up to sign."""
+        tol = self.tolerances
+        zauner = self._fiducial and self.d == 4
+        targets = zauner_vectors(self.precision) if zauner else ()
+        reps = []  # one fiducial vector per orbit
         with mpmath.workprec(self.precision):
             for p in self.points:
-                p.tags["real"] = _is_real_point(
-                    p.coords, self.tolerances.realness)
+                real = _is_real_point(p.coords, tol.realness)
+                tags = {"real": real}
+                if self._fiducial:
+                    v = fiducial_from_coords(p.coords) if real else None
+                    tags["sign_canonical"] = real and _sign_canonical(
+                        p.coords, tol.match)
+                    tags["orbit_id"] = (
+                        _orbit_id(v, reps, tol.match) if real else None)
+                    if zauner:
+                        tags["zauner_match"] = tags["sign_canonical"] and (
+                            _is_zauner(v, targets, tol.match))
+                p.tags = tags
 
     def counts(self):
-        """Summary recomputed from the point tags on every call."""
-        total = len(self.points)
+        """Summary recomputed from the point tags on every call; orbits
+        and Zauner matches are None where the set derives no such tag."""
         real_pts = [p for p in self.points if p.tags["real"]]
-        out = {
-            "total": total,
+        return {
+            "total": len(self.points),
             "real": len(real_pts),
             "real_up_to_sign": sum(
                 1 for p in real_pts if p.tags.get("sign_canonical")
             ),
+            "orbits": (len({p.tags["orbit_id"] for p in real_pts})
+                       if self._fiducial else None),
+            "zauner": (sum(1 for p in real_pts if p.tags["zauner_match"])
+                       if self._fiducial and self.d == 4 else None),
         }
-        orbit_ids = {
-            p.tags["orbit_id"]
-            for p in self.points
-            if p.tags.get("orbit_id") is not None
-        }
-        has_orbit_info = any("orbit_id" in p.tags for p in self.points)
-        out["orbits"] = len(orbit_ids) if has_orbit_info else None
-        has_zauner_info = any("zauner_match" in p.tags for p in self.points)
-        out["zauner"] = (
-            sum(1 for p in self.points if p.tags.get("zauner_match"))
-            if has_zauner_info
-            else None
-        )
-        return out
 
     def to_json(self):
         dps = _dps(self.precision)
@@ -182,12 +206,15 @@ class SolutionSet:
             "format": "solutions",
             "precision": self.precision,
             "tolerances": self.tolerances.to_json(),
+            "d": self.d,
+            "kind": self.kind,
             "points": pts,
             "counts": self.counts(),
         }
 
     @classmethod
     def from_json(cls, obj):
+        """The set a solutions file records; its tags are derived anew."""
         if obj.get("format") != "solutions":
             raise ValueError("not a solutions file")
         precision = as_int(obj["precision"])
@@ -202,12 +229,20 @@ class SolutionSet:
                     mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
                     for re, im in p["coords"]
                 )
-                points.append(
-                    SolutionPoint(
-                        coords, mpmath.mpf(p["residual"]), dict(p["tags"])
-                    )
-                )
-        return cls(points, precision, Tolerances.from_json(obj["tolerances"]))
+                points.append(SolutionPoint(coords, mpmath.mpf(p["residual"])))
+        d = None if obj.get("d") is None else as_int(obj["d"])
+        # a file whose points and tolerances are both wrong names its points
+        _check_shape(points, d)
+        return cls(points, precision, Tolerances.from_json(obj["tolerances"]),
+                   d, obj.get("kind"))
+
+
+def _check_shape(points, d):
+    for i, p in enumerate(points):
+        if d is not None and len(p.coords) != 2 * d:
+            raise ValueError(
+                f"point {i} has {len(p.coords)} coordinates, not {2 * d}"
+            )
 
 
 def _dps(prec):
@@ -449,37 +484,24 @@ def _phase_distance(v, w):
     return max(abs(x - phase * y) for x, y in zip(v, w))
 
 
-def classify(solset, d):
-    """Tag sign pairs and Weyl-Heisenberg orbits in place, reading the
-    ``real`` tags, and for d=4 the closed-form fiducials (match_zauner).
+def _orbit_id(v, reps, match):
+    """The first orbit in ``reps`` with a displacement of its
+    representative that is v up to a global phase, or a new orbit of v,
+    appended to ``reps``."""
+    d = len(v)
+    orbit = next((
+        k for k, vr in enumerate(reps)
+        if any(_phase_distance(v, apply_weyl(vr, (a, b))) <= match
+               for a in range(d) for b in range(d))
+    ), len(reps))
+    if orbit == len(reps):
+        reps.append(v)
+    return orbit
 
-    Orbit grouping applies to coordinate-wise real points of a
-    fiducial system: two points share an orbit when some displacement
-    maps one fiducial vector to the other up to a global phase.
-    """
-    tol = solset.tolerances
-    reps = []
-    with mpmath.workprec(solset.precision):
-        for p in solset.points:
-            p.tags["sign_canonical"] = (
-                p.tags["real"] and _sign_canonical(p.coords, tol.match))
-            p.tags["orbit_id"] = None
-            if not p.tags["real"]:
-                continue
-            v = fiducial_from_coords(p.coords)
-            # the first orbit with a displacement of its representative
-            # that is v up to a global phase, or a new orbit
-            orbit = next((
-                k for k, vr in enumerate(reps)
-                if any(_phase_distance(v, apply_weyl(vr, (a, b))) <= tol.match
-                       for a in range(d) for b in range(d))
-            ), len(reps))
-            if orbit == len(reps):
-                reps.append(v)
-            p.tags["orbit_id"] = orbit
-    if d == 4:
-        match_zauner(solset)
-    return solset
+
+def _is_zauner(v, targets, match):
+    """Whether v is one of the closed-form fiducials up to a phase."""
+    return any(_phase_distance(v, t) <= match for t in targets)
 
 
 def zauner_vectors(precision=256):
@@ -509,25 +531,3 @@ def zauner_vectors(precision=256):
                 [pref * (X * pa + wk * Y * pb) for pa, pb in zip(psi_a, psi_b)]
             )
         return vecs
-
-
-def match_zauner(solset):
-    """Tag solutions matching a closed-form d=4 fiducial up to phase.
-
-    Only the canonical representative of each sign pair is tagged, so
-    the tag count equals the number of matched fiducials up to sign.
-    """
-    tol = solset.tolerances
-    if any(len(p.coords) != 8 for p in solset.points):
-        raise ValueError("zauner matching applies to d=4 solutions")
-    targets = zauner_vectors(solset.precision)
-    with mpmath.workprec(solset.precision):
-        for p in solset.points:
-            hit = False
-            if p.tags["real"] and _sign_canonical(p.coords, tol.match):
-                v = fiducial_from_coords(p.coords)
-                hit = any(
-                    _phase_distance(v, vk) <= tol.match for vk in targets
-                )
-            p.tags["zauner_match"] = hit
-    return solset

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from eqlines.exact import QQ
 from eqlines.groebner import buchberger
 from eqlines.polyring import Poly, Ring
 from eqlines.sicgen import gen_wh_system
-from eqlines.solver import classify, solve_triangular
+from eqlines.solver import solve_triangular
 
 # one line per acceptance criterion, echoed after the test summary so the
 # PASS/FAIL verdicts survive pytest's output capture
@@ -34,6 +36,6 @@ def d2_pipeline():
     """Shared d=2 run: system, reduced lex basis, classified solutions."""
     system = gen_wh_system(2)
     gb = buchberger(list(system.equations), "lex")
-    sols = solve_triangular(gb, list(system.equations), precision=256)
-    classify(sols, 2)
+    sols = replace(solve_triangular(gb, list(system.equations), precision=256),
+                   d=system.d, kind=system.kind)
     return system, gb, sols

@@ -9,6 +9,7 @@ tolerance and a wall-clock budget.
 import json
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -33,7 +34,7 @@ from eqlines.groebner import (
 )
 from eqlines.polyring import Poly, Ring
 from eqlines.sicgen import gen_wh_system, seidel_hexagon, seidel_icosahedron
-from eqlines.solver import classify, solve_triangular, zauner_vectors
+from eqlines.solver import solve_triangular, zauner_vectors
 from eqlines.verify import (
     gram_analysis,
     hexagon_lines,
@@ -171,8 +172,8 @@ def test_criterion_05_d2_pipeline():
     t0 = time.monotonic()
     system = gen_wh_system(2)
     gb = buchberger(list(system.equations), "lex")
-    sols = solve_triangular(gb, list(system.equations), precision=256)
-    classify(sols, 2)
+    sols = replace(solve_triangular(gb, list(system.equations), precision=256),
+                   d=system.d, kind=system.kind)
     ok = is_zero_dimensional(gb)
     qdim = quotient_dimension(gb)
     n = len(sols.points)
@@ -241,8 +242,8 @@ def test_criterion_06_d4_table():
                 f"closed form to {mpmath.nstr(printed_dist, 2)}")
         return
     # full path: only reached when the budget admits the d=4 basis
-    sols = solve_triangular(gb, gens, precision=256)
-    classify(sols, 4)
+    sols = replace(solve_triangular(gb, gens, precision=256),
+                   d=system.d, kind=system.kind)
     counts = sols.counts()
     got = (counts["total"], counts["real"], counts["real_up_to_sign"],
            counts["orbits"], counts["zauner"])

@@ -490,6 +490,22 @@ def test_overlaps_index_out_of_range(d2_sols, tmp_path, capsys):
     assert capsys.readouterr().err == "error: --index out of range\n"
 
 
+def test_overlaps_refuses_a_point_that_is_not_real(d2_sols, tmp_path,
+                                                   capsys):
+    """The coordinates of a complex point are no real and imaginary
+    parts of a vector, so, as verify skips it, overlaps refuses it."""
+    doc = _read(d2_sols)
+    index = next(i for i, p in enumerate(doc["points"])
+                 if not p["tags"]["real"])
+    capsys.readouterr()
+    rc = main(["overlaps", "--in", str(d2_sols), "--index", str(index),
+               "--out", str(tmp_path / "ov.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --index {index} names a point that is not real\n")
+    assert not (tmp_path / "ov.json").exists()
+
+
 def test_solutions_file_without_dimension_rejected(d2_sols, tmp_path, capsys):
     doc = _read(d2_sols)
     del doc["d"]
@@ -676,8 +692,13 @@ _SHORT_COORDS = json.dumps({
 
 def _bad_tolerance(name, value):
     """A solutions file, empty but for one recorded tolerance."""
+    return _tolerances({name: value})
+
+
+def _tolerances(recorded):
+    """An empty d=2 solutions file that records these tolerances."""
     return json.dumps({
-        "format": "solutions", "precision": 256, "tolerances": {name: value},
+        "format": "solutions", "precision": 256, "tolerances": recorded,
         "points": [], "d": 2,
     })
 
@@ -830,6 +851,12 @@ _BOOL = "TypeError: True is a bool, not an integer"
      _BOOL),
     (["verify", "--in", "BAD"], _bad_tolerance("residual", True),
      "TypeError: tolerance residual is a bool, not a number"),
+    (["verify", "--in", "BAD"], _tolerances({}),
+     "ValueError: tolerances not recorded: residual, cluster, realness, "
+     "match"),
+    (["overlaps", "--in", "BAD", "--index", "0"],
+     _tolerances({"residual": "1e-10", "cluster": "1e-25", "match": "1e-10"}),
+     "ValueError: tolerances not recorded: realness"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
@@ -853,7 +880,8 @@ _BOOL = "TypeError: True is a bool, not an integer"
         "verify-bool-d", "groebner-bool-conductor",
         "solve-basis-bool-pair-count", "groebner-bool-exponent",
         "groebner-bool-d", "groebner-bool-n-lines", "gram-bool-sign",
-        "verify-bool-precision", "verify-bool-tolerance"])
+        "verify-bool-precision", "verify-bool-tolerance",
+        "verify-no-tolerances", "overlaps-missing-tolerance"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

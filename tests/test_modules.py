@@ -344,19 +344,23 @@ def test_only_groebner_builds_groebner_bases():
 
 
 def test_only_solution_sets_decide_realness():
-    """A ``SolutionSet`` tags each point ``real`` from its coordinates
-    when it is built; solving, classification and verification read
-    that tag, so ``_is_real_point`` has one call site, in the class."""
+    """A ``SolutionSet`` derives every point tag from its coordinates
+    when it is built, and everything else reads the tags: the helpers
+    that decide realness, sign pairs, orbits and Zauner matches are
+    called in the class only."""
     pkg = Path(eqlines.__file__).resolve().parent
+    helpers = ("_is_real_point", "_sign_canonical", "_orbit_id", "_is_zauner")
     calling = sorted(
-        (name, getattr(top, "name", None))
+        (callee, name, getattr(top, "name", None))
         for name in MODULES
         for top in ast.parse((pkg / f"{name}.py").read_text()).body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call) and "_is_real_point" in (
+        if isinstance(node, ast.Call)
+        for callee in helpers
+        if callee in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
-    assert calling == [("solver", "SolutionSet")]
+    assert calling == sorted((h, "solver", "SolutionSet") for h in helpers)
 
 
 def test_package_names_resolve_to_their_modules():

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -17,8 +18,6 @@ from eqlines.solver import (
     SolutionSet,
     SolverError,
     Tolerances,
-    classify,
-    match_zauner,
     solve_triangular,
     zauner_vectors,
 )
@@ -55,7 +54,7 @@ def test_solve_spec_examples():
 
 
 def test_solve_tags_realness():
-    # x = +-1 real, x = +-i not; no classify call needed
+    # x = +-1 real, x = +-i not
     x, y = _xy()
     eqs = [x ** 4 - 1, y - 1]
     sols = solve_triangular(buchberger(eqs, "lex"), eqs, precision=128)
@@ -66,7 +65,7 @@ def test_solve_tags_realness():
 def test_a_solution_set_tags_realness_when_built():
     """Whatever tags its points come with, a set built by hand or read
     from a file tags each point ``real`` from its coordinates, to the
-    relative realness tolerance, and keeps its other tags."""
+    relative realness tolerance, and drops every other tag."""
     with mpmath.workprec(128):
         coords = [(mpmath.mpc(1), mpmath.mpc(-2)),
                   (mpmath.mpc(1), mpmath.mpc(0, 1)),
@@ -77,7 +76,7 @@ def test_a_solution_set_tags_realness_when_built():
     sols = SolutionSet([SolutionPoint(c, mpmath.mpf(0), t)
                         for c, t in zip(coords, tags)], 128, Tolerances())
     assert [p.tags["real"] for p in sols.points] == want
-    assert sols.points[2].tags["orbit_id"] == 0
+    assert sols.points[2].tags == {"real": True}
     doc = sols.to_json()
     for p in doc["points"]:
         p["tags"]["real"] = not p["tags"]["real"]
@@ -603,6 +602,20 @@ def test_solution_set_json_round_trip(d2_pipeline):
                 assert abs(a - b) < mpmath.mpf(10) ** -70
 
 
+def test_forged_fiducial_tags_are_derived_anew(d2_pipeline):
+    """A solutions file's sign and orbit tags are never read: with every
+    sign tag forged false and every orbit to 7, the d=2 file reads back
+    with the counts of the solve."""
+    _, _, sols = d2_pipeline
+    doc = sols.to_json()
+    for p in doc["points"]:
+        p["tags"]["sign_canonical"] = False
+        p["tags"]["orbit_id"] = 7
+    back = SolutionSet.from_json(doc)
+    assert back.counts() == {"total": 32, "real": 16, "real_up_to_sign": 8,
+                             "orbits": 2, "zauner": None}
+
+
 def test_json_rejects_wrong_format():
     with pytest.raises(ValueError):
         SolutionSet.from_json({"format": "basis"})
@@ -642,8 +655,8 @@ def test_match_zauner_closed_forms():
     with mpmath.workprec(160):
         negs = [[-x for x in v] for v in vecs]
         rand = [[mpmath.mpc(1)] + [mpmath.mpc(0)] * 3]
-    sols = _solset_from_vectors(vecs + negs + rand)
-    match_zauner(sols)
+    sols = replace(_solset_from_vectors(vecs + negs + rand),
+                   d=4, kind="wh_fiducial")
     flags = [p.tags["zauner_match"] for p in sols.points]
     # canonical representatives match, negations and the basis vector do not
     assert flags == [True] * 4 + [False] * 5
@@ -654,9 +667,25 @@ def test_classify_d4_matches_zauner():
     vecs = zauner_vectors(160)
     with mpmath.workprec(160):
         negs = [[-x for x in v] for v in vecs]
-    sols = classify(_solset_from_vectors(vecs + negs), 4)
+    sols = replace(_solset_from_vectors(vecs + negs),
+                   d=4, kind="wh_fiducial")
     assert [p.tags["zauner_match"] for p in sols.points] == [True] * 4 + [False] * 4
     assert sols.counts()["zauner"] == 4
+
+
+def test_forged_zauner_tags_are_derived_anew():
+    """Every zauner_match of a d=4 file forged to true reads back as the
+    four closed forms, not the nine points of the file."""
+    vecs = zauner_vectors(160)
+    with mpmath.workprec(160):
+        negs = [[-x for x in v] for v in vecs]
+        rand = [[mpmath.mpc(1)] + [mpmath.mpc(0)] * 3]
+    sols = replace(_solset_from_vectors(vecs + negs + rand),
+                   d=4, kind="wh_fiducial")
+    doc = sols.to_json()
+    for p in doc["points"]:
+        p["tags"]["zauner_match"] = True
+    assert SolutionSet.from_json(doc).counts()["zauner"] == 4
 
 
 def test_match_zauner_wrong_dimension():
@@ -664,12 +693,12 @@ def test_match_zauner_wrong_dimension():
         pts = [SolutionPoint((mpmath.mpc(1),) * 4, mpmath.mpf(0), {})]
     sols = SolutionSet(pts, 128, Tolerances())
     with pytest.raises(ValueError):
-        match_zauner(sols)
+        replace(sols, d=4, kind="wh_fiducial")
 
 
 def test_classify_empty():
-    sols = SolutionSet([], 128, Tolerances())
-    classify(sols, 2)
+    sols = replace(SolutionSet([], 128, Tolerances()),
+                   d=2, kind="wh_fiducial")
     assert sols.counts()["total"] == 0
 
 
