@@ -8,14 +8,17 @@ positive denominator in lowest terms, so two elements are equal iff
 their numerators and denominators are identical. Products and
 conjugates are reduced by integer division by the monic n-th
 cyclotomic polynomial Phi_n; the only per-conductor state is the cached
-Phi_n and the cached numeric powers of zeta_n.
+Phi_n and the cached numeric powers of zeta_n. One synthetic division
+loop, by a monic divisor, serves that reduction and the long division
+of univariate polynomials over either field.
 
 The field descriptors ``QQ`` and :class:`CycloField` own their scalars:
 ``coerce``, ``zero``, ``one``, ``render``, ``parse`` and ``to_json``, and
 ``embed``, the only approximate operation, which maps a scalar into an
-mpmath complex number at a caller chosen binary precision. polyring,
-groebner and solver reach scalars only through a descriptor and name
-neither scalar type. All other arithmetic is exact.
+mpmath complex number at a caller chosen binary precision. CycloField
+extends QQ's descriptor, from which it takes the rational scalars.
+polyring, groebner and solver reach scalars only through a descriptor
+and name neither scalar type. All other arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "upoly_gcd",
     "upoly_monic",
     "upoly_squarefree",
+    "upoly_squarefree_part",
     "power",
     "signed_sum",
 ]
@@ -81,23 +85,37 @@ def upoly_mul(a, b):
     return upoly_trim(out)
 
 
+def _monic_divmod(num, den):
+    """Quotient and remainder of the coefficient list ``num`` by the
+    monic ``den``; the remainder has exactly deg(den) entries.
+
+    Synthetic division from the top: each entry at or above deg(den) is
+    final once reached and is the quotient's, and only the nonzero
+    coefficients of den below its leading one are subtracted. Integer
+    lists stay integer, which is how Phi_n reduces CycloNum products."""
+    d = len(den) - 1
+    tail = [(i - d, c) for i, c in enumerate(den[:d]) if c]
+    num = list(num)
+    num += [0] * (d - len(num))
+    for e in range(len(num) - 1, d - 1, -1):
+        c = num[e]
+        if c:
+            for i, cd in tail:
+                num[e + i] -= c * cd
+    return num[d:], num[:d]
+
+
 def upoly_divmod(a, b):
-    """Quotient and remainder of a by b. b must be nonzero."""
+    """Quotient and remainder of a by b. b must be nonzero.
+
+    Divides by the monic b / lc(b), then scales the quotient back."""
     b = upoly_trim(b)
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
-    a = upoly_trim(a)
     inv = Fraction(1) / b[-1]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] -= c * cb
-        a = upoly_trim(a)
-    # entries below the last quotient term are still as the caller gave them
-    return upoly_trim(q), [Fraction(c) if isinstance(c, int) else c for c in a]
+    q, r = _monic_divmod(a, [c * inv for c in b])
+    return (upoly_trim([c * inv for c in q]),
+            [Fraction(c) if isinstance(c, int) else c for c in upoly_trim(r)])
 
 
 def upoly_deriv(a):
@@ -159,6 +177,12 @@ def upoly_squarefree(f):
     return out
 
 
+def upoly_squarefree_part(f):
+    """f / gcd(f, f') for a nonzero coefficient list f: the product of
+    its distinct irreducible factors, monic when f is."""
+    return _upoly_exquo(f, upoly_gcd(f, upoly_deriv(f)))
+
+
 def _upoly_ext_gcd(a, b):
     # returns (g, u) with u*a = g mod b, g monic; a must be nonzero
     r0, r1 = upoly_trim(a), upoly_trim(b)
@@ -188,25 +212,6 @@ def power(x, k, one):
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-def _zpoly_divmod(num, den):
-    """Quotient and remainder of the integer coefficient list ``num`` by
-    the monic integer ``den``; the remainder has exactly deg(den) entries.
-
-    Synthetic division from the top: each entry at or above deg(den) is
-    final once reached and is the quotient's, and only the nonzero
-    coefficients of den below its leading one are subtracted."""
-    d = len(den) - 1
-    tail = [(i - d, c) for i, c in enumerate(den[:d]) if c]
-    num = list(num)
-    num += [0] * (d - len(num))
-    for e in range(len(num) - 1, d - 1, -1):
-        c = num[e]
-        if c:
-            for i, cd in tail:
-                num[e + i] -= c * cd
-    return num[d:], num[:d]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
@@ -217,7 +222,7 @@ def cyclotomic_poly(n):
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, r = _zpoly_divmod(num, cyclotomic_poly(d))
+            num, r = _monic_divmod(num, cyclotomic_poly(d))
             if any(r):
                 raise ArithmeticError("non-exact division in cyclotomic construction")
     return tuple(num)
@@ -293,7 +298,7 @@ class CycloNum:
         long = [0] * n
         for k, c in enumerate(self.num):
             long[(n - k) % n] = c
-        _, r = _zpoly_divmod(long, cyclotomic_poly(n))
+        _, r = _monic_divmod(long, cyclotomic_poly(n))
         return CycloNum._new(n, tuple(r), self.den)
 
     def is_real(self):
@@ -356,7 +361,7 @@ class CycloNum:
                 for j, b in enumerate(num):
                     if b:
                         long[i + j] += a * b
-        _, r = _zpoly_divmod(long, cyclotomic_poly(self.n))
+        _, r = _monic_divmod(long, cyclotomic_poly(self.n))
         return CycloNum._new(self.n, tuple(r), self.den * den)
 
     __rmul__ = __mul__
@@ -410,7 +415,7 @@ class CycloNum:
 
 def cyclo_root_of_unity(n, k):
     """zeta_n^k (k may be any integer); a Fraction when it is +-1."""
-    _, r = _zpoly_divmod([0] * (k % n) + [1], cyclotomic_poly(n))
+    _, r = _monic_divmod([0] * (k % n) + [1], cyclotomic_poly(n))
     return CycloNum._new(n, tuple(r), 1)
 
 
@@ -522,7 +527,7 @@ class _RationalField:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
+        raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def zero(self):
         return Fraction(0)
@@ -551,15 +556,15 @@ class _RationalField:
         return "QQ"
 
     def __eq__(self, other):
-        return isinstance(other, _RationalField)
+        return type(other) is type(self)
 
     def __hash__(self):
         return hash("QQ")
 
 
-class CycloField:
-    """The field Q(zeta_n); its scalars are Fractions for rational values
-    and CycloNums with conductor n for the others."""
+class CycloField(_RationalField):
+    """The field Q(zeta_n); its scalars are Fractions for rational values,
+    as in Q, and CycloNums with conductor n for the others."""
 
     def __init__(self, n):
         if n < 1:
@@ -575,15 +580,7 @@ class CycloField:
             if x.n != self.n:
                 raise ValueError(f"conductor mismatch: {x.n} vs {self.n}")
             return x
-        if isinstance(x, (int, Fraction)):
-            return QQ.coerce(x)
-        raise TypeError(f"cannot coerce {x!r} into Q(zeta_{self.n})")
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
+        return super().coerce(x)
 
     def render(self, x):
         if isinstance(x, CycloNum):
@@ -607,7 +604,7 @@ class CycloField:
         return f"CycloField({self.n})"
 
     def __eq__(self, other):
-        return isinstance(other, CycloField) and other.n == self.n
+        return type(other) is type(self) and other.n == self.n
 
     def __hash__(self):
         return hash(("cyclo", self.n))

@@ -48,6 +48,7 @@ from .exact import QQ, CycloField, as_int, cyclo_root_of_unity
 from .polyring import Poly, Ring, rehome
 
 __all__ = [
+    "SYSTEM_KINDS",
     "PolySystem",
     "gen_complex_full",
     "gen_wh_system",
@@ -58,6 +59,10 @@ __all__ = [
     "seidel_hexagon",
     "seidel_icosahedron",
 ]
+
+# the kind of every system a generator here makes, which a system or
+# solutions file records
+SYSTEM_KINDS = ("wh_fiducial", "complex_full", "real_lines")
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,8 @@ class PolySystem:
         d, n = as_int(obj["d"]), as_int(obj["n_lines"])
         if d < 1 or n < 1:
             raise ValueError("d and n_lines must be positive")
+        if kind not in SYSTEM_KINDS:
+            raise ValueError(f"unknown system kind {kind!r}")
         # (variables, lines) of each kind; a symbolic alpha is the last
         # variable of a real system
         shapes = {
@@ -118,8 +125,6 @@ class PolySystem:
             "complex_full": (2 * d ** 3, d * d),
             "real_lines": (n * d + (ring.vars[-1:] == ("alpha",)), n),
         }
-        if kind not in shapes:
-            raise ValueError(f"unknown system kind {kind!r}")
         if (ring.arity, n) != shapes[kind]:
             raise ValueError(
                 f"a {kind} system in d={d} has {shapes[kind][0]} variables "

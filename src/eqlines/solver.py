@@ -51,10 +51,10 @@ import math
 
 import mpmath
 
-from .exact import _upoly_exquo, as_int, upoly_deriv, upoly_gcd, upoly_sub
+from .exact import as_int, upoly_squarefree_part, upoly_sub
 from .groebner import buchberger, quotient_dimension
 from .polyring import Poly, eval_terms, reduce_poly
-from .sicgen import apply_weyl, fiducial_from_coords
+from .sicgen import SYSTEM_KINDS, apply_weyl, fiducial_from_coords
 
 __all__ = [
     "Tolerances",
@@ -142,6 +142,8 @@ class SolutionSet:
     kind: str | None = None
 
     def __post_init__(self):
+        if self.kind not in (None, *SYSTEM_KINDS):
+            raise ValueError(f"unknown system kind {self.kind!r}")
         _check_shape(self.points, self.d)
         self._tag()
 
@@ -286,12 +288,6 @@ def _univ_coeffs(f, i):
     return cs
 
 
-def _squarefree(f):
-    """The monic square-free part f / gcd(f, f') of a nonzero
-    little-endian coefficient list."""
-    return _upoly_exquo(f, upoly_gcd(f, upoly_deriv(f)))
-
-
 def _minimal_polynomial(gb, i):
     """Little-endian monic minimal polynomial of x_i modulo the ideal of
     gb: the normal forms of 1, x_i, x_i^2, ... are eliminated over the
@@ -319,12 +315,12 @@ def _radical(gb, qdim):
     n = gb.ring.arity
     # the element with the least leading monomial lies in x_{n-1} alone
     last = _univ_coeffs(min(gb.basis, key=lambda p: p.monos[0]), n - 1)
-    if len(_squarefree(last)) - 1 == qdim:
+    if len(upoly_squarefree_part(last)) - 1 == qdim:
         return gb
     parts = []
     for i in range(n):
         f = last if i == n - 1 else _minimal_polynomial(gb, i)
-        part = _squarefree(f)
+        part = upoly_squarefree_part(f)
         if len(part) < len(f):
             x = Poly.variable(gb.ring, i)
             parts.append(sum(c * x ** k for k, c in enumerate(part)))

@@ -703,6 +703,18 @@ def _tolerances(recorded):
     })
 
 
+def _solutions_of_kind(kind):
+    """A d=2 solutions file that records this system kind, with one
+    real point."""
+    return json.dumps({
+        "format": "solutions", "precision": 256, "d": 2, "kind": kind,
+        "tolerances": {"residual": "1e-10", "cluster": "1e-25",
+                       "realness": "1e-20", "match": "1e-10"},
+        "points": [{"coords": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "0"]],
+                    "residual": "0", "tags": {"real": True}}],
+    })
+
+
 def _system(coeff, exps=(1, 0, 0, 0), field="Q", d=2):
     """A one-equation system file in x0..x3 with one term."""
     return json.dumps({
@@ -857,6 +869,10 @@ _BOOL = "TypeError: True is a bool, not an integer"
     (["overlaps", "--in", "BAD", "--index", "0"],
      _tolerances({"residual": "1e-10", "cluster": "1e-25", "match": "1e-10"}),
      "ValueError: tolerances not recorded: realness"),
+    (["verify", "--in", "BAD"], _solutions_of_kind(["wh_fiducial"]),
+     "ValueError: unknown system kind ['wh_fiducial']"),
+    (["overlaps", "--in", "BAD", "--index", "0"], _solutions_of_kind("wh"),
+     "ValueError: unknown system kind 'wh'"),
 ], ids=["groebner", "groebner-list", "groebner-not-json", "solve-system",
         "solve-basis", "verify", "overlaps-in", "overlaps-vector", "gram",
         "gen-real", "groebner-zero-denominator",
@@ -881,7 +897,8 @@ _BOOL = "TypeError: True is a bool, not an integer"
         "solve-basis-bool-pair-count", "groebner-bool-exponent",
         "groebner-bool-d", "groebner-bool-n-lines", "gram-bool-sign",
         "verify-bool-precision", "verify-bool-tolerance",
-        "verify-no-tolerances", "overlaps-missing-tolerance"])
+        "verify-no-tolerances", "overlaps-missing-tolerance",
+        "verify-list-kind", "overlaps-unknown-kind"])
 def test_malformed_input_file(argv, content, cause, d2_files, tmp_path,
                               capsys):
     bad = tmp_path / "bad.json"

@@ -213,6 +213,10 @@ def test_field_descriptors():
     assert f.render(x) and f.parse(f.render(x)) == x
     with pytest.raises(ValueError):
         CycloField(20).coerce(cyclo_root_of_unity(12, 1))
+    # Q and Q(zeta_n) are different fields both ways round
+    assert QQ != f and f != QQ and hash(QQ) != hash(f)
+    with pytest.raises(TypeError, match=r"cannot coerce 'x' into Q\(zeta_12\)$"):
+        f.coerce("x")
 
 
 def test_rational_scalars_are_fractions_in_every_field():
@@ -318,7 +322,12 @@ def test_upoly_helpers_keep_cyclotomic_scalars():
     z = cyclo_root_of_unity(12, 1)
     assert [type(c) for c in upoly_mul([0, z], [z, 1])] == [Fraction, CycloNum, CycloNum]
     assert [type(c) for c in upoly_sub([z], [z, 1])] == [Fraction, Fraction]
-    for a, b in [([0, z], [z, 1]), ([1, 0, z], [z, 1]), ([3, 1], [z, 0, 1])]:
+    # the first divisor's leading coefficient is irrational
+    for a, b in [([3, z, 1, z * z], [1, 2, z + 1]), ([0, z], [z, 1]),
+                 ([1, 0, z], [z, 1]), ([3, 1], [z, 0, 1])]:
+        q, r = upoly_divmod(a, b)
+        assert upoly_sub(upoly_sub(a, upoly_mul(q, b)), r) == []
+        assert len(r) < len(b)
         results = _upoly_results(a, b)
         assert all(results[:3])
         coeffs = [c for r in results for c in r]

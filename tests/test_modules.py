@@ -363,6 +363,21 @@ def test_only_solution_sets_decide_realness():
     assert calling == sorted((h, "solver", "SolutionSet") for h in helpers)
 
 
+def test_no_module_imports_a_private_name_of_exact():
+    """exact's underscored helpers are its own: the other layers import
+    only its public names."""
+    pkg = Path(eqlines.__file__).resolve().parent
+    private = sorted(
+        (name, alias.name)
+        for name in MODULES if name != "exact"
+        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] == "exact"
+        for alias in node.names if alias.name.startswith("_")
+    )
+    assert private == []
+
+
 def test_package_names_resolve_to_their_modules():
     wrong = [
         name for name in eqlines.__all__
